@@ -48,13 +48,11 @@ from .errors import (
 )
 from .linalg import (
     HermEigResult,
-    adjoint,
     as_matrix,
     frob,
     general_eig,
     herm_eig,
     inv_sqrt_hpd,
-    matmul,
     poly_roots,
 )
 from .nrange import NRangeBoundary, nrange_boundary, nrange_contains, support_values
@@ -117,13 +115,11 @@ __all__ = [
     "OutOfDiskError",
     "SrgError",
     "HermEigResult",
-    "adjoint",
     "as_matrix",
     "frob",
     "general_eig",
     "herm_eig",
     "inv_sqrt_hpd",
-    "matmul",
     "poly_roots",
     "NRangeBoundary",
     "nrange_boundary",

@@ -34,6 +34,8 @@ COLLINEAR_TOL = 1e-12
 INF_TOL = 1e-12
 # Spacing used when densifying polygon edges into boundary walks.
 EDGE_SPACING = 1.0 / 128.0
+# Point-edge pairs the distance kernel holds in memory at once.
+_KERNEL_PAIRS = 1 << 16
 
 
 class Infinity:
@@ -105,6 +107,37 @@ def bk_forward(z: ExtComplex) -> complex:
     return w
 
 
+def _bk_inverse_upper(ws) -> tuple[np.ndarray, np.ndarray]:
+    """Array kernel of bk_inverse: upper preimages and the mask of g(w) = {infinity}.
+
+    Values under the mask are meaningless.  The radial clamp is CPython's
+    complex-by-real division written out, so values match scalar complex
+    arithmetic bit for bit.  The first faulty point raises InputError,
+    OutOfDiskError, or ZeroDivisionError (1 - Re w rounds to 0 off w = 1).
+    """
+    ws = np.asarray(ws, dtype=np.complex128).ravel()
+    wr, wi = ws.real.copy(), ws.imag.copy()
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = np.hypot(wr, wi)
+        big = r > 1.0
+        xr, xi, rb = wr[big], wi[big], r[big]
+        wr[big] = (xr + xi * 0.0) / rb
+        wi[big] = (xi - xr * 0.0) / rb
+        at_infinity = np.hypot(wr - 1.0, wi - 0.0) <= INF_TOL
+        denom = 1.0 - wr  # > 0 away from w = 1
+        rad = 1.0 - (wr * wr + wi * wi)
+        rad = np.where(rad < 0.0, 0.0, rad)
+        upper = np.empty(ws.size, dtype=np.complex128)
+        upper.real = -wi / denom
+        upper.imag = np.sqrt(rad) / denom
+    bad = (~(np.isfinite(ws.real) & np.isfinite(ws.imag)) | (r > 1.0 + EPS_DISK)
+           | (~at_infinity & (denom == 0.0)))
+    if bad.any():
+        clamp_disk(ws[np.argmax(bad)])  # raises for non-finite and outside points
+        raise ZeroDivisionError("float division by zero")
+    return upper, at_infinity
+
+
 def bk_inverse(w) -> tuple[ExtComplex, ExtComplex]:
     """Return the conjugate pair of preimages (upper, lower) of a disk point.
 
@@ -113,16 +146,10 @@ def bk_inverse(w) -> tuple[ExtComplex, ExtComplex]:
     pair (INFINITY, INFINITY).  1 - |w|^2 is clamped to [0, inf) before
     the square root.
     """
-    w = clamp_disk(w)
-    if abs(w - 1.0) <= INF_TOL:
+    upper, at_infinity = _bk_inverse_upper([complex(w)])
+    if at_infinity[0]:
         return (INFINITY, INFINITY)
-    denom = 1.0 - w.real  # > 0 away from w = 1
-    rad = 1.0 - (w.real * w.real + w.imag * w.imag)
-    if rad < 0.0:
-        rad = 0.0
-    s = math.sqrt(rad)
-    upper = complex(-w.imag / denom, s / denom)
-    return (upper, upper.conjugate())
+    return (complex(upper[0]), complex(upper[0]).conjugate())
 
 
 # ---------------------------------------------------------------------------
@@ -145,8 +172,18 @@ class ConvexPolygon:
             raise InputError("a polygon needs at least one vertex")
 
 
-def _cross(o: complex, a: complex, b: complex) -> float:
-    return (a.real - o.real) * (b.imag - o.imag) - (a.imag - o.imag) * (b.real - o.real)
+def _half_chain(pts: list[complex], tol: float) -> list[complex]:
+    """One monotone-chain pass; pops vertices within tol of the chord."""
+    chain: list[complex] = []
+    for p in pts:
+        while len(chain) >= 2:
+            o = chain[-2]
+            d, e = p - o, chain[-1] - o
+            if e.real * d.imag - e.imag * d.real > tol * abs(d):
+                break
+            chain.pop()
+        chain.append(p)
+    return chain
 
 
 def convex_hull_2d(points: Iterable[complex]) -> ConvexPolygon:
@@ -159,29 +196,25 @@ def convex_hull_2d(points: Iterable[complex]) -> ConvexPolygon:
     keeps the pruning error bounded independently of how densely the
     boundary was sampled.
     """
-    pts = [as_finite_complex(p) for p in points]
-    if not pts:
+    arr = np.asarray(points if isinstance(points, np.ndarray) else list(points),
+                     dtype=np.complex128).ravel()
+    if arr.size == 0:
         raise InputError("convex_hull_2d needs at least one point")
-    pts = sorted(set(pts), key=lambda p: (p.real, p.imag))
+    finite = np.isfinite(arr.real) & np.isfinite(arr.imag)
+    if not finite.all():
+        as_finite_complex(arr[np.argmin(finite)])  # raises InputError
+    # Stable lexicographic sort; equal points keep their first occurrence.
+    arr = arr[np.lexsort((arr.imag, arr.real))]
+    distinct = np.ones(arr.size, dtype=bool)
+    distinct[1:] = arr[1:] != arr[:-1]
+    arr = arr[distinct]
+    pts = arr.tolist()
     if len(pts) == 1:
         return ConvexPolygon((pts[0],))
-    scale = max(1.0, max(max(abs(p.real), abs(p.imag)) for p in pts))
+    scale = max(1.0, float(np.max(np.maximum(np.abs(arr.real), np.abs(arr.imag)))))
     tol = COLLINEAR_TOL * scale
-
-    lower: list[complex] = []
-    for p in pts:
-        while len(lower) >= 2 and _cross(lower[-2], lower[-1], p) <= tol * abs(
-            p - lower[-2]
-        ):
-            lower.pop()
-        lower.append(p)
-    upper: list[complex] = []
-    for p in reversed(pts):
-        while len(upper) >= 2 and _cross(upper[-2], upper[-1], p) <= tol * abs(
-            p - upper[-2]
-        ):
-            upper.pop()
-        upper.append(p)
+    lower = _half_chain(pts, tol)
+    upper = _half_chain(pts[::-1], tol)
     verts = lower[:-1] + upper[:-1]
     if len(verts) < 2:
         # All points coincide up to the pruning tolerance.
@@ -201,55 +234,57 @@ def polygon_area(poly: ConvexPolygon) -> float:
     return 0.5 * s
 
 
-def _dist_point_segment(p: complex, a: complex, b: complex) -> float:
-    ab = b - a
-    denom = ab.real * ab.real + ab.imag * ab.imag
-    if denom == 0.0:
-        return abs(p - a)
-    t = ((p.real - a.real) * ab.real + (p.imag - a.imag) * ab.imag) / denom
-    t = min(1.0, max(0.0, t))
-    return abs(p - (a + t * ab))
+def _signed_distances(vertices, ws) -> np.ndarray:
+    """Exact signed distances from points to a convex polygon, vectorized.
+
+    `vertices` are the polygon's CCW vertices.  The result is minus the
+    distance to the boundary inside, the Euclidean distance outside,
+    and the plain distance for a point or a segment.  Zero-length edges
+    are skipped.  Points are processed in chunks of at most
+    _KERNEL_PAIRS point-edge pairs, so memory stays bounded for
+    polygons with tens of thousands of vertices.
+    """
+    v = np.asarray(vertices, dtype=np.complex128)
+    ws = np.asarray(ws, dtype=np.complex128).ravel()
+    closed = len(v) > 2
+    a = v if closed else v[:1]
+    e = (np.roll(v, -1) if closed else v[-1:]) - a
+    ln = np.abs(e)
+    keep = ln > 0.0
+    a, e, ln = a[keep], e[keep], ln[keep]
+    if a.size == 0:
+        return np.abs(ws - v[0])
+    out = np.empty(ws.shape, dtype=np.float64)
+    step = max(1, _KERNEL_PAIRS // a.size)
+    for lo in range(0, ws.size, step):
+        rel = ws[lo:lo + step, None] - a
+        if closed:
+            # Outward normal of a CCW edge is (ey, -ex)/|e|; inside a
+            # convex polygon the largest edge-line distance is exact.
+            d = np.max((rel.real * e.imag - rel.imag * e.real) / ln, axis=1)
+        else:
+            d = np.full(rel.shape[0], np.inf)
+        far = d > 0.0
+        r = rel[far]
+        t = np.clip((r.real * e.real + r.imag * e.imag) / ln**2, 0.0, 1.0)
+        d[far] = np.min(np.abs(r - t * e), axis=1)
+        out[lo:lo + step] = d
+    return out
 
 
 def polygon_signed_distance(poly: ConvexPolygon, w) -> float:
-    """Signed distance to the polygon: negative inside, zero on the boundary.
+    """Exact signed distance to the polygon: negative inside, zero on the boundary.
 
-    For non-degenerate polygons this is the maximum over edges of the
-    signed distance to the edge line (exact inside; a lower bound of
-    the Euclidean distance outside, near corners).  Degenerate
-    polygons give the plain distance to the point or segment.
+    Inside it is minus the distance to the boundary, outside the
+    Euclidean distance to the polygon.  Degenerate polygons give the
+    plain distance to the point or segment.
     """
-    w = as_finite_complex(w)
-    v = poly.vertices
-    if len(v) == 1:
-        return abs(w - v[0])
-    if len(v) == 2:
-        return _dist_point_segment(w, v[0], v[1])
-    best = -math.inf
-    for i in range(len(v)):
-        a, b = v[i], v[(i + 1) % len(v)]
-        ex, ey = b.real - a.real, b.imag - a.imag
-        ln = math.hypot(ex, ey)
-        if ln == 0.0:
-            continue
-        # Outward normal of a CCW edge is (ey, -ex)/|e|.
-        d = ((w.real - a.real) * ey - (w.imag - a.imag) * ex) / ln
-        if d > best:
-            best = d
-    return best
+    return float(_signed_distances(poly.vertices, [as_finite_complex(w)])[0])
 
 
 def polygon_distance(poly: ConvexPolygon, w) -> float:
     """Euclidean distance to the polygon as a set (zero inside)."""
-    w = as_finite_complex(w)
-    v = poly.vertices
-    if len(v) == 1:
-        return abs(w - v[0])
-    if len(v) == 2:
-        return _dist_point_segment(w, v[0], v[1])
-    if polygon_signed_distance(poly, w) <= 0.0:
-        return 0.0
-    return min(_dist_point_segment(w, v[i], v[(i + 1) % len(v)]) for i in range(len(v)))
+    return max(0.0, polygon_signed_distance(poly, w))
 
 
 def polygon_hausdorff(p: ConvexPolygon, q: ConvexPolygon) -> float:
@@ -259,9 +294,9 @@ def polygon_hausdorff(p: ConvexPolygon, q: ConvexPolygon) -> float:
     over a polytope is attained at a vertex; checking vertices both
     ways is exact.
     """
-    d1 = max(polygon_distance(q, v) for v in p.vertices)
-    d2 = max(polygon_distance(p, v) for v in q.vertices)
-    return max(d1, d2)
+    d1 = np.max(_signed_distances(q.vertices, p.vertices))
+    d2 = np.max(_signed_distances(p.vertices, q.vertices))
+    return float(max(0.0, d1, d2))
 
 
 class PolygonLocator:
@@ -352,56 +387,30 @@ class PolygonLocator:
 
     def exact(self, ws) -> np.ndarray:
         """Exact signed distances (negative inside), O(V) per point."""
-        ws = np.asarray(ws, dtype=np.complex128).ravel()
-        v = self._v
-        if len(v) == 1:
-            return np.abs(ws - v[0])
-        if len(v) == 2:
-            e = v[1] - v[0]
-            t = np.clip(np.real(np.conj(e) * (ws - v[0])) / np.abs(e) ** 2, 0.0, 1.0)
-            return np.abs(ws - (v[0] + t * e))
-        nxt = np.roll(v, -1)
-        edges = nxt - v
-        lens = np.abs(edges)
-        keep = lens > 0.0
-        a = v[keep]
-        e = edges[keep]
-        ln = lens[keep]
-        n = -1j * e / ln
-        out = np.empty(ws.shape, dtype=np.float64)
-        for i, w in enumerate(ws):
-            dots = np.real(np.conj(n) * (w - a))
-            d = float(np.max(dots))
-            if d > 0.0:
-                t = np.clip(np.real(np.conj(e) * (w - a)) / ln**2, 0.0, 1.0)
-                d = float(np.min(np.abs(w - (a + t * e))))
-            out[i] = d
-        return out
+        return _signed_distances(self._v, ws)
 
 
 def polygon_boundary_points(poly: ConvexPolygon, spacing: float = EDGE_SPACING) -> list[complex]:
     """CCW boundary walk with edges densified to at most `spacing` steps.
 
     Degenerate polygons traverse once (no return leg), so a segment
-    yields points from one endpoint to the other.
+    yields points from one endpoint to the other.  Point k of an edge
+    cut into n steps is a + (b - a)*(k/n), the product written out as
+    CPython's complex-by-real product.
     """
-    v = poly.vertices
-    if len(v) == 1:
-        return [v[0]]
-    if len(v) == 2:
-        edges = [(v[0], v[1])]
-        closed = False
-    else:
-        edges = [(v[i], v[(i + 1) % len(v)]) for i in range(len(v))]
-        closed = True
-    out: list[complex] = []
-    for a, b in edges:
-        n = max(1, int(math.ceil(abs(b - a) / spacing)))
-        for k in range(n):
-            out.append(a + (b - a) * (k / n))
-    if not closed:
-        out.append(edges[-1][1])
-    return out
+    v = np.array(poly.vertices, dtype=np.complex128)
+    if v.size == 1:
+        return v.tolist()
+    a, b = (v[:1], v[1:]) if v.size == 2 else (v, np.roll(v, -1))
+    dr, di = b.real - a.real, b.imag - a.imag
+    n = np.maximum(1, np.ceil(np.hypot(dr, di) / spacing)).astype(np.int64)
+    edge = np.repeat(np.arange(a.size), n)
+    f = (np.arange(edge.size) - np.repeat(np.cumsum(n) - n, n)) / n[edge]
+    dr, di = dr[edge], di[edge]
+    walk = np.empty(edge.size, dtype=np.complex128)
+    walk.real = a.real[edge] + (dr * f - di * 0.0)
+    walk.imag = a.imag[edge] + (dr * 0.0 + di * f)
+    return walk.tolist() + (v[1:].tolist() if v.size == 2 else [])
 
 
 # ---------------------------------------------------------------------------
@@ -440,10 +449,13 @@ def region_from_disk_hull(
     hull touches the point 1 within EPS_DISK.
     """
     if contains_infinity is None:
-        contains_infinity = polygon_distance(hull, complex(1.0, 0.0)) <= EPS_DISK
-    upper = tuple(bk_inverse(w)[0] for w in polygon_boundary_points(hull, spacing))
-    lower = tuple(ext_conjugate(u) for u in upper)
-    return SrgRegion(hull, upper, lower, bool(contains_infinity), bool(boundary_only))
+        contains_infinity = polygon_signed_distance(hull, 1.0) <= EPS_DISK
+    up, at_infinity = _bk_inverse_upper(polygon_boundary_points(hull, spacing))
+    upper, lower = up.tolist(), np.conj(up).tolist()
+    for k in np.flatnonzero(at_infinity):
+        upper[k] = lower[k] = INFINITY
+    return SrgRegion(hull, tuple(upper), tuple(lower), bool(contains_infinity),
+                     bool(boundary_only))
 
 
 def hull_bk(points: Sequence[ExtComplex], *, spacing: float = EDGE_SPACING) -> SrgRegion:
@@ -451,12 +463,10 @@ def hull_bk(points: Sequence[ExtComplex], *, spacing: float = EDGE_SPACING) -> S
     pts = list(points)
     if not pts:
         raise InputError("hull_bk needs at least one point")
-    has_inf = any(is_infinity(p) for p in pts)
     hull = convex_hull_2d([bk_forward(p) for p in pts])
-    touches_one = polygon_distance(hull, complex(1.0, 0.0)) <= EPS_DISK
-    return region_from_disk_hull(
-        hull, contains_infinity=has_inf or touches_one, spacing=spacing
-    )
+    # None lets region_from_disk_hull derive the flag from the hull.
+    flag = True if any(is_infinity(p) for p in pts) else None
+    return region_from_disk_hull(hull, contains_infinity=flag, spacing=spacing)
 
 
 def region_signed_distance(region: SrgRegion, z: ExtComplex) -> float:
@@ -466,10 +476,7 @@ def region_signed_distance(region: SrgRegion, z: ExtComplex) -> float:
     result is the absolute distance to the hull boundary, so small
     values mean "on the curve".
     """
-    w = bk_forward(z)
-    d = polygon_signed_distance(region.disk_hull, w)
-    if d > 0.0:
-        d = polygon_distance(region.disk_hull, w)
+    d = polygon_signed_distance(region.disk_hull, bk_forward(z))
     if region.boundary_only:
         return abs(d)
     return d

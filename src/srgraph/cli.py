@@ -183,7 +183,7 @@ def _region_outline(region: cgeom.SrgRegion) -> list[complex]:
 
 def cmd_srg_matrix(args) -> int:
     matrix, field = load_matrix_file(args.input)
-    opts = SrgOptions(num_angles=args.angles, field=field)
+    opts = SrgOptions(num_angles=args.angles)
     region = srg_real(matrix, opts) if field == "real" else srg_complex(matrix, opts)
 
     if args.format == "csv":

@@ -37,20 +37,6 @@ def frob(a) -> float:
     return float(np.linalg.norm(np.asarray(a), "fro"))
 
 
-def matmul(a, b) -> np.ndarray:
-    """Matrix product with shape checking."""
-    am = as_matrix(a)
-    bm = as_matrix(b)
-    if am.shape[1] != bm.shape[0]:
-        raise InputError(f"shape mismatch: {am.shape} @ {bm.shape}")
-    return am @ bm
-
-
-def adjoint(a) -> np.ndarray:
-    """Conjugate transpose."""
-    return as_matrix(a).conj().T.copy()
-
-
 class HermEigResult(NamedTuple):
     eigenvalues: np.ndarray  # ascending reals
     eigenvectors: np.ndarray  # unitary, columns

@@ -98,14 +98,16 @@ def _faces_batch(a: np.ndarray, thetas: np.ndarray, gap_tol: float):
     h = w[:, -1]
     top = v[:, :, -1]
     points = np.einsum("ki,ij,kj->k", np.conj(top), a, top)
+    # Gap test and scalar conversion done array-wide; the per-angle loop
+    # then touches plain Python floats only.
+    simple = [True] * thetas.size if n == 1 else (h - w[:, -2] >= gap_tol).tolist()
     out = []
-    for k in range(thetas.size):
-        if n == 1 or h[k] - w[k, -2] >= gap_tol:
-            out.append((float(h[k]), [complex(points[k])]))
+    for k, (hk, pk, ok) in enumerate(zip(h.tolist(), points.tolist(), simple)):
+        if ok:
+            out.append((hk, [pk]))
         else:
-            out.append((float(h[k]),
-                        _degenerate_face(a, float(thetas[k]), float(h[k]),
-                                         w[k], v[k], gap_tol)))
+            out.append((hk, _degenerate_face(a, float(thetas[k]), hk,
+                                             w[k], v[k], gap_tol)))
     return out
 
 
@@ -121,20 +123,27 @@ def _faces(a: np.ndarray, thetas, gap_tol: float):
     return [face for part in parts for face in part]
 
 
-def _apex_chord_bound(ta: float, ha: float, pa: complex,
-                      tb: float, hb: float, pb: complex) -> float:
-    """Exact outer bound for the sweep wedge (ta, tb).
+def _apex_chord_bounds(ta, ha, pa, tb, hb, pb) -> np.ndarray:
+    """Exact outer bounds for the sweep wedges (ta, tb), one per wedge.
 
-    The support lines at the two angles intersect at an apex; any
-    boundary inside the wedge lies in the triangle (pa, apex, pb), so
-    its distance from the chord is at most the apex's.
+    The support lines at the two angles of a wedge intersect at an
+    apex; any boundary inside the wedge lies in the triangle
+    (pa, apex, pb), so its distance from the chord is at most the
+    apex's.  Arguments are equal-length arrays.
     """
-    det = math.sin(tb - ta)
-    if abs(det) < 1e-15:
-        return 0.0
-    qx = (ha * math.sin(tb) - hb * math.sin(ta)) / det
-    qy = (hb * math.cos(ta) - ha * math.cos(tb)) / det
-    return cgeom._dist_point_segment(complex(qx, qy), pa, pb)
+    det = np.sin(tb - ta)
+    flat = np.abs(det) < 1e-15
+    det = np.where(flat, 1.0, det)
+    qx = (ha * np.sin(tb) - hb * np.sin(ta)) / det
+    qy = (hb * np.cos(ta) - ha * np.cos(tb)) / det
+    # Distance from the apex to the chord segment [pa, pb].
+    ex, ey = pb.real - pa.real, pb.imag - pa.imag
+    denom = ex * ex + ey * ey
+    point = denom == 0.0
+    t = ((qx - pa.real) * ex + (qy - pa.imag) * ey) / np.where(point, 1.0, denom)
+    t = np.where(point, 0.0, np.clip(t, 0.0, 1.0))
+    dist = np.hypot(qx - (pa.real + t * ex), qy - (pa.imag + t * ey))
+    return np.where(flat, 0.0, dist)
 
 
 def nrange_boundary(a, num_angles: int = 720,
@@ -156,46 +165,40 @@ def nrange_boundary(a, num_angles: int = 720,
     entries = [(float(t), h, pts) for t, (h, pts) in zip(thetas, faces)]
 
     if refine_tol is not None:
-        # Wedges carry extended (non-wrapped) angles so the wraparound
-        # wedge between the last and first sweep angles stays ordered.
-        wedges = []
-        for k in range(num_angles):
-            ta, ha, pts_a = entries[k]
-            if k + 1 < num_angles:
-                tb, hb, pts_b = entries[k + 1]
-            else:
-                t0, hb, pts_b = entries[0]
-                tb = t0 + 2.0 * math.pi
-            wedges.append((ta, ha, pts_a[-1], tb, hb, pts_b[0], REFINE_MAX_DEPTH))
-        while wedges:
-            needy = [wdg for wdg in wedges
-                     if wdg[6] > 0
-                     and wdg[3] - wdg[0] > REFINE_MIN_WEDGE
-                     and _apex_chord_bound(*wdg[:6]) > refine_tol]
-            if not needy:
+        # Wedge arrays carry extended (non-wrapped) angles so the
+        # wraparound wedge between the last and first sweep angles stays
+        # ordered.  Every wedge of a round has the same remaining depth.
+        ta = thetas
+        tb = np.append(thetas[1:], thetas[0] + 2.0 * math.pi)
+        ha = np.array([h for _, h, _ in entries])
+        hb = np.roll(ha, -1)
+        pa = np.array([pts[-1] for _, _, pts in entries], dtype=np.complex128)
+        pb = np.roll(np.array([pts[0] for _, _, pts in entries], dtype=np.complex128), -1)
+        for _ in range(REFINE_MAX_DEPTH):
+            needy = ((tb - ta > REFINE_MIN_WEDGE)
+                     & (_apex_chord_bounds(ta, ha, pa, tb, hb, pb) > refine_tol))
+            if not needy.any():
                 break
-            mids = np.array([0.5 * (wdg[0] + wdg[3]) for wdg in needy])
-            mid_faces = _faces(m, np.mod(mids, 2.0 * math.pi), gap_tol)
-            wedges = []
-            for (ta, ha, pa, tb, hb, pb, depth), tm, (hm, pts) in zip(
-                    needy, mids, mid_faces):
-                entries.append((float(tm % (2.0 * math.pi)), hm, pts))
-                wedges.append((ta, ha, pa, float(tm), hm, pts[0], depth - 1))
-                wedges.append((float(tm), hm, pts[-1], tb, hb, pb, depth - 1))
+            ta, ha, pa, tb, hb, pb = (x[needy] for x in (ta, ha, pa, tb, hb, pb))
+            tm = 0.5 * (ta + tb)
+            tm_wrapped = np.mod(tm, 2.0 * math.pi)
+            mid_faces = _faces(m, tm_wrapped, gap_tol)
+            entries.extend((t, h, pts) for t, (h, pts) in zip(tm_wrapped.tolist(), mid_faces))
+            hm = np.array([h for h, _ in mid_faces])
+            first = np.array([pts[0] for _, pts in mid_faces], dtype=np.complex128)
+            last = np.array([pts[-1] for _, pts in mid_faces], dtype=np.complex128)
+            # Wedge k splits into children 2k = (ta, tm) and 2k+1 = (tm, tb).
+            ta, ha, pa, tb, hb, pb = (
+                np.stack(pair, axis=1).ravel()
+                for pair in ((ta, tm), (ha, hm), (pa, last), (tm, tb), (hm, hb), (first, pb)))
         entries.sort(key=lambda e: e[0])
 
-    angles, points, values = [], [], []
-    for t, h, pts in entries:
-        for p in pts:
-            angles.append(t)
-            points.append(p)
-            values.append(h)
-    hull = cgeom.convex_hull_2d(points)
+    points = np.array([p for _, _, pts in entries for p in pts], dtype=np.complex128)
     return NRangeBoundary(
-        angles=np.array(angles, dtype=np.float64),
-        support_points=np.array(points, dtype=np.complex128),
-        support_values=np.array(values, dtype=np.float64),
-        hull=hull,
+        angles=np.array([t for t, _, pts in entries for _ in pts], dtype=np.float64),
+        support_points=points,
+        support_values=np.array([h for _, h, pts in entries for _ in pts], dtype=np.float64),
+        hull=cgeom.convex_hull_2d(points),
     )
 
 
@@ -208,16 +211,27 @@ def support_values(a, thetas) -> np.ndarray:
     return np.linalg.eigvalsh(_rotated_hermitian_parts(m, thetas))[:, -1]
 
 
+def support_margins(a, zs, num_angles: int = 720) -> np.ndarray:
+    """Slack of each point z inside the sampled support lines of W(A).
+
+    For every z returns the minimum over theta_k = 2*pi*k/num_angles of
+    h(theta_k) - (Re z*cos(theta_k) + Im z*sin(theta_k)).  The sampled
+    lines bound a convex outer approximation of W(A), so a negative
+    margin certifies that z lies outside W(A).
+    """
+    if num_angles < 8:
+        raise InputError("num_angles must be at least 8")
+    thetas = 2.0 * math.pi * np.arange(num_angles) / num_angles
+    h = support_values(a, thetas)
+    zs = np.asarray(zs, dtype=np.complex128).ravel()
+    projections = np.outer(zs.real, np.cos(thetas)) + np.outer(zs.imag, np.sin(thetas))
+    return np.min(h - projections, axis=1)
+
+
 def nrange_contains(a, z, tol: float = 1e-9, num_angles: int = 720) -> bool:
     """Support-function membership test for z in W(A).
 
     Errs outward only: the sampled support lines bound a convex outer
     approximation of W(A), so False answers are certified.
     """
-    if num_angles < 8:
-        raise InputError("num_angles must be at least 8")
-    z = complex(z)
-    thetas = 2.0 * math.pi * np.arange(num_angles) / num_angles
-    h = support_values(a, thetas)
-    projections = z.real * np.cos(thetas) + z.imag * np.sin(thetas)
-    return bool(np.all(projections <= h + tol))
+    return bool(support_margins(a, [complex(z)], num_angles)[0] >= -tol)

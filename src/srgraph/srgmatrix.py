@@ -18,12 +18,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from . import cgeom
 from .errors import IllConditionedError, InputError
 from .linalg import as_matrix, general_eig, inv_sqrt_hpd
-from .nrange import nrange_boundary, support_values
+from .nrange import nrange_boundary, support_margins
 
 # Condition-number ceiling for user-supplied similarity transforms;
 # beyond this S T S^-1 has no double-precision accuracy left.
@@ -43,7 +42,6 @@ class SrgOptions:
     """
 
     num_angles: int = 720
-    field: str = "complex"
     tol: float = 1e-9
     refine_tol: float | None = DEFAULT_REFINE_TOL
     spacing: float = cgeom.EDGE_SPACING
@@ -51,8 +49,6 @@ class SrgOptions:
     def __post_init__(self):
         if self.num_angles < 8:
             raise InputError("num_angles must be at least 8")
-        if self.field not in ("real", "complex"):
-            raise InputError("field must be 'real' or 'complex'")
         if not self.tol > 0:
             raise InputError("tol must be positive")
 
@@ -158,6 +154,9 @@ def gamma_scaling_demo(t, gammas, opts: SrgOptions | None = None):
     if any(b <= a for a, b in zip(gam, gam[1:])):
         raise InputError("gammas must be strictly ascending")
     n = m.shape[0]
+    # Imported here so that importing the package does not load scipy.
+    import scipy.linalg
+
     _, z = scipy.linalg.schur(m, output="complex")
     q = z.conj().T
     target = cgeom.convex_hull_2d([cgeom.bk_forward(complex(ev)) for ev in general_eig(m)])
@@ -200,20 +199,10 @@ def spectrum_check(t, opts: SrgOptions | None = None) -> SpectrumReport:
     opts = opts or SrgOptions()
     vop = build_v(t)
     eigs = [complex(ev) for ev in general_eig(t)]
-    thetas = [2.0 * math.pi * k / opts.num_angles for k in range(opts.num_angles)]
-    h = support_values(vop.v, thetas)
-    cos = np.cos(thetas)
-    sin = np.sin(thetas)
-    margins = []
-    flags = []
-    for ev in eigs:
-        w = cgeom.bk_forward(ev)
-        margin = float(np.min(h - (w.real * cos + w.imag * sin)))
-        margins.append(margin)
-        flags.append(margin >= -opts.tol)
+    margins = support_margins(vop.v, [cgeom.bk_forward(ev) for ev in eigs], opts.num_angles)
     return SpectrumReport(
         eigenvalues=tuple(eigs),
-        margins=tuple(margins),
-        contained=tuple(flags),
+        margins=tuple(float(m) for m in margins),
+        contained=tuple(bool(m >= -opts.tol) for m in margins),
         tol=opts.tol,
     )

@@ -44,7 +44,7 @@ SHIFT = np.array([[0.0, 1.0], [0.0, 0.0]])
 # timed criterion runs first.
 _warm = np.random.default_rng(0).normal(size=(3, 3))
 nrange_boundary(_warm + 1j * _warm.T, num_angles=8, refine_tol=None)
-srg_real(_warm[:2, :2], SrgOptions(num_angles=16, field="real", refine_tol=None))
+srg_real(_warm[:2, :2], SrgOptions(num_angles=16, refine_tol=None))
 sample_srg(_warm, field="real", count=8, seed=0)
 del _warm
 

@@ -176,6 +176,8 @@ def test_polygon_distances():
     square = convex_hull_2d([0j, 1 + 0j, 1 + 1j, 1j])
     assert polygon_signed_distance(square, 0.5 + 0.5j) == pytest.approx(-0.5)
     assert polygon_signed_distance(square, 2 + 0.5j) == pytest.approx(1.0)
+    # Outside a corner the distance is Euclidean, not an edge-line bound.
+    assert polygon_signed_distance(square, 2 + 2j) == pytest.approx(math.sqrt(2.0))
     assert polygon_distance(square, 0.5 + 0.5j) == 0.0
     assert polygon_distance(square, 0.5 - 1j) == pytest.approx(1.0)
     moved = convex_hull_2d([v + 0.25 for v in square.vertices])
@@ -192,6 +194,17 @@ def test_polygon_signed_distance_matches_reference():
         p = complex(*rng.normal(scale=2.0, size=2))
         want = oracles.polygon_distance_ref(verts, p)
         assert polygon_distance(poly, p) == pytest.approx(want, abs=1e-12)
+
+
+def test_polygon_hausdorff_matches_reference():
+    rng = np.random.default_rng(21)
+    # One and two points give point and segment hulls.
+    counts = [(1, 1), (1, 2), (2, 2), (2, 6), (7, 1)]
+    counts += [tuple(rng.integers(3, 12, size=2)) for _ in range(30)]
+    for pair in counts:
+        hulls = [convex_hull_2d(rng.normal(size=c) + 1j * rng.normal(size=c)) for c in pair]
+        want = oracles.hausdorff_ref(list(hulls[0].vertices), list(hulls[1].vertices))
+        assert polygon_hausdorff(*hulls) == pytest.approx(want, abs=1e-12)
 
 
 def test_polygon_boundary_points_walk_the_edges():
@@ -272,6 +285,24 @@ def test_region_from_disk_hull_derives_infinity_flag():
     assert not region_from_disk_hull(inner).contains_infinity
 
 
+def test_region_branches_are_pointwise_bk_inverse_of_the_walk():
+    # The branches are built in one array pass; each entry must be the
+    # scalar preimage of its boundary-walk point, bit for bit (repr keeps
+    # the sign of zero), with infinity where the hull touches 1.
+    rng = np.random.default_rng(29)
+    hulls = [convex_hull_2d([1 + 0j, -0.5 + 0.5j, -0.5 - 0.5j]),
+             convex_hull_2d([0.3 + 0j, -0.3 + 0j])]
+    for _ in range(20):
+        pts = rng.normal(size=12) + 1j * rng.normal(size=12)
+        hulls.append(convex_hull_2d(pts / (1.0 + 1e-10) / np.max(np.abs(pts))))
+    for hull in hulls:
+        region = region_from_disk_hull(hull, spacing=0.05)
+        pairs = [bk_inverse(w) for w in polygon_boundary_points(hull, 0.05)]
+        assert repr(region.upper_branch) == repr(tuple(up for up, _ in pairs))
+        assert repr(region.lower_branch) == repr(tuple(lo for _, lo in pairs))
+    assert INFINITY in region_from_disk_hull(hulls[0], spacing=0.05).upper_branch
+
+
 def test_region_signed_distance_boundary_only_uses_distance_to_curve():
     hull = convex_hull_2d([0.5 + 0j, -0.5 + 0.2j, -0.2 - 0.4j])
     filled = region_from_disk_hull(hull)
@@ -294,10 +325,14 @@ def test_locator_brackets_exact_distance_on_random_polygons():
         ws = rng.normal(scale=2.0, size=400) + 1j * rng.normal(scale=2.0, size=400)
         lb, ub, bd = loc.query(ws)
         exact = loc.exact(ws)
-        scalar = np.array([polygon_signed_distance(poly, complex(w)) for w in ws])
-        scalar = np.where(scalar > 0,
-                          [polygon_distance(poly, complex(w)) for w in ws], scalar)
-        assert np.allclose(exact, scalar, atol=1e-12)
+        verts = list(poly.vertices)
+        edges = list(zip(verts, verts[1:] + verts[:1]))
+        want = oracles.polygon_distance_many(verts, ws)
+        inside = want == 0.0
+        depth = [min(oracles.point_segment_distance(complex(w), a, b) for a, b in edges)
+                 for w in ws[inside]]
+        assert np.allclose(exact[~inside], want[~inside], atol=1e-12)
+        assert np.allclose(exact[inside], -np.array(depth), atol=1e-12)
         assert np.all(lb <= exact + 1e-12)
         assert np.all(exact <= ub + 1e-12)
         assert np.all(bd >= np.abs(exact) - 1e-12)

@@ -11,13 +11,11 @@ from srgraph import (
     InputError,
     NotHermitianError,
     NotHpdError,
-    adjoint,
     as_matrix,
     frob,
     general_eig,
     herm_eig,
     inv_sqrt_hpd,
-    matmul,
     poly_roots,
 )
 
@@ -31,26 +29,6 @@ def test_as_matrix_validation():
         as_matrix([[float("inf"), 0], [0, 1]])
     m = as_matrix([[1, 2], [3, 4]])
     assert m.dtype == np.complex128
-
-
-def test_matmul_basics_and_associativity():
-    rng = np.random.default_rng(30)
-    a = rand_complex(rng, 3)
-    eye = np.eye(3)
-    assert np.allclose(matmul(eye, a), a)
-    nil = np.array([[0, 1], [0, 0]], dtype=complex)
-    assert np.allclose(matmul(nil, nil), 0)
-    b, c = rand_complex(rng, 3), rand_complex(rng, 3)
-    assert np.allclose(matmul(matmul(a, b), c), matmul(a, matmul(b, c)), atol=1e-12)
-
-
-def test_adjoint():
-    assert adjoint(np.array([[1j]]))[0, 0] == -1j
-    h = np.array([[2, 1 - 1j], [1 + 1j, 3]], dtype=complex)
-    assert np.array_equal(adjoint(h), h)
-    rng = np.random.default_rng(31)
-    a, b = rand_complex(rng, 4), rand_complex(rng, 4)
-    assert np.allclose(adjoint(a @ b), adjoint(b) @ adjoint(a), atol=1e-13)
 
 
 def test_herm_eig_known_values_and_order():

@@ -9,13 +9,18 @@ import oracles
 from conftest import rand_complex, rand_unitary
 from srgraph import (
     InputError,
+    SrgOptions,
+    bk_forward,
+    build_v,
     convex_hull_2d,
     frob,
     nrange_boundary,
     nrange_contains,
     polygon_hausdorff,
+    spectrum_check,
     support_values,
 )
+from srgraph.nrange import support_margins
 
 
 def test_scalar_matrix_gives_point_hull():
@@ -172,6 +177,10 @@ def test_membership_of_eigenvalues():
         a = rand_complex(rng, 4)
         for lam in general_eig(a):
             assert nrange_contains(a, complex(lam), 1e-7, 360)
+        # spectrum_check measures the mapped eigenvalues against W(V).
+        report = spectrum_check(a, SrgOptions(num_angles=360))
+        ws = [bk_forward(lam) for lam in report.eigenvalues]
+        assert report.margins == tuple(support_margins(build_v(a).v, ws, 360))
 
 
 def test_input_validation():

@@ -38,12 +38,9 @@ def test_options_validation():
     with pytest.raises(InputError):
         SrgOptions(num_angles=7)
     with pytest.raises(InputError):
-        SrgOptions(field="rational")
-    with pytest.raises(InputError):
         SrgOptions(tol=0.0)
     opts = SrgOptions()
     assert opts.num_angles == 720
-    assert opts.field == "complex"
     assert opts.tol == 1e-9
 
 
