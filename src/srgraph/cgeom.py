@@ -23,7 +23,7 @@ from typing import Iterable, Sequence, Union
 
 import numpy as np
 
-from .errors import InputError, OutOfDiskError
+from .errors import InputError, NumericalError, OutOfDiskError
 
 # Clamp tolerance for points nominally inside the closed unit disk;
 # eigensolve round-off pushes support points marginally outside.
@@ -88,6 +88,51 @@ def clamp_disk(w, eps: float = EPS_DISK) -> complex:
     return w
 
 
+def split_infinity(points) -> tuple[np.ndarray, np.ndarray]:
+    """Split extended-plane points into complex128 values and the INFINITY mask.
+
+    Values under the mask are 0.  Arrays pass through without a scan.
+    """
+    if isinstance(points, np.ndarray):
+        zs = points.astype(np.complex128, copy=False).ravel()
+        return zs, np.zeros(zs.size, dtype=bool)
+    pts = list(points)
+    if INFINITY not in pts:
+        return np.array(pts, dtype=np.complex128).reshape(-1), np.zeros(len(pts), dtype=bool)
+    at_infinity = np.array([is_infinity(p) for p in pts])
+    return np.array([0j if inf else p for p, inf in zip(pts, at_infinity.tolist())],
+                    dtype=np.complex128), at_infinity
+
+
+def bk_forward_array(points) -> np.ndarray:
+    """Array kernel of bk_forward; INFINITY entries map to 1.
+
+    The components are 1 - 2/d and -2*Re z/d with d = 1 + |z|^2, so
+    conjugate points collapse bit for bit.  The radial clamp is
+    CPython's complex-by-real division written out, so values match
+    scalar complex arithmetic bit for bit.  A NaN or float infinity
+    raises InputError.
+    """
+    zs, at_infinity = split_infinity(points)
+    finite = np.isfinite(zs)
+    if not finite.all():
+        as_finite_complex(zs[np.argmin(finite)])  # raises InputError
+    x, y = zs.real, zs.imag
+    ws = np.empty(zs.size, dtype=np.complex128)
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = 1.0 + (x * x + y * y)
+        ws.real = 1.0 - 2.0 / d
+        ws.imag = -2.0 * x / d
+        r = np.hypot(ws.real, ws.imag)
+        big = r > 1.0
+        if big.any():
+            wr, wi, rb = ws.real[big], ws.imag[big], r[big]
+            ws.real[big] = (wr + wi * 0.0) / rb
+            ws.imag[big] = (wi - wr * 0.0) / rb
+    ws[at_infinity] = 1.0
+    return ws
+
+
 def bk_forward(z: ExtComplex) -> complex:
     """Map a point of the extended complex plane into the closed unit disk.
 
@@ -96,15 +141,7 @@ def bk_forward(z: ExtComplex) -> complex:
     exactly.  |f(z)| <= 1 holds analytically; round-off excursions are
     clamped radially.
     """
-    if is_infinity(z):
-        return complex(1.0, 0.0)
-    z = as_finite_complex(z)
-    d = 1.0 + (z.real * z.real + z.imag * z.imag)
-    w = complex(1.0 - 2.0 / d, -2.0 * z.real / d)
-    r = abs(w)
-    if r > 1.0:
-        w = w / r
-    return w
+    return complex(bk_forward_array([z])[0])
 
 
 def _bk_inverse_upper(ws) -> tuple[np.ndarray, np.ndarray]:
@@ -113,7 +150,8 @@ def _bk_inverse_upper(ws) -> tuple[np.ndarray, np.ndarray]:
     Values under the mask are meaningless.  The radial clamp is CPython's
     complex-by-real division written out, so values match scalar complex
     arithmetic bit for bit.  The first faulty point raises InputError,
-    OutOfDiskError, or ZeroDivisionError (1 - Re w rounds to 0 off w = 1).
+    OutOfDiskError, or NumericalError when 1 - Re w rounds to 0 off the
+    INF_TOL ball around w = 1 (a plane point too large for the model).
     """
     ws = np.asarray(ws, dtype=np.complex128).ravel()
     wr, wi = ws.real.copy(), ws.imag.copy()
@@ -133,8 +171,11 @@ def _bk_inverse_upper(ws) -> tuple[np.ndarray, np.ndarray]:
     bad = (~(np.isfinite(ws.real) & np.isfinite(ws.imag)) | (r > 1.0 + EPS_DISK)
            | (~at_infinity & (denom == 0.0)))
     if bad.any():
-        clamp_disk(ws[np.argmax(bad)])  # raises for non-finite and outside points
-        raise ZeroDivisionError("float division by zero")
+        w = complex(ws[np.argmax(bad)])
+        clamp_disk(w)  # raises for non-finite and outside points
+        raise NumericalError(
+            f"disk point {w!r} has no finite preimage: 1 - Re w rounds to 0 "
+            f"outside the {INF_TOL:g} ball around w = 1")
     return upper, at_infinity
 
 
@@ -463,9 +504,9 @@ def hull_bk(points: Sequence[ExtComplex], *, spacing: float = EDGE_SPACING) -> S
     pts = list(points)
     if not pts:
         raise InputError("hull_bk needs at least one point")
-    hull = convex_hull_2d([bk_forward(p) for p in pts])
+    hull = convex_hull_2d(bk_forward_array(pts))
     # None lets region_from_disk_hull derive the flag from the hull.
-    flag = True if any(is_infinity(p) for p in pts) else None
+    flag = True if INFINITY in pts else None
     return region_from_disk_hull(hull, contains_infinity=flag, spacing=spacing)
 
 

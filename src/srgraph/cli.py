@@ -19,7 +19,6 @@ import tempfile
 import numpy as np
 
 from . import __version__, cgeom, sampler, svgfig
-from .cgeom import is_infinity
 from .errors import InputError, NumericalError
 from .linalg import general_eig
 from .nrange import nrange_boundary
@@ -125,55 +124,78 @@ def _fmt17(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _csv_text(rows) -> str:
-    """Render rows (kind, theta, value-or-None, branch) sorted by theta
-    then branch; infinite values become kind=infinity marker rows with
-    empty re/im, never float infinities."""
-    entries = []
-    for kind, theta, value, branch in rows:
-        if value is None or is_infinity(value):
-            entries.append((float(theta), branch, "infinity", math.inf, math.inf, "", ""))
-        else:
-            z = complex(value)
-            entries.append(
-                (float(theta), branch, kind, z.real, z.imag, _fmt17(z.real), _fmt17(z.imag))
-            )
-    entries.sort(key=lambda e: (e[0], e[1], e[2], e[3], e[4]))
-    lines = [CSV_HEADER]
-    for theta, branch, kind, _, _, re_s, im_s in entries:
-        lines.append(f"{kind},{_fmt17(theta)},{re_s},{im_s},{branch}")
-    return "\n".join(lines) + "\n"
+def _columns(kind: str, theta, values, branch: str):
+    """CSV columns (kind, theta, re, im, branch, infinite) of rows that
+    share one kind and one branch; theta may be a scalar."""
+    zs, infinite = cgeom.split_infinity(values)
+    theta = np.broadcast_to(np.asarray(theta, dtype=np.float64), zs.shape)
+    return (np.full(zs.size, kind), theta, zs.real, zs.imag, np.full(zs.size, branch),
+            infinite)
 
 
-def _region_rows(region: cgeom.SrgRegion):
-    rows = []
+def _concat(groups):
+    """Join column groups, in order, into one set of columns."""
+    return tuple(np.concatenate(cols) for cols in zip(*groups))
+
+
+def _region_columns(region: cgeom.SrgRegion):
+    """CSV columns of both branches; point j of a branch sits at 2*pi*j/count."""
     count = max(1, len(region.upper_branch))
-    for j, (up, lo) in enumerate(zip(region.upper_branch, region.lower_branch)):
-        theta = 2.0 * math.pi * j / count
-        rows.append(("srg", theta, up, "upper"))
-        rows.append(("srg", theta, lo, "lower"))
-    return rows
+    theta = 2.0 * math.pi * np.arange(len(region.upper_branch)) / count
+    return [_columns("srg", theta, region.upper_branch, "upper"),
+            _columns("srg", theta, region.lower_branch, "lower")]
 
 
-def _finite_runs(points):
-    """Split a point sequence into runs of finite values."""
-    runs, current = [], []
-    for p in points:
-        if is_infinity(p):
-            if len(current) >= 2:
-                runs.append(current)
-            current = []
-        else:
-            current.append(complex(p))
-    if len(current) >= 2:
-        runs.append(current)
-    return runs
+def _csv_text(kind, theta, re, im, branch, infinite) -> str:
+    """Render CSV rows given as columns, sorted by theta, branch, kind, re,
+    then im (stable, so exact ties keep their input order).  Rows under
+    the infinite mask become kind=infinity marker rows with empty re/im,
+    never float infinities.
+    """
+    kind = np.where(infinite, "infinity", kind)
+    re = np.where(infinite, math.inf, re)
+    im = np.where(infinite, math.inf, im)
+    # String columns become codes whose order is their sort order.
+    kinds, kind_code = np.unique(kind, return_inverse=True)
+    branches, branch_code = np.unique(branch, return_inverse=True)
+    order = np.lexsort((im, re, kind_code, branch_code, theta))
+    theta, re, im, finite = (col[order] for col in (theta, re, im, ~infinite))
+    # A region's conjugate rows end up next to each other and share theta,
+    # re and |im|, so each run of bitwise-equal triples is formatted once,
+    # in one %-operation ('%.17g' % x == format(x, '.17g')).
+    nums = np.stack((theta, re, np.abs(im)), axis=1)
+    bits = nums.view(np.int64)
+    first = np.ones(order.size, dtype=bool)
+    first[1:] = np.any(bits[1:] != bits[:-1], axis=1)
+    runs = nums[first].ravel().tolist()
+    text = ("%.17g\n" * len(runs) % tuple(runs)).split("\n")[:-1]
+    numbers = np.array(text, dtype=object).reshape(-1, 3)[np.cumsum(first) - 1]
+    # Each row's line template carries its kind, its branch and the sign
+    # of im; the numbers fill it in: theta, re and |im|, or theta alone.
+    templates = np.array([f"{k},{cells},{b}" for k in kinds.tolist() for b in branches.tolist()
+                          for cells in ("%s,%s,%s", "%s,%s,-%s", "%s,,")], dtype=object)
+    state = np.where(finite, np.signbit(im) & ~np.isnan(im), 2)
+    rows = templates[(kind_code[order] * branches.size + branch_code[order]) * 3 + state]
+    keep = np.ones(numbers.shape, dtype=bool)
+    keep[:, 1:] = finite[:, None]
+    body = "\n".join(rows.tolist()) % tuple(numbers[keep].tolist())
+    return CSV_HEADER + "\n" + body + ("\n" if body else "")
 
 
-def _region_outline(region: cgeom.SrgRegion) -> list[complex]:
-    pts = [complex(p) for p in region.upper_branch if not is_infinity(p)]
-    pts.extend(complex(p) for p in reversed(region.lower_branch) if not is_infinity(p))
-    return pts
+def _finite_runs(points) -> list[np.ndarray]:
+    """Split a point sequence at INFINITY into runs of at least 2 finite values."""
+    zs, infinite = cgeom.split_infinity(points)
+    cuts = np.flatnonzero(infinite)
+    runs = np.split(zs, cuts)
+    # Every run after the first starts with the infinite point it was cut at.
+    runs = runs[:1] + [run[1:] for run in runs[1:]]
+    return [run for run in runs if run.size >= 2]
+
+
+def _region_outline(region: cgeom.SrgRegion) -> np.ndarray:
+    upper, up_inf = cgeom.split_infinity(region.upper_branch)
+    lower, lo_inf = cgeom.split_infinity(region.lower_branch[::-1])
+    return np.concatenate((upper[~up_inf], lower[~lo_inf]))
 
 
 # ---------------------------------------------------------------------------
@@ -187,11 +209,10 @@ def cmd_srg_matrix(args) -> int:
     region = srg_real(matrix, opts) if field == "real" else srg_complex(matrix, opts)
 
     if args.format == "csv":
-        rows = _region_rows(region)
+        groups = _region_columns(region)
         if args.spectrum:
-            for ev in general_eig(matrix):
-                rows.append(("spectrum", 0.0, complex(ev), ""))
-        text = _csv_text(rows)
+            groups.append(_columns("spectrum", 0.0, general_eig(matrix), ""))
+        text = _csv_text(*_concat(groups))
     else:
         fig = svgfig.SvgFigure(title="srg")
         fig.add_polygon(_region_outline(region), fill=svgfig.REGION_FILL,
@@ -200,8 +221,8 @@ def cmd_srg_matrix(args) -> int:
             spec_region = hull_bk_spectrum(matrix)
             fig.add_polygon(_region_outline(spec_region), fill=svgfig.HULL_FILL,
                             stroke=svgfig.HULL_EDGE, opacity=0.9)
-            for ev in general_eig(matrix):
-                fig.add_dot(complex(ev))
+            for ev in general_eig(matrix).tolist():
+                fig.add_dot(ev)
         text = fig.render()
     _write_text(args.out, text)
 
@@ -232,11 +253,11 @@ def cmd_srg_lti(args) -> int:
     result = lti_srg(tf, default_grid(tf, args.grid), factor=factor)
 
     if args.format == "csv":
-        rows = _region_rows(result.region)
+        groups = _region_columns(result.region)
         count = max(1, len(result.curve))
-        for j, h in enumerate(result.curve):
-            rows.append(("curve", 2.0 * math.pi * j / count, h, ""))
-        text = _csv_text(rows)
+        theta = 2.0 * math.pi * np.arange(len(result.curve)) / count
+        groups.append(_columns("curve", theta, result.curve, ""))
+        text = _csv_text(*_concat(groups))
     else:
         fig = svgfig.SvgFigure(title="srg-lti")
         fig.add_polygon(_region_outline(result.region), fill=svgfig.HULL_FILL,
@@ -252,19 +273,14 @@ def cmd_nrange(args) -> int:
     matrix, _ = load_matrix_file(args.input)
     boundary = nrange_boundary(matrix, num_angles=args.angles)
     if args.format == "csv":
-        rows = [
-            ("support", float(theta), complex(point), "")
-            for theta, point in zip(boundary.angles, boundary.support_points)
-        ]
-        text = _csv_text(rows)
+        text = _csv_text(*_columns("support", boundary.angles, boundary.support_points, ""))
     else:
         fig = svgfig.SvgFigure(title="nrange")
-        verts = list(boundary.hull.vertices)
-        fig.add_polygon(verts, fill=svgfig.HULL_FILL, stroke=svgfig.HULL_EDGE,
-                        opacity=0.9)
-        pts = [complex(p) for p in boundary.support_points]
+        fig.add_polygon(boundary.hull.vertices, fill=svgfig.HULL_FILL,
+                        stroke=svgfig.HULL_EDGE, opacity=0.9)
+        pts = boundary.support_points
         if len(pts) >= 2:
-            fig.add_polyline(pts + pts[:1], stroke=svgfig.CURVE_COLOR,
+            fig.add_polyline(np.append(pts, pts[:1]), stroke=svgfig.CURVE_COLOR,
                              stroke_width=1.0)
         else:
             fig.add_dot(pts[0])

@@ -66,8 +66,8 @@ def _rotated_hermitian_parts(a: np.ndarray, thetas: np.ndarray) -> np.ndarray:
     return (stack + np.conj(np.swapaxes(stack, 1, 2))) / 2.0
 
 
-def _degenerate_face(a: np.ndarray, theta: float, h: float,
-                     w: np.ndarray, v: np.ndarray, gap_tol: float) -> list[complex]:
+def _degenerate_face(a: np.ndarray, theta: float, w: np.ndarray, v: np.ndarray,
+                     gap_tol: float) -> list[complex]:
     """All support points of a flat face, ordered along the face.
 
     The face is resolved by diagonalizing the skew part of the
@@ -89,26 +89,24 @@ def _degenerate_face(a: np.ndarray, theta: float, h: float,
 
 
 def _faces_batch(a: np.ndarray, thetas: np.ndarray, gap_tol: float):
-    """[(h(theta), [face points...])] for a batch of angles."""
+    """Support data for a batch of angles: (h, first, last, faces).
+
+    h holds h(theta), first and last the first and last support point
+    of each face (the same point on a simple face), and faces maps the
+    index of each degenerate angle to its full list of face points.
+    """
     thetas = np.asarray(thetas, dtype=np.float64)
-    if thetas.size == 0:
-        return []
     w, v = np.linalg.eigh(_rotated_hermitian_parts(a, thetas))
-    n = a.shape[0]
     h = w[:, -1]
     top = v[:, :, -1]
-    points = np.einsum("ki,ij,kj->k", np.conj(top), a, top)
-    # Gap test and scalar conversion done array-wide; the per-angle loop
-    # then touches plain Python floats only.
-    simple = [True] * thetas.size if n == 1 else (h - w[:, -2] >= gap_tol).tolist()
-    out = []
-    for k, (hk, pk, ok) in enumerate(zip(h.tolist(), points.tolist(), simple)):
-        if ok:
-            out.append((hk, [pk]))
-        else:
-            out.append((hk, _degenerate_face(a, float(thetas[k]), hk,
-                                             w[k], v[k], gap_tol)))
-    return out
+    first = np.einsum("ki,ij,kj->k", np.conj(top), a, top)
+    last = first.copy()
+    faces = {}
+    if a.shape[0] > 1:
+        for k in np.flatnonzero(~(h - w[:, -2] >= gap_tol)).tolist():
+            faces[k] = _degenerate_face(a, float(thetas[k]), w[k], v[k], gap_tol)
+            first[k], last[k] = faces[k][0], faces[k][-1]
+    return h, first, last, faces
 
 
 def _faces(a: np.ndarray, thetas, gap_tol: float):
@@ -120,7 +118,15 @@ def _faces(a: np.ndarray, thetas, gap_tol: float):
     chunks = np.array_split(thetas, cap)
     with ThreadPoolExecutor(max_workers=cap) as ex:
         parts = list(ex.map(lambda t: _faces_batch(a, t, gap_tol), chunks))
-    return [face for part in parts for face in part]
+    return _join(parts)
+
+
+def _join(parts):
+    """Concatenate records (arrays..., faces) batch after batch; the face
+    indices shift by the length of the batches before theirs."""
+    offsets = np.cumsum([0] + [len(part[0]) for part in parts]).tolist()
+    faces = {off + k: pts for off, part in zip(offsets, parts) for k, pts in part[-1].items()}
+    return (*(np.concatenate(col) for col in list(zip(*parts))[:-1]), faces)
 
 
 def _apex_chord_bounds(ta, ha, pa, tb, hb, pb) -> np.ndarray:
@@ -161,19 +167,17 @@ def nrange_boundary(a, num_angles: int = 720,
         raise InputError("num_angles must be at least 8")
     gap_tol = DEGENERACY_GAP * frob(m)
     thetas = 2.0 * math.pi * np.arange(num_angles) / num_angles
-    faces = _faces(m, thetas, gap_tol)
-    entries = [(float(t), h, pts) for t, (h, pts) in zip(thetas, faces)]
+    h, first, last, faces = _faces(m, thetas, gap_tol)
+    # One (angles, h, first point, degenerate faces) record per round.
+    rounds = [(thetas, h, first, faces)]
 
     if refine_tol is not None:
         # Wedge arrays carry extended (non-wrapped) angles so the
         # wraparound wedge between the last and first sweep angles stays
         # ordered.  Every wedge of a round has the same remaining depth.
-        ta = thetas
+        ta, ha, pa = thetas, h, last
         tb = np.append(thetas[1:], thetas[0] + 2.0 * math.pi)
-        ha = np.array([h for _, h, _ in entries])
-        hb = np.roll(ha, -1)
-        pa = np.array([pts[-1] for _, _, pts in entries], dtype=np.complex128)
-        pb = np.roll(np.array([pts[0] for _, _, pts in entries], dtype=np.complex128), -1)
+        hb, pb = np.roll(h, -1), np.roll(first, -1)
         for _ in range(REFINE_MAX_DEPTH):
             needy = ((tb - ta > REFINE_MIN_WEDGE)
                      & (_apex_chord_bounds(ta, ha, pa, tb, hb, pb) > refine_tol))
@@ -182,22 +186,31 @@ def nrange_boundary(a, num_angles: int = 720,
             ta, ha, pa, tb, hb, pb = (x[needy] for x in (ta, ha, pa, tb, hb, pb))
             tm = 0.5 * (ta + tb)
             tm_wrapped = np.mod(tm, 2.0 * math.pi)
-            mid_faces = _faces(m, tm_wrapped, gap_tol)
-            entries.extend((t, h, pts) for t, (h, pts) in zip(tm_wrapped.tolist(), mid_faces))
-            hm = np.array([h for h, _ in mid_faces])
-            first = np.array([pts[0] for _, pts in mid_faces], dtype=np.complex128)
-            last = np.array([pts[-1] for _, pts in mid_faces], dtype=np.complex128)
+            hm, first, last, faces = _faces(m, tm_wrapped, gap_tol)
+            rounds.append((tm_wrapped, hm, first, faces))
             # Wedge k splits into children 2k = (ta, tm) and 2k+1 = (tm, tb).
             ta, ha, pa, tb, hb, pb = (
                 np.stack(pair, axis=1).ravel()
                 for pair in ((ta, tm), (ha, hm), (pa, last), (tm, tb), (hm, hb), (first, pb)))
-        entries.sort(key=lambda e: e[0])
 
-    points = np.array([p for _, _, pts in entries for p in pts], dtype=np.complex128)
+    # Order all evaluated angles (stable, so ties keep evaluation order),
+    # then give each degenerate angle one row per face point.
+    angles, values, points, faces = _join(rounds)
+    order = np.argsort(angles, kind="stable")
+    counts = np.ones(angles.size, dtype=np.int64)
+    counts[list(faces)] = [len(pts) for pts in faces.values()]
+    counts = counts[order]
+    points = np.repeat(points[order], counts)
+    if faces:
+        rank = np.empty_like(order)
+        rank[order] = np.arange(order.size)
+        starts = np.cumsum(counts) - counts
+        for k, pts in faces.items():
+            points[starts[rank[k]]:starts[rank[k]] + len(pts)] = pts
     return NRangeBoundary(
-        angles=np.array([t for t, _, pts in entries for _ in pts], dtype=np.float64),
+        angles=np.repeat(angles[order], counts),
         support_points=points,
-        support_values=np.array([h for _, h, pts in entries for _ in pts], dtype=np.float64),
+        support_values=np.repeat(values[order], counts),
         hull=cgeom.convex_hull_2d(points),
     )
 

@@ -25,12 +25,12 @@ from .linalg import as_matrix
 GENERATOR = "pcg64"
 
 
-def sample_srg(t, field: str = "complex", count: int = 10000, seed: int = 1) -> list[ExtComplex]:
+def sample_srg(t, field: str = "complex", count: int = 10000, seed: int = 1) -> np.ndarray:
     """Sample the SRG of T from its definition; deterministic per seed.
 
     Unit vectors are normalized standard Gaussians over the requested
     field.  Each draw yields the conjugate pair (upper first); a zero
-    output vector yields the single point 0.
+    output vector yields the single point 0.  Returns a complex128 array.
     """
     m = as_matrix(t, square=True)
     if count < 1:
@@ -69,17 +69,20 @@ def sample_srg(t, field: str = "complex", count: int = 10000, seed: int = 1) -> 
         diff = np.linalg.norm(vn - un, axis=1)
         summ = np.linalg.norm(vn + un, axis=1)
         angles[nonzero] = 2.0 * np.arctan2(diff, summ)
-    samples: list[ExtComplex] = []
-    for i in range(count):
-        if ny[i] == 0.0:
-            samples.append(0j)
-            continue
-        ratio = ny[i] / nx[i]
-        angle = angles[i]
-        upper = ratio * complex(math.cos(angle), math.sin(angle))
-        samples.append(upper)
-        samples.append(upper.conjugate())
-    return samples
+    # Rows are (upper, conjugate) pairs; a zero output keeps only its
+    # first slot, the point 0.  cos and sin come from libm through math,
+    # as scalar code gets them (numpy's SIMD versions may differ by an ulp).
+    ratio = ny[nonzero] / nx[nonzero]
+    kept = angles[nonzero].tolist()
+    cos = np.fromiter(map(math.cos, kept), dtype=np.float64, count=len(kept))
+    sin = np.fromiter(map(math.sin, kept), dtype=np.float64, count=len(kept))
+    pairs = np.zeros((count, 2), dtype=np.complex128)
+    pairs.real[nonzero] = (ratio * cos)[:, None]
+    pairs.imag[nonzero, 0] = ratio * sin
+    pairs.imag[nonzero, 1] = -pairs.imag[nonzero, 0]
+    keep = np.ones((count, 2), dtype=bool)
+    keep[:, 1] = nonzero
+    return pairs[keep]
 
 
 @dataclass(frozen=True)
@@ -106,31 +109,29 @@ def check_containment(samples, region: cgeom.SrgRegion, tol: float = 1e-7) -> Sa
     bounds cannot settle are re-measured exactly, so every decision
     and the reported violation are exact.
     """
-    samples = list(samples)
-    ws = np.array([cgeom.bk_forward(z) for z in samples], dtype=np.complex128)
+    if not isinstance(samples, np.ndarray):
+        samples = list(samples)
+    ws = cgeom.bk_forward_array(samples)
     locator = cgeom.PolygonLocator(region.disk_hull)
     _, signed_ub, boundary_ub = locator.query(ws)
     if region.boundary_only:
         certain_in = boundary_ub <= tol
     else:
         certain_in = signed_ub <= tol
-    contained = int(np.count_nonzero(certain_in))
     unresolved = np.nonzero(~certain_in)[0]
+    exact = locator.exact(ws[unresolved])
+    if region.boundary_only:
+        exact = np.abs(exact)
+    violation = np.where(exact > tol, exact, 0.0)
     max_violation = 0.0
     worst: ExtComplex | None = None
-    if unresolved.size:
-        exact = locator.exact(ws[unresolved])
-        if region.boundary_only:
-            exact = np.abs(exact)
-        for pos, d in zip(unresolved, exact):
-            if d <= tol:
-                contained += 1
-            elif d > max_violation:
-                max_violation = float(d)
-                worst = samples[int(pos)]
+    if violation.size and violation.max() > 0.0:
+        k = int(np.argmax(violation))  # first sample at the maximum
+        max_violation = float(violation[k])
+        worst = samples[int(unresolved[k])]
     return SampleReport(
         total=len(samples),
-        contained=contained,
+        contained=int(np.count_nonzero(certain_in)) + int(np.count_nonzero(exact <= tol)),
         max_violation=max_violation,
         worst_point=worst,
         generator=GENERATOR,

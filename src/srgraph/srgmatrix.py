@@ -159,7 +159,7 @@ def gamma_scaling_demo(t, gammas, opts: SrgOptions | None = None):
 
     _, z = scipy.linalg.schur(m, output="complex")
     q = z.conj().T
-    target = cgeom.convex_hull_2d([cgeom.bk_forward(complex(ev)) for ev in general_eig(m)])
+    target = cgeom.convex_hull_2d(cgeom.bk_forward_array(general_eig(m)))
     out = []
     for g in gam:
         scale = np.diag([g ** (k + 1) for k in range(n)]).astype(np.complex128)
@@ -199,7 +199,7 @@ def spectrum_check(t, opts: SrgOptions | None = None) -> SpectrumReport:
     opts = opts or SrgOptions()
     vop = build_v(t)
     eigs = [complex(ev) for ev in general_eig(t)]
-    margins = support_margins(vop.v, [cgeom.bk_forward(ev) for ev in eigs], opts.num_angles)
+    margins = support_margins(vop.v, cgeom.bk_forward_array(eigs), opts.num_angles)
     return SpectrumReport(
         eigenvalues=tuple(eigs),
         margins=tuple(float(m) for m in margins),

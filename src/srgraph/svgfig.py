@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 # Fill/stroke palette for the standard figures.
 REGION_FILL = "#e8913a"
 REGION_EDGE = "#b05f10"
@@ -24,9 +26,19 @@ def _fmt(x: float) -> str:
     return "0.0000" if s == "-0.0000" else s
 
 
+def _coords(px: np.ndarray, py: np.ndarray) -> str:
+    """'x,y x,y ...' with one '%.4f' operation; -0.0000 prints as 0.0000.
+
+    A '-' only starts a number and '%.4f' always prints four decimals,
+    so the text "-0.0000" is always a whole number.
+    """
+    text = " ".join(["%.4f,%.4f"] * px.size) % tuple(np.column_stack((px, py)).ravel().tolist())
+    return text.replace("-0.0000", "0.0000")
+
+
 @dataclass
 class _Polygon:
-    points: list[complex]
+    points: np.ndarray
     fill: str
     stroke: str
     stroke_width: float
@@ -35,7 +47,7 @@ class _Polygon:
 
 @dataclass
 class _Polyline:
-    points: list[complex]
+    points: np.ndarray
     stroke: str
     stroke_width: float
 
@@ -54,20 +66,17 @@ class SvgFigure:
         self.size = int(size)
         self.title = title
         self._items: list = []
-        self._xs: list[float] = []
-        self._ys: list[float] = []
+        self._tracked: list[np.ndarray] = []
 
-    def _track(self, points) -> list[complex]:
-        pts = [complex(p) for p in points]
-        for p in pts:
-            self._xs.append(p.real)
-            self._ys.append(p.imag)
+    def _track(self, points) -> np.ndarray:
+        pts = np.asarray(points, dtype=np.complex128).ravel()
+        self._tracked.append(pts)
         return pts
 
     def add_polygon(self, points, fill: str = REGION_FILL, stroke: str = "none",
                     stroke_width: float = 1.0, opacity: float = 0.85) -> None:
         pts = self._track(points)
-        if pts:
+        if pts.size:
             self._items.append(_Polygon(pts, fill, stroke, stroke_width, opacity))
 
     def add_polyline(self, points, stroke: str = CURVE_COLOR,
@@ -81,9 +90,10 @@ class SvgFigure:
         self._items.append(_Dot(pt, radius, fill))
 
     def _mapper(self):
-        if self._xs:
-            xmin, xmax = min(self._xs), max(self._xs)
-            ymin, ymax = min(self._ys), max(self._ys)
+        pts = np.concatenate(self._tracked) if self._tracked else np.empty(0)
+        if pts.size:
+            xmin, xmax = float(np.min(pts.real)), float(np.max(pts.real))
+            ymin, ymax = float(np.min(pts.imag)), float(np.max(pts.imag))
         else:
             xmin = ymin = -1.0
             xmax = ymax = 1.0
@@ -92,7 +102,8 @@ class SvgFigure:
         half = 0.54 * max(xmax - xmin, ymax - ymin, 1e-6)
         size = float(self.size)
 
-        def to_px(p: complex) -> tuple[float, float]:
+        def to_px(p):
+            """Pixel coordinates of a point or an array of points."""
             px = (p.real - (cx - half)) / (2.0 * half) * size
             py = size - (p.imag - (cy - half)) / (2.0 * half) * size
             return px, py
@@ -111,25 +122,21 @@ class SvgFigure:
         out.append(f'<rect x="0" y="0" width="{size}" height="{size}" fill="#ffffff"/>')
         for item in self._items:
             if isinstance(item, _Polygon):
-                coords = " ".join(
-                    "{},{}".format(*(_fmt(c) for c in to_px(p))) for p in item.points
-                )
+                coords = _coords(*to_px(item.points))
                 out.append(
                     f'<polygon points="{coords}" fill="{item.fill}" '
                     f'fill-opacity="{_fmt(item.opacity)}" fill-rule="evenodd" '
                     f'stroke="{item.stroke}" stroke-width="{_fmt(item.stroke_width)}"/>'
                 )
             elif isinstance(item, _Polyline):
-                coords = " ".join(
-                    "{},{}".format(*(_fmt(c) for c in to_px(p))) for p in item.points
-                )
+                coords = _coords(*to_px(item.points))
                 out.append(
                     f'<polyline points="{coords}" fill="none" '
                     f'stroke="{item.stroke}" stroke-width="{_fmt(item.stroke_width)}" '
                     f'stroke-linejoin="round"/>'
                 )
             else:
-                px, py = to_px(item.point)
+                px, py = to_px(complex(item.point))
                 out.append(
                     f'<circle cx="{_fmt(px)}" cy="{_fmt(py)}" r="{_fmt(item.radius)}" '
                     f'fill="{item.fill}"/>'

@@ -224,3 +224,185 @@ def tf_eval(num, den, s: complex) -> complex:
         return acc
 
     return horner(num) / horner(den)
+
+
+# ---------------------------------------------------------------------------
+# Reference copies of the scalar and per-row implementations that the
+# array code replaced.  Byte- and bit-identity tests compare against
+# them; they share nothing with the package but the INFINITY marker and,
+# for the sweep, the per-angle helpers passed in by the caller.
+# ---------------------------------------------------------------------------
+
+from srgraph import INFINITY  # noqa: E402
+
+CSV_HEADER = "kind,theta,re,im,branch"
+
+
+def bk_forward_ref(z) -> complex:
+    """The scalar disk map: 1 - 2/d and -2 Re z/d, then a radial clamp."""
+    if z is INFINITY:
+        return complex(1.0, 0.0)
+    z = complex(z)
+    d = 1.0 + (z.real * z.real + z.imag * z.imag)
+    w = complex(1.0 - 2.0 / d, -2.0 * z.real / d)
+    r = abs(w)
+    if r > 1.0:
+        w = w / r
+    return w
+
+
+def sample_srg_ref(t, field: str, count: int, seed: int) -> list:
+    """SRG samples built one draw at a time, as a list of complex."""
+    m = np.asarray(t, dtype=np.complex128)
+    n = m.shape[0]
+    rng = np.random.Generator(np.random.PCG64(seed))
+    if field == "real":
+        x = rng.standard_normal((count, n)).astype(np.complex128)
+    else:
+        x = rng.standard_normal((count, n)) + 1j * rng.standard_normal((count, n))
+    nx = np.linalg.norm(x, axis=1)
+    y = x @ m.T
+    ny = np.linalg.norm(y, axis=1)
+    angles = np.zeros(count)
+    nonzero = ny > 0.0
+    if np.any(nonzero):
+        un = x[nonzero] / nx[nonzero, None]
+        vn = y[nonzero] / ny[nonzero, None]
+        diff = np.linalg.norm(vn - un, axis=1)
+        summ = np.linalg.norm(vn + un, axis=1)
+        angles[nonzero] = 2.0 * np.arctan2(diff, summ)
+    samples = []
+    for i in range(count):
+        if ny[i] == 0.0:
+            samples.append(0j)
+            continue
+        upper = ny[i] / nx[i] * complex(math.cos(angles[i]), math.sin(angles[i]))
+        samples.append(upper)
+        samples.append(upper.conjugate())
+    return samples
+
+
+def _fmt17(x: float) -> str:
+    return format(float(x), ".17g")
+
+
+def csv_text_ref(rows) -> str:
+    """CSV text from (kind, theta, value-or-None, branch) row tuples,
+    sorted with list.sort on (theta, branch, kind, re, im)."""
+    entries = []
+    for kind, theta, value, branch in rows:
+        if value is None or value is INFINITY:
+            entries.append((float(theta), branch, "infinity", math.inf, math.inf, "", ""))
+        else:
+            z = complex(value)
+            entries.append(
+                (float(theta), branch, kind, z.real, z.imag, _fmt17(z.real), _fmt17(z.imag))
+            )
+    entries.sort(key=lambda e: (e[0], e[1], e[2], e[3], e[4]))
+    lines = [CSV_HEADER]
+    for theta, branch, kind, _, _, re_s, im_s in entries:
+        lines.append(f"{kind},{_fmt17(theta)},{re_s},{im_s},{branch}")
+    return "\n".join(lines) + "\n"
+
+
+def indexed_rows_ref(kind: str, values, branch: str) -> list:
+    """Rows for point j of `values` at theta = 2*pi*j/count."""
+    count = max(1, len(values))
+    return [(kind, 2.0 * math.pi * j / count, v, branch) for j, v in enumerate(values)]
+
+
+def region_rows_ref(region) -> list:
+    return (indexed_rows_ref("srg", region.upper_branch, "upper")
+            + indexed_rows_ref("srg", region.lower_branch, "lower"))
+
+
+def finite_runs_ref(points) -> list:
+    """Runs of at least two finite points between INFINITY entries."""
+    runs, current = [], []
+    for p in points:
+        if p is INFINITY:
+            if len(current) >= 2:
+                runs.append(current)
+            current = []
+        else:
+            current.append(complex(p))
+    if len(current) >= 2:
+        runs.append(current)
+    return runs
+
+
+def region_outline_ref(region) -> list:
+    pts = [complex(p) for p in region.upper_branch if p is not INFINITY]
+    pts.extend(complex(p) for p in reversed(region.lower_branch) if p is not INFINITY)
+    return pts
+
+
+def svg_coords_ref(points, tracked, size: int = 640) -> str:
+    """SVG 'x,y x,y ...' text, one point and one format call at a time,
+    on the square canvas that fits every tracked point."""
+    xs = [complex(p).real for p in tracked]
+    ys = [complex(p).imag for p in tracked]
+    xmin, xmax, ymin, ymax = min(xs), max(xs), min(ys), max(ys)
+    cx, cy = 0.5 * (xmin + xmax), 0.5 * (ymin + ymax)
+    half = 0.54 * max(xmax - xmin, ymax - ymin, 1e-6)
+    out = []
+    for p in points:
+        p = complex(p)
+        px = (p.real - (cx - half)) / (2.0 * half) * size
+        py = size - (p.imag - (cy - half)) / (2.0 * half) * size
+        out.append(f"{svg_fmt_ref(px)},{svg_fmt_ref(py)}")
+    return " ".join(out)
+
+
+def svg_fmt_ref(x: float) -> str:
+    s = f"{x:.4f}"
+    return "0.0000" if s == "-0.0000" else s
+
+
+def sweep_ref(a, num_angles: int, refine_tol, gap_tol: float, rotated_parts,
+              degenerate_face, apex_chord_bounds):
+    """Angle-sweep bookkeeping with Python lists of (theta, h, points).
+
+    The per-angle helpers are passed in; this checks the ordering,
+    refinement and face expansion around them.  Returns (angles,
+    support_points, support_values) as arrays.
+    """
+
+    def faces(thetas):
+        w, v = np.linalg.eigh(rotated_parts(a, thetas))
+        h, top = w[:, -1], v[:, :, -1]
+        points = np.einsum("ki,ij,kj->k", np.conj(top), a, top)
+        simple = ([True] * thetas.size if a.shape[0] == 1
+                  else (h - w[:, -2] >= gap_tol).tolist())
+        return [(hk, [pk]) if ok else
+                (hk, degenerate_face(a, float(thetas[k]), w[k], v[k], gap_tol))
+                for k, (hk, pk, ok) in enumerate(zip(h.tolist(), points.tolist(), simple))]
+
+    thetas = 2.0 * math.pi * np.arange(num_angles) / num_angles
+    entries = [(float(t), h, pts) for t, (h, pts) in zip(thetas, faces(thetas))]
+    if refine_tol is not None:
+        ta = thetas
+        tb = np.append(thetas[1:], thetas[0] + 2.0 * math.pi)
+        ha = np.array([h for _, h, _ in entries])
+        hb = np.roll(ha, -1)
+        pa = np.array([pts[-1] for _, _, pts in entries], dtype=np.complex128)
+        pb = np.roll(np.array([pts[0] for _, _, pts in entries], dtype=np.complex128), -1)
+        for _ in range(48):
+            needy = (tb - ta > 1e-9) & (apex_chord_bounds(ta, ha, pa, tb, hb, pb) > refine_tol)
+            if not needy.any():
+                break
+            ta, ha, pa, tb, hb, pb = (x[needy] for x in (ta, ha, pa, tb, hb, pb))
+            tm = 0.5 * (ta + tb)
+            tm_wrapped = np.mod(tm, 2.0 * math.pi)
+            mid = faces(tm_wrapped)
+            entries.extend((t, h, pts) for t, (h, pts) in zip(tm_wrapped.tolist(), mid))
+            hm = np.array([h for h, _ in mid])
+            first = np.array([pts[0] for _, pts in mid], dtype=np.complex128)
+            last = np.array([pts[-1] for _, pts in mid], dtype=np.complex128)
+            ta, ha, pa, tb, hb, pb = (
+                np.stack(pair, axis=1).ravel()
+                for pair in ((ta, tm), (ha, hm), (pa, last), (tm, tb), (hm, hb), (first, pb)))
+        entries.sort(key=lambda e: e[0])
+    return (np.array([t for t, _, pts in entries for _ in pts], dtype=np.float64),
+            np.array([p for _, _, pts in entries for p in pts], dtype=np.complex128),
+            np.array([h for _, h, pts in entries for _ in pts], dtype=np.float64))

@@ -10,6 +10,7 @@ from srgraph import (
     EPS_DISK,
     INFINITY,
     InputError,
+    NumericalError,
     OutOfDiskError,
     PolygonLocator,
     bk_forward,
@@ -27,7 +28,7 @@ from srgraph import (
     region_contains,
     region_signed_distance,
 )
-from srgraph.cgeom import region_from_disk_hull
+from srgraph.cgeom import bk_forward_array, region_from_disk_hull
 
 
 # ---------------------------------------------------------------------------
@@ -60,11 +61,8 @@ def test_bk_forward_stays_in_disk_at_extreme_magnitudes():
     count = 1_000_000
     mags = 10.0 ** rng.uniform(-8, 8, size=count)
     args = rng.uniform(0, 2 * math.pi, size=count)
-    worst = 0.0
-    for z in mags * np.exp(1j * args):
-        r = abs(bk_forward(complex(z)))
-        if r > worst:
-            worst = r
+    # bk_forward is bk_forward_array on one point; map all points at once.
+    worst = float(np.max(np.abs(bk_forward_array(mags * np.exp(1j * args)))))
     assert worst <= 1.0 + 1e-15
 
 
@@ -72,6 +70,23 @@ def test_bk_forward_matches_independent_formula():
     rng = np.random.default_rng(13)
     for z in rng.normal(scale=3.0, size=300) + 1j * rng.normal(scale=3.0, size=300):
         assert abs(bk_forward(complex(z)) - oracles.bk_map(complex(z))) < 1e-15
+
+
+def test_bk_forward_array_is_the_scalar_formula_bit_for_bit():
+    rng = np.random.default_rng(60)
+    mags = 10.0 ** rng.uniform(-300, 300, size=4000)
+    zs = list((rng.normal(size=4000) + 1j * rng.normal(size=4000)) * mags)
+    zs += list(rng.normal(size=200) + 1j * rng.normal(size=200))
+    zs += [complex(a, b) for a in (0.0, -0.0) for b in (0.0, -0.0)]
+    zs += [1e300 + 1e300j, -1e300 + 0j, 1e-300j, INFINITY, 2.0]
+    want = [repr(oracles.bk_forward_ref(z)) for z in zs]
+    assert [repr(w) for w in bk_forward_array(zs).tolist()] == want
+    assert [repr(bk_forward(z)) for z in zs] == want
+    finite = np.array([z for z in zs if z is not INFINITY])
+    ws, wc = bk_forward_array(finite), bk_forward_array(np.conj(finite))
+    assert np.array_equal(ws.view(np.int64), wc.view(np.int64))
+    with pytest.raises(InputError):
+        bk_forward_array([1.0, complex(math.nan, 0.0)])
 
 
 def test_circles_centered_on_real_axis_map_to_chords():
@@ -126,6 +141,17 @@ def test_bk_roundtrip_on_random_points():
 def test_bk_inverse_rejects_points_outside_disk():
     with pytest.raises(OutOfDiskError):
         bk_inverse(1.1 + 0j)
+
+
+def test_bk_inverse_overflow_near_one_is_a_numerical_error():
+    # 1 - Re w rounds to 0 while |w - 1| = 2e-9 is far outside the
+    # INF_TOL ball: the preimage has no finite double value.
+    w = 1.0 - 2e-9j
+    with pytest.raises(NumericalError, match="1-2e-09j"):
+        bk_inverse(w)
+    with pytest.raises(NumericalError):
+        hull_bk([1e9])
+    assert bk_inverse(1.0 - 1e-13j) == (INFINITY, INFINITY)
 
 
 def test_clamp_disk_behavior():

@@ -2,13 +2,25 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
 import oracles
-from srgraph import InputError, SampleReport
-from srgraph import cli
+from srgraph import (
+    INFINITY,
+    InputError,
+    SampleReport,
+    SrgOptions,
+    default_grid,
+    general_eig,
+    lti_srg,
+    nrange_boundary,
+    spectral_factorize,
+    srg_complex,
+)
+from srgraph import cli, svgfig
 
 
 def parse_csv(text: str):
@@ -203,6 +215,99 @@ def test_matrix_spectrum_rows(run_cli, matrix_file):
 
 
 # ---------------------------------------------------------------------------
+# Byte identity with the per-row reference renderers
+
+
+def _lti_result(path, grid):
+    tf = cli.load_tf_file(path)
+    return lti_srg(tf, default_grid(tf, grid), factor=spectral_factorize(tf))
+
+
+def test_matrix_spectrum_csv_matches_row_reference(run_cli, matrix_file):
+    # The doubled eigenvalue 2 gives spectrum rows with equal sort keys.
+    m = np.array([[2.0, 0.0, 0.0], [0.0, 2.0, 1.0], [0.0, 0.0, -1.0]])
+    path = matrix_file("m.json", m)
+    code, out, _ = run_cli(["matrix", "--input", path, "--angles", "48", "--spectrum"])
+    assert code == 0
+    region = srg_complex(m, SrgOptions(num_angles=48))
+    rows = oracles.region_rows_ref(region)
+    rows += [("spectrum", 0.0, complex(ev), "") for ev in general_eig(m)]
+    assert out == oracles.csv_text_ref(rows)
+
+
+@pytest.mark.parametrize("num, den", [
+    ([1.0, 0.0, 1.0], [1.0, 2.0]),               # improper: infinity markers
+    ([1.0, 0.1, 1.0], [1.0, 0.02, 4.0, 0.0]),     # poles at 0 and +-2j
+])
+def test_lti_csv_matches_row_reference(run_cli, tf_file, num, den):
+    path = tf_file("tf.json", num, den)
+    code, out, _ = run_cli(["lti", "--tf", path, "--grid", "64"])
+    assert code == 0
+    result = _lti_result(path, 64)
+    assert INFINITY in result.region.upper_branch
+    rows = oracles.region_rows_ref(result.region)
+    rows += oracles.indexed_rows_ref("curve", result.curve, "")
+    assert out == oracles.csv_text_ref(rows)
+    assert "\ninfinity," in out and "\ncurve," in out
+
+
+def test_nrange_csv_matches_row_reference(run_cli, matrix_file):
+    m = np.diag([1.0, 1.0, 2.0]) + np.diag([0.5j, 0.0], 1)
+    path = matrix_file("m.json", m.real, m.imag)
+    code, out, _ = run_cli(["nrange", "--input", path, "--angles", "32"])
+    assert code == 0
+    b = nrange_boundary(m, num_angles=32)
+    rows = [("support", float(t), complex(p), "")
+            for t, p in zip(b.angles, b.support_points)]
+    assert out == oracles.csv_text_ref(rows)
+
+
+def test_csv_signed_zero_ties_keep_input_order():
+    rows = [
+        ("spectrum", 0.0, complex(0.0, 0.0), ""),
+        ("spectrum", -0.0, complex(-0.0, 0.0), ""),
+        ("spectrum", 0.0, complex(0.0, -0.0), ""),
+        ("spectrum", -0.0, complex(-0.0, -0.0), ""),
+        ("srg", 0.0, 1.0 - 0.0j, "lower"),
+        ("srg", -0.0, complex(1.0, -0.0), "lower"),
+        ("srg", 0.0, 1.0 + 0.0j, "upper"),
+        ("curve", 0.0, INFINITY, ""),
+        ("curve", -0.0, -0.0 + 2.0j, ""),
+        ("curve", 0.5, INFINITY, "upper"),
+        ("curve", 0.5, -1e-300 + 1e300j, ""),
+        ("spectrum", 0.0, 1.0 + 2.0j, ""),
+        ("spectrum", 0.0, 2.0 + 1.0j, ""),
+    ]
+    for rotated in (rows, rows[::-1], rows[3:] + rows[:3]):
+        groups = [cli._columns(k, t, [v], b) for k, t, v, b in rotated]
+        assert cli._csv_text(*cli._concat(groups)) == oracles.csv_text_ref(rotated)
+
+
+def test_lti_svg_with_infinity_breaks_matches_point_reference(run_cli, tf_file, tmp_path):
+    path = tf_file("tf.json", [1.0, 0.1, 1.0], [1.0, 0.02, 4.0, 0.0])
+    dest = tmp_path / "lti.svg"
+    code, _, _ = run_cli(["lti", "--tf", path, "--grid", "64", "--format", "svg",
+                          "--out", str(dest)])
+    assert code == 0
+    result = _lti_result(path, 64)
+    assert INFINITY in result.region.upper_branch
+    outline = oracles.region_outline_ref(result.region)
+    runs = oracles.finite_runs_ref(result.curve)
+    assert len(runs) >= 2  # the curve breaks at its poles
+    tracked = outline + [p for run in runs for p in run]
+    want = [oracles.svg_coords_ref(pts, tracked) for pts in [outline, *runs]]
+    assert re.findall(r'points="([^"]*)"', dest.read_text()) == want
+
+
+def test_svg_coordinates_print_negative_zero_as_zero():
+    xs = np.array([-0.0, -4e-5, -5e-5, -6e-5, 0.0, 3.14159, -10.00004, 1e20])
+    want = " ".join(f"{oracles.svg_fmt_ref(x)},{oracles.svg_fmt_ref(-x)}" for x in xs)
+    assert svgfig._coords(xs, -xs) == want
+
+
+# ---------------------------------------------------------------------------
+# lti subcommand
+# ---------------------------------------------------------------------------
 # lti subcommand
 
 
@@ -288,6 +393,19 @@ def test_exit_two_on_degenerate_factorization(run_cli, tf_file):
     code, _, err = run_cli(["lti", "--tf", path])
     assert code == 2
     assert "imaginary-axis" in err
+
+
+def test_exit_two_on_disk_inverse_overflow(run_cli, matrix_file, tf_file):
+    # A gain of 1e9 puts the disk points within 1 ulp of w = 1 but off
+    # the point at infinity; both front ends report a typed error.
+    path = matrix_file("big.json", [[1e9]], field="real")
+    code, _, err = run_cli(["matrix", "--input", path])
+    assert code == 2
+    assert err.startswith("numerical error: ") and "Traceback" not in err
+    path = tf_file("big.json", [1e9], [1.0, 1.0])
+    code, _, err = run_cli(["lti", "--tf", path])
+    assert code == 2
+    assert err.startswith("numerical error: ") and "Traceback" not in err
 
 
 def test_exit_one_on_usage_errors(run_cli):

@@ -20,6 +20,7 @@ from srgraph import (
     spectrum_check,
     support_values,
 )
+from srgraph import nrange
 from srgraph.nrange import support_margins
 
 
@@ -200,3 +201,21 @@ def test_thread_env_does_not_change_results(monkeypatch):
     assert np.array_equal(np.array(serial.support_points),
                           np.array(threaded.support_points))
     assert serial.hull.vertices == threaded.hull.vertices
+
+
+def test_sweep_arrays_match_list_bookkeeping():
+    # eye(3) is degenerate at every angle, diag(1, 1, 2j) on the arc of
+    # angles whose support face is the doubled eigenvalue 1.
+    rng = np.random.default_rng(50)
+    for a in (np.eye(3, dtype=complex), np.diag([1.0, 1.0, 2j]), rand_complex(rng, 4),
+              build_v(np.array([[0.0, 1.0], [0.0, 0.0]])).v):
+        for refine_tol in (None, 1e-8):
+            got = nrange_boundary(a, num_angles=64, refine_tol=refine_tol)
+            want = oracles.sweep_ref(
+                a, 64, refine_tol, nrange.DEGENERACY_GAP * frob(a),
+                nrange._rotated_hermitian_parts, nrange._degenerate_face,
+                nrange._apex_chord_bounds)
+            for field, ref in zip(("angles", "support_points", "support_values"), want):
+                arr = getattr(got, field)
+                assert arr.dtype == ref.dtype
+                assert np.array_equal(arr.view(np.int64), ref.view(np.int64))

@@ -60,6 +60,18 @@ def test_shift_nilpotent_samples_lie_on_known_ellipse():
     assert worst <= 1e-9
 
 
+def test_sample_array_matches_per_draw_reference():
+    rng = np.random.default_rng(86)
+    cases = [(rng.normal(size=(3, 3)), "real", 500), (rand_complex(rng, 4), "complex", 500),
+             (rand_complex(rng, 2), "complex", 1), (np.zeros((3, 3)), "real", 50),
+             (np.array([[0.0, 1.0], [0.0, 0.0]]), "complex", 300)]
+    for t, field, count in cases:
+        got = sample_srg(t, field=field, count=count, seed=31)
+        assert isinstance(got, np.ndarray) and got.dtype == np.complex128
+        want = oracles.sample_srg_ref(t, field, count, 31)
+        assert [repr(complex(s)) for s in got] == [repr(complex(s)) for s in want]
+
+
 def test_sampler_validation():
     with pytest.raises(InputError):
         sample_srg(np.eye(2), count=0)
