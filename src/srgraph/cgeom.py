@@ -77,15 +77,34 @@ def ext_conjugate(z: ExtComplex) -> ExtComplex:
     return complex(z).conjugate()
 
 
+def _clamp_disk_array(ws, eps: float = EPS_DISK) -> np.ndarray:
+    """Array kernel of clamp_disk; returns a clamped copy.
+
+    Points with |w| > 1 are divided by |w| as CPython divides a complex
+    by a real, written out, so values match scalar complex arithmetic
+    bit for bit.  The first point that is not finite or lies beyond
+    1 + eps raises InputError or OutOfDiskError.
+    """
+    ws = np.array(ws, dtype=np.complex128).ravel()
+    with np.errstate(invalid="ignore"):
+        r = np.hypot(ws.real, ws.imag)
+    bad = ~np.isfinite(ws) | (r > 1.0 + eps)
+    if bad.any():
+        k = int(np.argmax(bad))
+        as_finite_complex(ws[k])  # raises InputError
+        raise OutOfDiskError(
+            f"|w| = {float(r[k])!r} exceeds the unit disk beyond tolerance {eps}")
+    big = r > 1.0
+    if big.any():
+        wr, wi, rb = ws.real[big], ws.imag[big], r[big]
+        ws.real[big] = (wr + wi * 0.0) / rb
+        ws.imag[big] = (wi - wr * 0.0) / rb
+    return ws
+
+
 def clamp_disk(w, eps: float = EPS_DISK) -> complex:
     """Clamp a nominal disk point so |w| <= 1, rejecting |w| > 1 + eps."""
-    w = as_finite_complex(w)
-    r = abs(w)
-    if r > 1.0 + eps:
-        raise OutOfDiskError(f"|w| = {r!r} exceeds the unit disk beyond tolerance {eps}")
-    if r > 1.0:
-        return w / r
-    return w
+    return complex(_clamp_disk_array([complex(w)], eps)[0])
 
 
 def split_infinity(points) -> tuple[np.ndarray, np.ndarray]:
@@ -108,10 +127,9 @@ def bk_forward_array(points) -> np.ndarray:
     """Array kernel of bk_forward; INFINITY entries map to 1.
 
     The components are 1 - 2/d and -2*Re z/d with d = 1 + |z|^2, so
-    conjugate points collapse bit for bit.  The radial clamp is
-    CPython's complex-by-real division written out, so values match
-    scalar complex arithmetic bit for bit.  A NaN or float infinity
-    raises InputError.
+    conjugate points collapse bit for bit; round-off excursions past
+    |w| = 1 go through the radial clamp of clamp_disk.  A NaN or float
+    infinity raises InputError.
     """
     zs, at_infinity = split_infinity(points)
     finite = np.isfinite(zs)
@@ -123,12 +141,7 @@ def bk_forward_array(points) -> np.ndarray:
         d = 1.0 + (x * x + y * y)
         ws.real = 1.0 - 2.0 / d
         ws.imag = -2.0 * x / d
-        r = np.hypot(ws.real, ws.imag)
-        big = r > 1.0
-        if big.any():
-            wr, wi, rb = ws.real[big], ws.imag[big], r[big]
-            ws.real[big] = (wr + wi * 0.0) / rb
-            ws.imag[big] = (wi - wr * 0.0) / rb
+    ws = _clamp_disk_array(ws)
     ws[at_infinity] = 1.0
     return ws
 
@@ -147,20 +160,16 @@ def bk_forward(z: ExtComplex) -> complex:
 def _bk_inverse_upper(ws) -> tuple[np.ndarray, np.ndarray]:
     """Array kernel of bk_inverse: upper preimages and the mask of g(w) = {infinity}.
 
-    Values under the mask are meaningless.  The radial clamp is CPython's
-    complex-by-real division written out, so values match scalar complex
-    arithmetic bit for bit.  The first faulty point raises InputError,
-    OutOfDiskError, or NumericalError when 1 - Re w rounds to 0 off the
-    INF_TOL ball around w = 1 (a plane point too large for the model).
+    Values under the mask are meaningless.  The points first go through
+    the radial clamp of clamp_disk, whose InputError or OutOfDiskError
+    the first non-finite or outside point raises.  Then the first point
+    where 1 - Re w rounds to 0 off the INF_TOL ball around w = 1 (a plane
+    point too large for the model) raises NumericalError.
     """
     ws = np.asarray(ws, dtype=np.complex128).ravel()
-    wr, wi = ws.real.copy(), ws.imag.copy()
+    clamped = _clamp_disk_array(ws)
+    wr, wi = clamped.real, clamped.imag
     with np.errstate(divide="ignore", invalid="ignore"):
-        r = np.hypot(wr, wi)
-        big = r > 1.0
-        xr, xi, rb = wr[big], wi[big], r[big]
-        wr[big] = (xr + xi * 0.0) / rb
-        wi[big] = (xi - xr * 0.0) / rb
         at_infinity = np.hypot(wr - 1.0, wi - 0.0) <= INF_TOL
         denom = 1.0 - wr  # > 0 away from w = 1
         rad = 1.0 - (wr * wr + wi * wi)
@@ -168,11 +177,9 @@ def _bk_inverse_upper(ws) -> tuple[np.ndarray, np.ndarray]:
         upper = np.empty(ws.size, dtype=np.complex128)
         upper.real = -wi / denom
         upper.imag = np.sqrt(rad) / denom
-    bad = (~(np.isfinite(ws.real) & np.isfinite(ws.imag)) | (r > 1.0 + EPS_DISK)
-           | (~at_infinity & (denom == 0.0)))
+    bad = ~at_infinity & (denom == 0.0)
     if bad.any():
         w = complex(ws[np.argmax(bad)])
-        clamp_disk(w)  # raises for non-finite and outside points
         raise NumericalError(
             f"disk point {w!r} has no finite preimage: 1 - Re w rounds to 0 "
             f"outside the {INF_TOL:g} ball around w = 1")

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -189,9 +190,100 @@ def _freq_is_infinite(omega) -> bool:
         return False
 
 
-def _pole_tol(coeffs: tuple[complex, ...], omega: float) -> float:
+def _pow(xs: np.ndarray, k: int) -> np.ndarray:
+    """xs ** k by libm pow, as CPython computes a float power; inf where
+    it overflows.  numpy's power and x * x differ from pow in the last bit."""
+    try:
+        return np.fromiter(map(math.pow, xs.tolist(), repeat(float(k))),
+                           dtype=float, count=xs.size)
+    except OverflowError:
+        return np.array([_pow_or_inf(x, k) for x in xs.tolist()], dtype=float)
+
+
+def _pow_or_inf(x: float, k: int) -> float:
+    try:
+        return math.pow(x, k)
+    except OverflowError:
+        return math.inf
+
+
+def _pole_tol(coeffs: tuple[complex, ...], omegas: np.ndarray) -> np.ndarray:
     scale = max(abs(c) for c in coeffs)
-    return 1e-12 * scale * max(1.0, abs(omega)) ** (len(coeffs) - 1)
+    return 1e-12 * scale * _pow(np.maximum(1.0, np.abs(omegas)), len(coeffs) - 1)
+
+
+def _quot(br, bi, ar, ai):
+    """b / a componentwise, as CPython's complex division computes it."""
+    by_real = np.abs(ar) >= np.abs(ai)
+    ratio = np.where(by_real, ai / ar, ar / ai)
+    denom = np.where(by_real, ar + ai * ratio, ar * ratio + ai)
+    return (np.where(by_real, br + bi * ratio, br * ratio + bi) / denom,
+            np.where(by_real, bi - br * ratio, bi * ratio - br) / denom)
+
+
+def _response(tf: RationalTF, omegas, factor: SpectralFactor | None = None):
+    """Array kernel of tf_value and lti_disk_point at finite frequencies.
+
+    Returns the values of h = b/a, the mask of the imaginary-axis poles
+    (|a(i omega)| within _pole_tol of 0, where h is infinite and its
+    values are meaningless) and, given the spectral factor, the disk
+    points (else None), with the disk point 1 at the poles.  Every value matches CPython's scalar complex
+    arithmetic bit for bit.  In grid order, the first frequency where a
+    polynomial value, h or the disk point is not finite in floating
+    point raises NumericalError, and the first disk point beyond the
+    unit disk raises clamp_disk's OutOfDiskError.
+    """
+    w = np.asarray(omegas, dtype=float).ravel()
+    s = 1j * w
+    with np.errstate(all="ignore"):
+        av = np.polyval(np.asarray(tf.den), s)
+        bv = np.polyval(np.asarray(tf.num), s)
+        ar, ai, br, bi = av.real, av.imag, bv.real, bv.imag
+        abs_a = np.hypot(ar, ai)
+        tol = _pole_tol(tf.den, w)
+        pole = abs_a <= tol
+        hr, hi = _quot(br, bi, ar, ai)
+        ok = pole | (np.isfinite(av) & np.isfinite(bv) & np.isfinite(hr) & np.isfinite(hi))
+        disk = None
+        if factor is not None:
+            cv = np.polyval(np.asarray(factor.s_den), s)
+            c2 = _pow(np.hypot(cv.real, cv.imag), 2)
+            # (|b|^2 - |a|^2 - 2i Re(conj(a) b)) / |c|^2, the last step
+            # as CPython divides a complex by a real.
+            nr = _pow(np.hypot(br, bi), 2) - _pow(abs_a, 2)
+            ni = 0.0 - 2.0 * (ar * br + ai * bi)
+            disk = np.empty(w.size, dtype=np.complex128)
+            disk.real = (nr + ni * 0.0) / c2
+            disk.imag = (ni - nr * 0.0) / c2
+            disk[pole] = 1.0
+            ok &= pole | (np.isfinite(cv) & np.isfinite(c2) & np.isfinite(disk))
+        ok &= np.isfinite(tol)
+    if not ok.all():
+        k = int(np.argmin(ok))
+        if disk is not None:
+            cgeom._clamp_disk_array(disk[:k])  # an earlier outside point raises first
+        raise NumericalError(
+            "h, its spectral factor or its disk point is not finite in floating "
+            f"point at omega = {float(w[k])!r}")
+    curve = np.empty(w.size, dtype=np.complex128)
+    curve.real, curve.imag = hr, hi
+    if disk is not None:
+        disk = cgeom._clamp_disk_array(disk)
+    return curve, pole, disk
+
+
+def _value_at_infinity(tf: RationalTF) -> ExtComplex:
+    """h(infinity): infinity if the numerator degree is larger, 0 if
+    smaller, the leading-coefficient ratio if equal."""
+    q, deg_p = tf.degree_num, tf.degree_den
+    if q > deg_p:
+        return INFINITY
+    if q < deg_p:
+        return 0j
+    h = complex(tf.num[0] / tf.den[0])
+    if not (math.isfinite(h.real) and math.isfinite(h.imag)):
+        raise NumericalError(f"h is not finite in floating point at omega = {INFINITY!r}")
+    return h
 
 
 def tf_value(tf: RationalTF, omega) -> ExtComplex:
@@ -202,18 +294,9 @@ def tf_value(tf: RationalTF, omega) -> ExtComplex:
     smaller, the leading-coefficient ratio if equal).
     """
     if _freq_is_infinite(omega):
-        q, deg_p = tf.degree_num, tf.degree_den
-        if q > deg_p:
-            return INFINITY
-        if q < deg_p:
-            return 0j
-        return complex(tf.num[0] / tf.den[0])
-    w = float(omega)
-    s = 1j * w
-    av = complex(np.polyval(np.asarray(tf.den), s))
-    if abs(av) <= _pole_tol(tf.den, w):
-        return INFINITY
-    return complex(np.polyval(np.asarray(tf.num), s)) / av
+        return _value_at_infinity(tf)
+    curve, pole, _ = _response(tf, [float(omega)])
+    return INFINITY if pole[0] else complex(curve[0])
 
 
 def lti_disk_point(tf: RationalTF, factor: SpectralFactor, omega) -> complex:
@@ -224,16 +307,8 @@ def lti_disk_point(tf: RationalTF, factor: SpectralFactor, omega) -> complex:
     on f(infinity) = 1 instead of overflowing.
     """
     if _freq_is_infinite(omega):
-        return cgeom.bk_forward(tf_value(tf, INFINITY))
-    w = float(omega)
-    s = 1j * w
-    av = complex(np.polyval(np.asarray(tf.den), s))
-    bv = complex(np.polyval(np.asarray(tf.num), s))
-    if abs(av) <= _pole_tol(tf.den, w):
-        return complex(1.0, 0.0)
-    cv = complex(np.polyval(np.asarray(factor.s_den), s))
-    numerator = (abs(bv) ** 2 - abs(av) ** 2) - 2j * (np.conj(av) * bv).real
-    return cgeom.clamp_disk(numerator / abs(cv) ** 2)
+        return cgeom.bk_forward(_value_at_infinity(tf))
+    return complex(_response(tf, [float(omega)], factor)[2][0])
 
 
 @dataclass(frozen=True)
@@ -316,17 +391,19 @@ def lti_srg(tf: RationalTF, grid: FreqGrid | None = None,
         factor = spectral_factorize(tf)
     improper = tf.degree_num > tf.degree_den
     with_inf = grid.include_infinity or improper or bool(_axis_poles(tf))
-    omegas: list[ExtComplex] = list(grid.omegas)
+    values, pole, disk = _response(tf, grid.omegas, factor)
+    omegas = grid.omegas
+    curve = [INFINITY if p else h for h, p in zip(values.tolist(), pole.tolist())]
     if with_inf:
-        omegas.append(INFINITY)
-    disk_points = [lti_disk_point(tf, factor, w) for w in omegas]
-    curve = [tf_value(tf, w) for w in omegas]
-    hull = cgeom.convex_hull_2d(disk_points)
+        omegas += (INFINITY,)
+        curve.append(_value_at_infinity(tf))
+        disk = np.append(disk, cgeom.bk_forward(curve[-1]))
+    hull = cgeom.convex_hull_2d(disk)
     region = cgeom.region_from_disk_hull(hull)
     return LtiSrg(
         region=region,
-        omegas=tuple(omegas),
-        disk_points=tuple(disk_points),
+        omegas=omegas,
+        disk_points=tuple(disk.tolist()),
         curve=tuple(curve),
         factor=factor,
     )

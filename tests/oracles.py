@@ -406,3 +406,63 @@ def sweep_ref(a, num_angles: int, refine_tol, gap_tol: float, rotated_parts,
     return (np.array([t for t, _, pts in entries for _ in pts], dtype=np.float64),
             np.array([p for _, _, pts in entries for p in pts], dtype=np.complex128),
             np.array([h for _, h, pts in entries for _ in pts], dtype=np.float64))
+
+
+def _pole_tol_ref(coeffs, omega: float) -> float:
+    scale = max(abs(c) for c in coeffs)
+    return 1e-12 * scale * max(1.0, abs(omega)) ** (len(coeffs) - 1)
+
+
+def clamp_disk_ref(w, eps: float = 1e-9) -> complex:
+    """The scalar radial clamp; raises ValueError with the package's messages."""
+    w = complex(w)
+    if not (math.isfinite(w.real) and math.isfinite(w.imag)):
+        raise ValueError(f"expected a finite complex value, got {w!r}")
+    r = abs(w)
+    if r > 1.0 + eps:
+        raise ValueError(f"|w| = {r!r} exceeds the unit disk beyond tolerance {eps}")
+    if r > 1.0:
+        return w / r
+    return w
+
+
+def _tf_value_ref(num, den, omega):
+    if omega is INFINITY:
+        q = -1 if all(c == 0 for c in num) else len(num) - 1
+        if q > len(den) - 1:
+            return INFINITY
+        if q < len(den) - 1:
+            return 0j
+        return complex(num[0] / den[0])
+    s = 1j * float(omega)
+    av = complex(np.polyval(np.asarray(den), s))
+    if abs(av) <= _pole_tol_ref(den, omega):
+        return INFINITY
+    return complex(np.polyval(np.asarray(num), s)) / av
+
+
+def _lti_disk_point_ref(num, den, s_den, omega) -> complex:
+    if omega is INFINITY:
+        return bk_forward_ref(_tf_value_ref(num, den, INFINITY))
+    s = 1j * float(omega)
+    av = complex(np.polyval(np.asarray(den), s))
+    bv = complex(np.polyval(np.asarray(num), s))
+    if abs(av) <= _pole_tol_ref(den, omega):
+        return complex(1.0, 0.0)
+    cv = complex(np.polyval(np.asarray(s_den), s))
+    numerator = (abs(bv) ** 2 - abs(av) ** 2) - 2j * (np.conj(av) * bv).real
+    return clamp_disk_ref(numerator / abs(cv) ** 2)
+
+
+def lti_points_ref(num, den, s_den, omegas) -> tuple[list, list]:
+    """Disk points and frequency response of a transfer function, one
+    frequency at a time with five scalar np.polyval calls each.
+
+    num, den and s_den are coefficient tuples, leading first; omegas may
+    end with INFINITY.  Returns (disk_points, curve); poles give the disk
+    point 1 and the curve value INFINITY.  A non-finite or outside disk
+    point raises ValueError with the package's clamp message.
+    """
+    disk = [_lti_disk_point_ref(num, den, s_den, w) for w in omegas]
+    curve = [_tf_value_ref(num, den, w) for w in omegas]
+    return disk, curve

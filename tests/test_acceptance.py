@@ -33,7 +33,7 @@ from srgraph import (
     srg_real,
 )
 from srgraph.srglti import default_grid, lti_disk_point, tf_value
-from srgraph.cgeom import is_infinity
+from srgraph.cgeom import bk_forward_array, is_infinity
 from srgraph.srgmatrix import SrgOptions
 
 SHIFT = np.array([[0.0, 1.0], [0.0, 0.0]])
@@ -194,9 +194,7 @@ def test_criterion_08_real_field_dichotomy():
         assert report.contained == report.total
         if polygon_area(region.disk_hull) > 1e-2:
             locator = PolygonLocator(region.disk_hull)
-            ws = np.array(
-                [bk_forward(complex(s)) for s in samples], dtype=np.complex128
-            )
+            ws = bk_forward_array(samples)
             lb, ub, _ = locator.query(ws)
             # ub is a certified upper bound on the signed distance, so a
             # value below -1e-3 proves an interior sample with that

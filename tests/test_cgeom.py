@@ -28,7 +28,7 @@ from srgraph import (
     region_contains,
     region_signed_distance,
 )
-from srgraph.cgeom import bk_forward_array, region_from_disk_hull
+from srgraph.cgeom import _clamp_disk_array, bk_forward_array, region_from_disk_hull
 
 
 # ---------------------------------------------------------------------------
@@ -162,6 +162,25 @@ def test_clamp_disk_behavior():
         clamp_disk(1.0 + 1e-8 + 0j)
     with pytest.raises(InputError):
         clamp_disk(float("nan"))
+
+
+def test_clamp_disk_array_is_the_scalar_clamp_bit_for_bit():
+    rng = np.random.default_rng(61)
+    radii = 1.0 + rng.uniform(-5e-10, 5e-10, size=3000)
+    ws = list(radii * np.exp(2j * math.pi * rng.random(3000)))
+    ws += [0j, complex(-0.0, -0.0), 1.0 + 0j, complex(-1.0, -0.0), complex(-0.0, 1.0 + 5e-10)]
+    want = [repr(oracles.clamp_disk_ref(w)) for w in ws]
+    assert [repr(w) for w in _clamp_disk_array(ws).tolist()] == want
+    assert [repr(clamp_disk(w)) for w in ws] == want
+    # The first faulty point raises, with the scalar clamp's message.
+    nan = complex(math.nan, 0.0)
+    for points, bad, kind in (([0.5, 2.0, nan], 2.0, OutOfDiskError),
+                              ([0.5, nan, 2.0], nan, InputError)):
+        with pytest.raises(ValueError) as want_exc:
+            oracles.clamp_disk_ref(bad)
+        with pytest.raises(kind) as got:
+            _clamp_disk_array(points)
+        assert str(got.value) == str(want_exc.value)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import json
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -406,6 +407,19 @@ def test_exit_two_on_disk_inverse_overflow(run_cli, matrix_file, tf_file):
     code, _, err = run_cli(["lti", "--tf", path])
     assert code == 2
     assert err.startswith("numerical error: ") and "Traceback" not in err
+
+
+def test_exit_two_on_lti_overflow_without_warnings(run_cli, tf_file):
+    # The spectral factor of s^7/(1e-300 s + 1) carries a 1e300 scale and
+    # overflows on the grid: a typed error that names the frequency, and
+    # no numpy RuntimeWarning on the way.
+    path = tf_file("overflow.json", [1.0] + [0.0] * 7, [1e-300, 1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _, err = run_cli(["lti", "--tf", path])
+    assert code == 2
+    assert err.startswith("numerical error: ") and "at omega = " in err
+    assert "RuntimeWarning" not in err and "Traceback" not in err
 
 
 def test_exit_one_on_usage_errors(run_cli):

@@ -1,7 +1,10 @@
 """Tests for transfer-function SRGs: factorization, grids, sweeps."""
 
 import cmath
+import dataclasses
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +14,8 @@ from srgraph import (
     FactorizationDegenerateError,
     INFINITY,
     InputError,
+    NumericalError,
+    OutOfDiskError,
     bk_forward,
     convex_hull_2d,
     default_grid,
@@ -25,6 +30,7 @@ from srgraph import (
     spectral_factorize,
     tf_value,
 )
+from srgraph.cgeom import region_from_disk_hull
 
 TWO_OVER_SQUARE = ([2.0], [1.0, 2.0, 1.0])  # h = 2/(iw+1)^2
 INTEGRATOR = ([1.0], [1.0, 0.0])  # h = 1/(iw)
@@ -369,3 +375,118 @@ def test_double_pole_region_contains_static_gain():
     out = lti_srg(rational_tf(*TWO_OVER_SQUARE))
     assert polygon_distance(out.region.disk_hull, 0.6 - 0.8j) <= 1e-9
     assert not out.region.contains_infinity
+
+
+# ---------------------------------------------------------------------------
+# Array kernel against the per-frequency reference
+
+
+def _real_roots(rng, count: int, sign: float) -> list:
+    roots = []
+    while len(roots) < count:
+        real = sign * rng.uniform(0.1, 2.0)
+        if count - len(roots) >= 2 and rng.random() < 0.5:
+            z = complex(real, rng.uniform(0.2, 3.0))
+            roots += [z, z.conjugate()]
+        else:
+            roots.append(complex(real, 0.0))
+    return roots
+
+
+def _identity_cases():
+    """(tf, axis-pole frequencies): the three fixed functions, gains 1e-9
+    and 1e3, and seeded degree 1-6 strict, biproper and improper
+    functions; some with a pole at 0 or at +-i w0, some with complex
+    coefficients."""
+    out = [
+        (rational_tf(*TWO_OVER_SQUARE), []),
+        (rational_tf([1.0, 0.0, 0.0, 1.0], [1.0, 0.3, 2.0, 0.5, 1.0]), []),
+        (rational_tf([1.0, 0.1, 1.0], [1.0, 0.02, 4.0, 0.0]), [-2.0, 0.0, 2.0]),
+        (rational_tf([1e-9], [1.0, 1.0]), []),
+        (rational_tf([1e3, 2e3], [1.0, 1.0, 1.0]), []),
+    ]
+    rng = np.random.default_rng(515)
+    for deg in range(1, 7):
+        for num_deg in (deg - 1, deg, deg + 1):
+            axis = []
+            poles = _real_roots(rng, deg, -1.0)
+            kind = (deg + num_deg) % 3
+            if kind == 1:
+                poles[0], axis = 0j, [0.0]
+            elif kind == 2 and deg >= 2:
+                w0 = float(rng.uniform(0.5, 3.0))
+                poles = [1j * w0, -1j * w0] + _real_roots(rng, deg - 2, -1.0)
+                axis = [-w0, w0]
+            zeros = _real_roots(rng, num_deg, 1.0 if rng.random() < 0.5 else -1.0)
+            num = 10.0 ** rng.uniform(-9.0, 3.0) * np.poly(zeros)
+            den = np.poly(poles)
+            if (deg + num_deg) % 2:
+                num = num * (1.0 + 0.5j)
+                den = np.poly([p + 0.25j for p in poles[len(axis):]] + poles[:len(axis)])
+            out.append((rational_tf(np.atleast_1d(num), den), axis))
+    return out
+
+
+def test_lti_srg_is_the_per_frequency_reference_bit_for_bit():
+    # Where the reference's clamp raises (root-finder error in the factor
+    # at gain 1e-9 with axis poles, in one case), the array kernel raises
+    # OutOfDiskError with the same message for the same grid point.
+    poles_hit = 0
+    for tf, axis in _identity_cases():
+        factor = spectral_factorize(tf)
+        user = freq_grid([-2.5, -0.5, 0.0, 0.5, 1.0, 2.5] + axis, include_infinity=False)
+        for grid in (default_grid(tf, 16), default_grid(tf, 2048), user):
+            try:
+                out = lti_srg(tf, grid, factor=factor)
+            except OutOfDiskError as exc:
+                with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+                    oracles.lti_points_ref(tf.num, tf.den, factor.s_den, grid.omegas)
+                continue
+            assert out.omegas[:len(grid.omegas)] == grid.omegas
+            disk, curve = oracles.lti_points_ref(tf.num, tf.den, factor.s_den, out.omegas)
+            assert repr(out.disk_points) == repr(tuple(disk))
+            assert repr(out.curve) == repr(tuple(curve))
+            assert repr(out.region) == repr(region_from_disk_hull(convex_hull_2d(disk)))
+            if grid is user:
+                poles_hit += sum(map(is_infinity, out.curve[:len(user.omegas)]))
+        for w in user.omegas + (INFINITY,):
+            try:
+                disk, curve = oracles.lti_points_ref(tf.num, tf.den, factor.s_den, [w])
+            except ValueError as exc:
+                with pytest.raises(OutOfDiskError, match=f"^{re.escape(str(exc))}$"):
+                    lti_disk_point(tf, factor, w)
+                continue
+            assert repr(lti_disk_point(tf, factor, w)) == repr(disk[0])
+            assert repr(tf_value(tf, w)) == repr(curve[0])
+    assert poles_hit >= 10
+
+
+def test_outside_disk_point_raises_the_clamp_error_of_the_reference():
+    # A factor that is off by 10 % at omega = 0 pushes the disk point
+    # there beyond the unit disk; the message is the scalar clamp's.
+    tf = rational_tf(*TWO_OVER_SQUARE)
+    factor = spectral_factorize(tf)
+    bent = dataclasses.replace(factor, s_den=tuple(0.9 * c for c in factor.s_den))
+    grid = freq_grid([-1.0, 0.0, 1.0], include_infinity=False)
+    with pytest.raises(ValueError) as want:
+        oracles.lti_points_ref(tf.num, tf.den, bent.s_den, grid.omegas)
+    with pytest.raises(OutOfDiskError) as got:
+        lti_srg(tf, grid, factor=bent)
+    assert str(got.value) == str(want.value)
+
+
+def test_overflow_is_a_numerical_error_without_warnings():
+    # 1e-300 in the denominator scales the spectral factor by 1e300, so
+    # its values overflow on the grid: a typed error naming the first
+    # such frequency, and no RuntimeWarning from numpy.
+    tf = rational_tf([1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0], [1e-300, 1.0])
+    grid = default_grid(tf, 512)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match=r"not finite .* at omega = ") as info:
+            lti_srg(tf, grid)
+        with pytest.raises(NumericalError):
+            lti_disk_point(tf, spectral_factorize(tf), grid.omegas[0])
+    assert f"omega = {grid.omegas[0]!r}" in str(info.value)
+    with pytest.raises(NumericalError, match="omega = INFINITY"):
+        tf_value(rational_tf([1e300], [1e-300]), INFINITY)
