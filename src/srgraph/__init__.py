@@ -5,10 +5,11 @@ The SRG of an operator T collects, over all inputs x, the gain
 (both conjugate branches).  For a matrix, mapping the plane through
 the Beltrami-Klein disk model turns the SRG into the numerical range
 of a bounded operator V built from the graph of T, which this package
-traces by the support-function rotation method and maps back.  Scalar
-rational transfer functions get the same treatment through spectral
-factorization, and a brute-force sampler validates every computed
-region straight from the definition.
+traces by the support-function rotation method and maps back.  A scalar
+rational transfer function acts as a normal multiplication operator, so
+its SRG is the hyperbolic hull of its frequency response mapped into the
+disk, and a brute-force sampler validates every computed region straight
+from the definition.
 """
 
 __version__ = "0.1.0"

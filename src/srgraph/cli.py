@@ -10,6 +10,7 @@ failures, 3 validation (--check) failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -242,15 +243,13 @@ def cmd_srg_matrix(args) -> int:
 
 def cmd_srg_lti(args) -> int:
     tf = load_tf_file(args.tf)
-    factor = spectral_factorize(tf)
     if args.emit_factor:
-        s_num = " ".join(_fmt17(c.real) + ("" if c.imag == 0 else f"{c.imag:+.17g}j")
-                         for c in factor.s_num)
-        s_den = " ".join(_fmt17(c.real) + ("" if c.imag == 0 else f"{c.imag:+.17g}j")
-                         for c in factor.s_den)
-        print(f"s_num: {s_num}", file=sys.stderr)
-        print(f"s_den: {s_den}", file=sys.stderr)
-    result = lti_srg(tf, default_grid(tf, args.grid), factor=factor)
+        factor = spectral_factorize(tf)
+        for name, coeffs in (("s_num", factor.s_num), ("s_den", factor.s_den)):
+            text = " ".join(_fmt17(c.real) + ("" if c.imag == 0 else f"{c.imag:+.17g}j")
+                            for c in coeffs)
+            print(f"{name}: {text}", file=sys.stderr)
+    result = lti_srg(tf, default_grid(tf, args.grid))
 
     if args.format == "csv":
         groups = _region_columns(result.region)
@@ -294,6 +293,7 @@ def cmd_nrange(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="srg",

@@ -32,7 +32,7 @@ class NotHpdError(NumericalError):
 
 
 class FactorizationDegenerateError(NumericalError):
-    """Spectral factorization hit an imaginary-axis root (common axis zero)."""
+    """Numerator and denominator share an imaginary-axis zero (0/0 there)."""
 
 
 class IllConditionedError(NumericalError):

@@ -1,25 +1,25 @@
 """SRG of the multiplication operator of a scalar rational transfer function.
 
 h(omega) = b(i*omega)/a(i*omega) acts by multiplication on frequency
-components; its graph normalizes through a spectral factor s with
+components.  The operator is normal, so each frequency contributes the
+single disk point
 
-    |s(omega)|^2 * (1 + |h(omega)|^2) = 1,
+    f(h(omega)) = (|b|^2 - |a|^2 - 2i*Re(conj(a) b)) / (|a|^2 + |b|^2),
 
-obtained by factoring a*~a + b*~b into c*~c with Hurwitz c (~ is the
-paraconjugate).  Each frequency then contributes the single disk point
-
-    |s|^2 * (|h|^2 - 1 - 2i*Re h) = f(h(omega)),
-
-evaluated pole-safely from the raw coefficients, and the SRG is the
-hyperbolic hull of these points over a frequency grid that includes
+evaluated pole-safely from the raw polynomial values, and the SRG is
+the hyperbolic hull of these points over a frequency grid that includes
 omega = infinity and any imaginary-axis poles.
+
+The spectral factor s = a/c, with a*~a + b*~b = c*~c and Hurwitz c (~ is
+the paraconjugate), satisfies |s|^2 (1 + |h|^2) = 1; it cancels out of
+the disk point, so the SRG does not need it.  spectral_factorize computes
+it for callers that want its coefficients.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
@@ -190,86 +190,52 @@ def _freq_is_infinite(omega) -> bool:
         return False
 
 
-def _pow(xs: np.ndarray, k: int) -> np.ndarray:
-    """xs ** k by libm pow, as CPython computes a float power; inf where
-    it overflows.  numpy's power and x * x differ from pow in the last bit."""
-    try:
-        return np.fromiter(map(math.pow, xs.tolist(), repeat(float(k))),
-                           dtype=float, count=xs.size)
-    except OverflowError:
-        return np.array([_pow_or_inf(x, k) for x in xs.tolist()], dtype=float)
-
-
-def _pow_or_inf(x: float, k: int) -> float:
-    try:
-        return math.pow(x, k)
-    except OverflowError:
-        return math.inf
-
-
 def _pole_tol(coeffs: tuple[complex, ...], omegas: np.ndarray) -> np.ndarray:
     scale = max(abs(c) for c in coeffs)
-    return 1e-12 * scale * _pow(np.maximum(1.0, np.abs(omegas)), len(coeffs) - 1)
+    return 1e-12 * scale * np.maximum(1.0, np.abs(omegas)) ** (len(coeffs) - 1)
 
 
-def _quot(br, bi, ar, ai):
-    """b / a componentwise, as CPython's complex division computes it."""
-    by_real = np.abs(ar) >= np.abs(ai)
-    ratio = np.where(by_real, ai / ar, ar / ai)
-    denom = np.where(by_real, ar + ai * ratio, ar * ratio + ai)
-    return (np.where(by_real, br + bi * ratio, br * ratio + bi) / denom,
-            np.where(by_real, bi - br * ratio, bi * ratio - br) / denom)
-
-
-def _response(tf: RationalTF, omegas, factor: SpectralFactor | None = None):
+def _response(tf: RationalTF, omegas):
     """Array kernel of tf_value and lti_disk_point at finite frequencies.
 
     Returns the values of h = b/a, the mask of the imaginary-axis poles
     (|a(i omega)| within _pole_tol of 0, where h is infinite and its
-    values are meaningless) and, given the spectral factor, the disk
-    points (else None), with the disk point 1 at the poles.  Every value matches CPython's scalar complex
-    arithmetic bit for bit.  In grid order, the first frequency where a
+    values are meaningless) and the disk points f(h) of the module
+    docstring, from a and b scaled by max(|a|, |b|) so the squares stay
+    finite, with the disk point 1 at the poles.  In grid order, the
+    first frequency where a and b both vanish within their tolerances
+    raises FactorizationDegenerateError, and the first where a
     polynomial value, h or the disk point is not finite in floating
-    point raises NumericalError, and the first disk point beyond the
-    unit disk raises clamp_disk's OutOfDiskError.
+    point raises NumericalError.
     """
     w = np.asarray(omegas, dtype=float).ravel()
     s = 1j * w
     with np.errstate(all="ignore"):
         av = np.polyval(np.asarray(tf.den), s)
         bv = np.polyval(np.asarray(tf.num), s)
-        ar, ai, br, bi = av.real, av.imag, bv.real, bv.imag
-        abs_a = np.hypot(ar, ai)
+        abs_a, abs_b = np.abs(av), np.abs(bv)
         tol = _pole_tol(tf.den, w)
         pole = abs_a <= tol
-        hr, hi = _quot(br, bi, ar, ai)
-        ok = pole | (np.isfinite(av) & np.isfinite(bv) & np.isfinite(hr) & np.isfinite(hi))
-        disk = None
-        if factor is not None:
-            cv = np.polyval(np.asarray(factor.s_den), s)
-            c2 = _pow(np.hypot(cv.real, cv.imag), 2)
-            # (|b|^2 - |a|^2 - 2i Re(conj(a) b)) / |c|^2, the last step
-            # as CPython divides a complex by a real.
-            nr = _pow(np.hypot(br, bi), 2) - _pow(abs_a, 2)
-            ni = 0.0 - 2.0 * (ar * br + ai * bi)
-            disk = np.empty(w.size, dtype=np.complex128)
-            disk.real = (nr + ni * 0.0) / c2
-            disk.imag = (ni - nr * 0.0) / c2
-            disk[pole] = 1.0
-            ok &= pole | (np.isfinite(cv) & np.isfinite(c2) & np.isfinite(disk))
-        ok &= np.isfinite(tol)
-    if not ok.all():
-        k = int(np.argmin(ok))
-        if disk is not None:
-            cgeom._clamp_disk_array(disk[:k])  # an earlier outside point raises first
+        shared = pole & (abs_b <= _pole_tol(tf.num, w))
+        curve = bv / av
+        scale = np.maximum(abs_a, abs_b)
+        ar, ai, br, bi = av.real / scale, av.imag / scale, bv.real / scale, bv.imag / scale
+        a2, b2 = ar * ar + ai * ai, br * br + bi * bi
+        disk = (b2 - a2 - 2j * (ar * br + ai * bi)) / (a2 + b2)
+        disk[pole] = 1.0
+        ok = pole | (np.isfinite(av) & np.isfinite(bv) & np.isfinite(curve))
+        ok &= np.isfinite(disk) & np.isfinite(tol)
+    bad = shared | ~ok
+    if bad.any():
+        k = int(np.argmax(bad))
+        if shared[k]:
+            raise FactorizationDegenerateError(
+                "numerator and denominator share an imaginary-axis zero at "
+                f"omega = {float(w[k])!r}; the disk point is 0/0")
         raise NumericalError(
-            "h, its spectral factor or its disk point is not finite in floating "
-            f"point at omega = {float(w[k])!r}")
-    curve = np.empty(w.size, dtype=np.complex128)
-    curve.real, curve.imag = hr, hi
-    if disk is not None:
-        disk = cgeom._clamp_disk_array(disk)
-    return curve, pole, disk
+            "h or its disk point is not finite in floating point at "
+            f"omega = {float(w[k])!r}")
+    return curve, pole, cgeom._clamp_disk_array(disk)
 
 
 def _value_at_infinity(tf: RationalTF) -> ExtComplex:
@@ -291,7 +257,8 @@ def tf_value(tf: RationalTF, omega) -> ExtComplex:
 
     Imaginary-axis poles return infinity; omega = infinity follows the
     degree rules (infinity if the numerator degree is larger, 0 if
-    smaller, the leading-coefficient ratio if equal).
+    smaller, the leading-coefficient ratio if equal).  A zero shared by
+    numerator and denominator raises FactorizationDegenerateError.
     """
     if _freq_is_infinite(omega):
         return _value_at_infinity(tf)
@@ -299,16 +266,16 @@ def tf_value(tf: RationalTF, omega) -> ExtComplex:
     return INFINITY if pole[0] else complex(curve[0])
 
 
-def lti_disk_point(tf: RationalTF, factor: SpectralFactor, omega) -> complex:
+def lti_disk_point(tf: RationalTF, omega) -> complex:
     """The disk point f(h(omega)), evaluated pole-safely.
 
-    Uses |s|^2 (|h|^2 - 1 - 2i Re h) with every |h| expanded into raw
-    numerator/denominator values, so imaginary-axis poles land exactly
-    on f(infinity) = 1 instead of overflowing.
+    Uses (|b|^2 - |a|^2 - 2i Re(conj(a) b)) / (|a|^2 + |b|^2) with the
+    raw numerator/denominator values b and a, so imaginary-axis poles
+    land exactly on f(infinity) = 1 instead of overflowing.
     """
     if _freq_is_infinite(omega):
         return cgeom.bk_forward(_value_at_infinity(tf))
-    return complex(_response(tf, [float(omega)], factor)[2][0])
+    return complex(_response(tf, [float(omega)])[2][0])
 
 
 @dataclass(frozen=True)
@@ -372,11 +339,9 @@ class LtiSrg:
     omegas: tuple[ExtComplex, ...]
     disk_points: tuple[complex, ...]
     curve: tuple[ExtComplex, ...]
-    factor: SpectralFactor
 
 
-def lti_srg(tf: RationalTF, grid: FreqGrid | None = None,
-            factor: SpectralFactor | None = None) -> LtiSrg:
+def lti_srg(tf: RationalTF, grid: FreqGrid | None = None) -> LtiSrg:
     """SRG of the multiplication operator of h over a frequency grid.
 
     The operator is normal, so the SRG is the hyperbolic hull of the
@@ -387,11 +352,9 @@ def lti_srg(tf: RationalTF, grid: FreqGrid | None = None,
     """
     if grid is None:
         grid = default_grid(tf)
-    if factor is None:
-        factor = spectral_factorize(tf)
     improper = tf.degree_num > tf.degree_den
     with_inf = grid.include_infinity or improper or bool(_axis_poles(tf))
-    values, pole, disk = _response(tf, grid.omegas, factor)
+    values, pole, disk = _response(tf, grid.omegas)
     omegas = grid.omegas
     curve = [INFINITY if p else h for h, p in zip(values.tolist(), pole.tolist())]
     if with_inf:
@@ -405,5 +368,4 @@ def lti_srg(tf: RationalTF, grid: FreqGrid | None = None,
         omegas=omegas,
         disk_points=tuple(disk.tolist()),
         curve=tuple(curve),
-        factor=factor,
     )

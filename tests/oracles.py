@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -408,11 +409,6 @@ def sweep_ref(a, num_angles: int, refine_tol, gap_tol: float, rotated_parts,
             np.array([h for _, h, pts in entries for _ in pts], dtype=np.float64))
 
 
-def _pole_tol_ref(coeffs, omega: float) -> float:
-    scale = max(abs(c) for c in coeffs)
-    return 1e-12 * scale * max(1.0, abs(omega)) ** (len(coeffs) - 1)
-
-
 def clamp_disk_ref(w, eps: float = 1e-9) -> complex:
     """The scalar radial clamp; raises ValueError with the package's messages."""
     w = complex(w)
@@ -426,43 +422,58 @@ def clamp_disk_ref(w, eps: float = 1e-9) -> complex:
     return w
 
 
-def _tf_value_ref(num, den, omega):
-    if omega is INFINITY:
-        q = -1 if all(c == 0 for c in num) else len(num) - 1
-        if q > len(den) - 1:
-            return INFINITY
-        if q < len(den) - 1:
-            return 0j
-        return complex(num[0] / den[0])
-    s = 1j * float(omega)
-    av = complex(np.polyval(np.asarray(den), s))
-    if abs(av) <= _pole_tol_ref(den, omega):
-        return INFINITY
-    return complex(np.polyval(np.asarray(num), s)) / av
+# ---------------------------------------------------------------------------
+# Transfer functions in exact rational arithmetic
+# ---------------------------------------------------------------------------
 
 
-def _lti_disk_point_ref(num, den, s_den, omega) -> complex:
-    if omega is INFINITY:
-        return bk_forward_ref(_tf_value_ref(num, den, INFINITY))
-    s = 1j * float(omega)
-    av = complex(np.polyval(np.asarray(den), s))
-    bv = complex(np.polyval(np.asarray(num), s))
-    if abs(av) <= _pole_tol_ref(den, omega):
-        return complex(1.0, 0.0)
-    cv = complex(np.polyval(np.asarray(s_den), s))
-    numerator = (abs(bv) ** 2 - abs(av) ** 2) - 2j * (np.conj(av) * bv).real
-    return clamp_disk_ref(numerator / abs(cv) ** 2)
+def _horner_exact(coeffs, w: Fraction) -> tuple[Fraction, Fraction]:
+    """p(i w) without rounding, as (real part, imaginary part)."""
+    re, im = Fraction(0), Fraction(0)
+    for c in coeffs:
+        c = complex(c)
+        re, im = Fraction(c.real) - im * w, Fraction(c.imag) + re * w
+    return re, im
 
 
-def lti_points_ref(num, den, s_den, omegas) -> tuple[list, list]:
-    """Disk points and frequency response of a transfer function, one
-    frequency at a time with five scalar np.polyval calls each.
+def _disk_and_value_exact(b, a):
+    """f(b/a) = (|b|^2 - |a|^2 - 2i Re(conj(a) b)) / (|a|^2 + |b|^2) and
+    b/a, each rounded once to complex."""
+    (br, bi), (ar, ai) = b, a
+    a2, b2, re_ab = ar * ar + ai * ai, br * br + bi * bi, ar * br + ai * bi
+    disk = complex(float((b2 - a2) / (a2 + b2)), float(-2 * re_ab / (a2 + b2)))
+    return disk, complex(float(re_ab / a2), float((ar * bi - ai * br) / a2))
 
-    num, den and s_den are coefficient tuples, leading first; omegas may
-    end with INFINITY.  Returns (disk_points, curve); poles give the disk
-    point 1 and the curve value INFINITY.  A non-finite or outside disk
-    point raises ValueError with the package's clamp message.
+
+def lti_points_exact(num, den, omegas) -> tuple[list, list]:
+    """Disk points and frequency response of a transfer function in exact
+    rational arithmetic.
+
+    Floats are exact rationals, so num(i w) and den(i w) come from
+    Horner's rule in fractions.Fraction with no rounding, and each output
+    is rounded once at the end.  num and den are coefficient tuples,
+    leading first; omegas may end with INFINITY, where the degree rules
+    apply.  Poles, where |den(i w)| is within the package's tolerance
+    1e-12 max|den_k| max(1, |w|)^deg of 0, give the disk point 1 and the
+    curve value INFINITY.
     """
-    disk = [_lti_disk_point_ref(num, den, s_den, w) for w in omegas]
-    curve = [_tf_value_ref(num, den, w) for w in omegas]
+    scale = max(abs(c) for c in den)
+    disk, curve = [], []
+    for w in omegas:
+        if w is INFINITY:
+            q = -1 if all(c == 0 for c in num) else len(num) - 1
+            if q == len(den) - 1:
+                d, h = _disk_and_value_exact(_horner_exact(num[:1], Fraction(0)),
+                                             _horner_exact(den[:1], Fraction(0)))
+            else:
+                d, h = (1 + 0j, INFINITY) if q > len(den) - 1 else (-1 + 0j, 0j)
+        else:
+            a = _horner_exact(den, Fraction(w))
+            tol = Fraction(1e-12 * scale * max(1.0, abs(w)) ** (len(den) - 1))
+            if a[0] ** 2 + a[1] ** 2 <= tol ** 2:
+                d, h = 1 + 0j, INFINITY
+            else:
+                d, h = _disk_and_value_exact(_horner_exact(num, Fraction(w)), a)
+        disk.append(d)
+        curve.append(h)
     return disk, curve

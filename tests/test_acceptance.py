@@ -167,7 +167,7 @@ def test_criterion_07_spectral_factor_and_point_identity():
         h = tf_value(tf, w)
         if is_infinity(h):
             continue
-        assert abs(lti_disk_point(tf, factor, w) - bk_forward(complex(h))) <= 1e-10
+        assert abs(lti_disk_point(tf, w) - bk_forward(complex(h))) <= 1e-10
     assert time.monotonic() - t0 < 2.0
 
 

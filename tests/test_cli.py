@@ -18,10 +18,9 @@ from srgraph import (
     general_eig,
     lti_srg,
     nrange_boundary,
-    spectral_factorize,
     srg_complex,
 )
-from srgraph import cli, svgfig
+from srgraph import cli, srglti, svgfig
 
 
 def parse_csv(text: str):
@@ -221,7 +220,7 @@ def test_matrix_spectrum_rows(run_cli, matrix_file):
 
 def _lti_result(path, grid):
     tf = cli.load_tf_file(path)
-    return lti_srg(tf, default_grid(tf, grid), factor=spectral_factorize(tf))
+    return lti_srg(tf, default_grid(tf, grid))
 
 
 def test_matrix_spectrum_csv_matches_row_reference(run_cli, matrix_file):
@@ -327,6 +326,32 @@ def test_lti_emit_factor_prints_radicals(run_cli, tf_file):
     assert out.startswith("kind,theta,re,im,branch\n")
 
 
+def test_lti_computes_without_the_spectral_factor(run_cli, tf_file, monkeypatch):
+    # After an --emit-factor run, the reused parser gives a plain run that
+    # never calls the factorization, and the same CSV.
+    path = tf_file("tf.json", [1.0, 0.1, 1.0], [1.0, 0.02, 4.0, 0.0])
+    code, want, err = run_cli(["lti", "--tf", path, "--grid", "64", "--emit-factor"])
+    assert code == 0 and "s_den:" in err
+
+    def refuse(tf):
+        raise AssertionError("spectral_factorize was called")
+
+    monkeypatch.setattr(srglti, "spectral_factorize", refuse)
+    monkeypatch.setattr(cli, "spectral_factorize", refuse)
+    code, out, err = run_cli(["lti", "--tf", path, "--grid", "64"])
+    assert (code, out, err) == (0, want, "")
+    assert cli._build_parser() is cli._build_parser()
+
+
+@pytest.mark.parametrize("num, den", [([1e200], [1.0, 1.0]), ([1.0], [1e-200, 1.0])])
+def test_lti_extreme_coefficient_scales_exit_zero(run_cli, tf_file, num, den):
+    # |a|^2 + |b|^2 overflows or underflows in floating point here; the
+    # disk points never form it.
+    code, out, err = run_cli(["lti", "--tf", tf_file("tf.json", num, den)])
+    assert code == 0 and err == ""
+    assert out.startswith("kind,theta,re,im,branch\n")
+
+
 def test_lti_constant_is_single_point(run_cli, tf_file):
     path = tf_file("const.json", [1.0], [1.0])
     code, out, _ = run_cli(["lti", "--tf", path, "--grid", "16"])
@@ -410,10 +435,10 @@ def test_exit_two_on_disk_inverse_overflow(run_cli, matrix_file, tf_file):
 
 
 def test_exit_two_on_lti_overflow_without_warnings(run_cli, tf_file):
-    # The spectral factor of s^7/(1e-300 s + 1) carries a 1e300 scale and
-    # overflows on the grid: a typed error that names the frequency, and
-    # no numpy RuntimeWarning on the way.
-    path = tf_file("overflow.json", [1.0] + [0.0] * 7, [1e-300, 1.0])
+    # The numerator values of 1e305 s^3/(s+1) overflow on the grid: a
+    # typed error that names the frequency, and no numpy RuntimeWarning
+    # on the way.
+    path = tf_file("overflow.json", [1e305, 0.0, 0.0, 0.0], [1.0, 1.0])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code, _, err = run_cli(["lti", "--tf", path])

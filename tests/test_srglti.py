@@ -1,9 +1,7 @@
 """Tests for transfer-function SRGs: factorization, grids, sweeps."""
 
 import cmath
-import dataclasses
 import math
-import re
 import warnings
 
 import numpy as np
@@ -15,7 +13,6 @@ from srgraph import (
     INFINITY,
     InputError,
     NumericalError,
-    OutOfDiskError,
     bk_forward,
     convex_hull_2d,
     default_grid,
@@ -30,7 +27,6 @@ from srgraph import (
     spectral_factorize,
     tf_value,
 )
-from srgraph.cgeom import region_from_disk_hull
 
 TWO_OVER_SQUARE = ([2.0], [1.0, 2.0, 1.0])  # h = 2/(iw+1)^2
 INTEGRATOR = ([1.0], [1.0, 0.0])  # h = 1/(iw)
@@ -202,41 +198,36 @@ def test_tf_value_pole_returns_infinity():
 
 def test_disk_point_double_pole_at_zero_frequency():
     tf = rational_tf(*TWO_OVER_SQUARE)
-    factor = spectral_factorize(tf)
-    assert abs(lti_disk_point(tf, factor, 0.0) - (0.6 - 0.8j)) <= 1e-12
+    assert abs(lti_disk_point(tf, 0.0) - (0.6 - 0.8j)) <= 1e-12
 
 
 def test_disk_point_zero_of_h_maps_to_minus_one():
     tf = rational_tf([1.0, 0.0], [1.0, 1.0])  # h = iw/(iw+1), zero at w=0
-    factor = spectral_factorize(tf)
-    assert abs(lti_disk_point(tf, factor, 0.0) - (-1.0)) <= 1e-12
+    assert abs(lti_disk_point(tf, 0.0) - (-1.0)) <= 1e-12
 
 
 def test_disk_point_integrator_limits():
     tf = rational_tf(*INTEGRATOR)
-    factor = spectral_factorize(tf)
     # At infinity h -> 0, so the point is f(0) = -1.
-    assert abs(lti_disk_point(tf, factor, INFINITY) - (-1.0)) <= 1e-12
+    assert abs(lti_disk_point(tf, INFINITY) - (-1.0)) <= 1e-12
     # At the axis pole h -> infinity, so the point is f(infinity) = 1.
-    assert lti_disk_point(tf, factor, 0.0) == 1.0 + 0j
+    assert lti_disk_point(tf, 0.0) == 1.0 + 0j
 
 
 def test_disk_point_identity_with_direct_map():
-    # lti_disk_point(w) = f(h(w)) at every finite non-pole frequency:
-    # the spectral factor cancels analytically.
+    # lti_disk_point(w) = f(h(w)) at every finite non-pole frequency.
     cases = [
         rational_tf(*TWO_OVER_SQUARE),
         rational_tf(*INTEGRATOR),
         rational_tf([1.0, 2.0 + 1j], [1.0, 0.5, 2.0]),
     ]
     for tf in cases:
-        factor = spectral_factorize(tf)
         for w in default_grid(tf, 512).omegas:
             h = tf_value(tf, w)
             if is_infinity(h):
                 continue
             want = bk_forward(complex(h))
-            assert abs(lti_disk_point(tf, factor, w) - want) <= 1e-10
+            assert abs(lti_disk_point(tf, w) - want) <= 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -337,9 +328,8 @@ def test_sweep_emits_matching_curve_and_points():
     grid = default_grid(tf, 64)
     out = lti_srg(tf, grid)
     assert len(out.omegas) == len(out.disk_points) == len(out.curve)
-    factor = out.factor
     for w, p, h in zip(out.omegas, out.disk_points, out.curve):
-        assert p == lti_disk_point(tf, factor, w)
+        assert p == lti_disk_point(tf, w)
         hv = tf_value(tf, w)
         if is_infinity(hv):
             assert is_infinity(h)
@@ -364,10 +354,9 @@ def test_multiplication_operator_is_normal():
 
 def test_real_coefficients_give_even_symmetry():
     tf = rational_tf(*TWO_OVER_SQUARE)
-    factor = spectral_factorize(tf)
     for w in (0.25, 1.0, 3.0, 17.5):
-        plus = lti_disk_point(tf, factor, w)
-        minus = lti_disk_point(tf, factor, -w)
+        plus = lti_disk_point(tf, w)
+        minus = lti_disk_point(tf, -w)
         assert abs(plus - minus) <= 1e-12
 
 
@@ -378,7 +367,7 @@ def test_double_pole_region_contains_static_gain():
 
 
 # ---------------------------------------------------------------------------
-# Array kernel against the per-frequency reference
+# Array kernel against exact rational arithmetic
 
 
 def _real_roots(rng, count: int, sign: float) -> list:
@@ -427,66 +416,74 @@ def _identity_cases():
     return out
 
 
-def test_lti_srg_is_the_per_frequency_reference_bit_for_bit():
-    # Where the reference's clamp raises (root-finder error in the factor
-    # at gain 1e-9 with axis poles, in one case), the array kernel raises
-    # OutOfDiskError with the same message for the same grid point.
+def test_lti_srg_matches_the_exact_rational_oracle():
+    # Disk points within 1e-12 and the curve within 1e-11 relative of
+    # exact rational arithmetic, poles at the same frequencies, on every
+    # grid.  The cases include a gain-1e-9 function with axis poles,
+    # where |a|^2 + |b|^2 has near-double roots next to the axis.
     poles_hit = 0
     for tf, axis in _identity_cases():
-        factor = spectral_factorize(tf)
         user = freq_grid([-2.5, -0.5, 0.0, 0.5, 1.0, 2.5] + axis, include_infinity=False)
-        for grid in (default_grid(tf, 16), default_grid(tf, 2048), user):
-            try:
-                out = lti_srg(tf, grid, factor=factor)
-            except OutOfDiskError as exc:
-                with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
-                    oracles.lti_points_ref(tf.num, tf.den, factor.s_den, grid.omegas)
-                continue
+        for grid in (default_grid(tf, 16), default_grid(tf, 256), user):
+            out = lti_srg(tf, grid)
             assert out.omegas[:len(grid.omegas)] == grid.omegas
-            disk, curve = oracles.lti_points_ref(tf.num, tf.den, factor.s_den, out.omegas)
-            assert repr(out.disk_points) == repr(tuple(disk))
-            assert repr(out.curve) == repr(tuple(curve))
-            assert repr(out.region) == repr(region_from_disk_hull(convex_hull_2d(disk)))
+            disk, curve = oracles.lti_points_exact(tf.num, tf.den, out.omegas)
+            assert max(map(abs, np.subtract(out.disk_points, disk))) <= 1e-12
+            assert list(map(is_infinity, out.curve)) == list(map(is_infinity, curve))
+            for got, want in zip(out.curve, curve):
+                if not is_infinity(want):
+                    assert abs(got - want) <= 1e-11 * abs(want)
             if grid is user:
-                poles_hit += sum(map(is_infinity, out.curve[:len(user.omegas)]))
-        for w in user.omegas + (INFINITY,):
-            try:
-                disk, curve = oracles.lti_points_ref(tf.num, tf.den, factor.s_den, [w])
-            except ValueError as exc:
-                with pytest.raises(OutOfDiskError, match=f"^{re.escape(str(exc))}$"):
-                    lti_disk_point(tf, factor, w)
-                continue
-            assert repr(lti_disk_point(tf, factor, w)) == repr(disk[0])
-            assert repr(tf_value(tf, w)) == repr(curve[0])
+                poles_hit += sum(map(is_infinity, out.curve))
+        disk, curve = oracles.lti_points_exact(tf.num, tf.den, user.omegas + (INFINITY,))
+        for w, d, h in zip(user.omegas + (INFINITY,), disk, curve):
+            assert abs(lti_disk_point(tf, w) - d) <= 1e-12
+            got = tf_value(tf, w)
+            assert is_infinity(got) == is_infinity(h)
+            if not is_infinity(h):
+                assert abs(got - h) <= 1e-11 * abs(h)
     assert poles_hit >= 10
 
 
-def test_outside_disk_point_raises_the_clamp_error_of_the_reference():
-    # A factor that is off by 10 % at omega = 0 pushes the disk point
-    # there beyond the unit disk; the message is the scalar clamp's.
-    tf = rational_tf(*TWO_OVER_SQUARE)
-    factor = spectral_factorize(tf)
-    bent = dataclasses.replace(factor, s_den=tuple(0.9 * c for c in factor.s_den))
-    grid = freq_grid([-1.0, 0.0, 1.0], include_infinity=False)
-    with pytest.raises(ValueError) as want:
-        oracles.lti_points_ref(tf.num, tf.den, bent.s_den, grid.omegas)
-    with pytest.raises(OutOfDiskError) as got:
-        lti_srg(tf, grid, factor=bent)
-    assert str(got.value) == str(want.value)
+def test_shared_imaginary_axis_zero_is_a_degenerate_error():
+    # a and b both vanish at +-i: the disk point is 0/0 there.
+    cases = [
+        rational_tf([1.0, 0.0, 1.0], [1.0, 1.0, 1.0, 1.0]),  # (s^2+1)/((s+1)(s^2+1))
+        rational_tf([1.0, 0.0, 2.0, 0.0, 1.0], [1.0, 1.0, 2.0, 2.0, 1.0, 1.0]),  # doubled
+        rational_tf([0.0], [1.0, 0.0, 1.0]),  # 0/(s^2+1)
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for tf in cases:
+            with pytest.raises(FactorizationDegenerateError, match="imaginary-axis"):
+                lti_srg(tf)
 
 
 def test_overflow_is_a_numerical_error_without_warnings():
-    # 1e-300 in the denominator scales the spectral factor by 1e300, so
-    # its values overflow on the grid: a typed error naming the first
-    # such frequency, and no RuntimeWarning from numpy.
-    tf = rational_tf([1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0], [1e-300, 1.0])
+    # The numerator values of 1e305 s^3/(s+1) overflow on the outer grid
+    # frequencies: a typed error naming the first such frequency, and no
+    # RuntimeWarning from numpy.
+    tf = rational_tf([1e305, 0.0, 0.0, 0.0], [1.0, 1.0])
     grid = default_grid(tf, 512)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NumericalError, match=r"not finite .* at omega = ") as info:
             lti_srg(tf, grid)
         with pytest.raises(NumericalError):
-            lti_disk_point(tf, spectral_factorize(tf), grid.omegas[0])
+            lti_disk_point(tf, grid.omegas[0])
     assert f"omega = {grid.omegas[0]!r}" in str(info.value)
     with pytest.raises(NumericalError, match="omega = INFINITY"):
         tf_value(rational_tf([1e300], [1e-300]), INFINITY)
+
+
+def test_coefficient_scales_beyond_the_square_range_compute():
+    # |b|^2 overflows for 1e200/(s+1), and the leading coefficient of
+    # |a|^2 + |b|^2 underflows for 1/(1e-200 s + 1); scaling a and b by
+    # max(|a|, |b|) keeps every disk point exact, down to the -2e-200 i
+    # that separates f(h(0)) = 1 - 2e-200 i from the point at infinity.
+    for num, den in (([1e200], [1.0, 1.0]), ([1.0], [1e-200, 1.0])):
+        tf = rational_tf(num, den)
+        out = lti_srg(tf, freq_grid([-1e200, -1.0, 0.0, 1e-3, 1.0, 1e200]))
+        disk, _ = oracles.lti_points_exact(tf.num, tf.den, out.omegas)
+        assert max(map(abs, np.subtract(out.disk_points, disk))) <= 1e-12
+    assert lti_disk_point(rational_tf([1e200], [1.0, 1.0]), 0.0) == complex(1.0, -2e-200)
