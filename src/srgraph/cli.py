@@ -24,7 +24,7 @@ from .errors import InputError, NumericalError
 from .linalg import general_eig
 from .nrange import nrange_boundary
 from .srglti import default_grid, lti_srg, rational_tf, spectral_factorize
-from .srgmatrix import SrgOptions, hull_bk_spectrum, srg_complex, srg_real
+from .srgmatrix import SrgOptions, srg_complex, srg_real
 
 CSV_HEADER = "kind,theta,re,im,branch"
 
@@ -219,10 +219,10 @@ def cmd_srg_matrix(args) -> int:
         fig.add_polygon(_region_outline(region), fill=svgfig.REGION_FILL,
                         stroke=svgfig.REGION_EDGE)
         if args.spectrum:
-            spec_region = hull_bk_spectrum(matrix)
-            fig.add_polygon(_region_outline(spec_region), fill=svgfig.HULL_FILL,
+            eigs = general_eig(matrix).tolist()
+            fig.add_polygon(_region_outline(cgeom.hull_bk(eigs)), fill=svgfig.HULL_FILL,
                             stroke=svgfig.HULL_EDGE, opacity=0.9)
-            for ev in general_eig(matrix).tolist():
+            for ev in eigs:
                 fig.add_dot(ev)
         text = fig.render()
     _write_text(args.out, text)

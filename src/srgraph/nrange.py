@@ -8,8 +8,10 @@ compression of A to the top eigenspace is diagonalized and every
 eigenvector contributes a support point (the face endpoints among
 them).
 
-Angle batches are solved as one stacked Hermitian eigenproblem, so
-sweeps of tens of thousands of angles stay cheap.  Optional adaptive
+Angle batches are solved as stacked Hermitian eigenproblems of at most
+_BATCH_BYTES each, so memory stays bounded however many angles a round
+holds; a round of several such chunks runs on a process-wide thread
+pool with the BLAS held at one thread.  Optional adaptive
 refinement bisects sweep wedges, breadth-first in batches, until the
 exact outer bound - the distance from the support-line apex to the
 chord of adjacent support points - drops below a target, which
@@ -18,8 +20,11 @@ certifies W(A) within that distance of the assembled polygon.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -34,6 +39,12 @@ DEGENERACY_GAP = 1e-10
 # Guards for adaptive refinement.
 REFINE_MAX_DEPTH = 48
 REFINE_MIN_WEDGE = 1e-9
+# Bytes of stacked n-by-n complex matrices one eigensolver call takes.
+_BATCH_BYTES = 1 << 18
+
+# One parallel section at a time, so that sweeps from several user
+# threads queue instead of fighting over the BLAS thread count.
+_LOCK = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -51,12 +62,78 @@ class NRangeBoundary:
     hull: cgeom.ConvexPolygon
 
 
-def _thread_cap() -> int:
-    raw = os.environ.get("SRG_THREADS", "")
+@functools.cache
+def _blas_thread_controls():
+    """(get, set) of the thread count of the OpenBLAS numpy loaded, or
+    None where no such library or symbol is found."""
     try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            libs = {line.split()[-1] for line in fh if "blas" in line.lower()}
+    except OSError:
+        return None
+    for lib in sorted(libs):
+        try:
+            handle = ctypes.CDLL(lib)
+        except OSError:
+            continue
+        for prefix, suffix in (("scipy_openblas", "64_"), ("openblas", "64_"), ("openblas", "")):
+            get = getattr(handle, f"{prefix}_get_num_threads{suffix}", None)
+            set_ = getattr(handle, f"{prefix}_set_num_threads{suffix}", None)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                return get, set_
+    return None
+
+
+@functools.cache
+def _pool() -> ThreadPoolExecutor | None:
+    """The process-wide sweep pool, one worker per available CPU, or None
+    where a single CPU or an unknown BLAS leaves chunks to run serially."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:
+        cpus = os.cpu_count() or 1
+    if cpus < 2 or _blas_thread_controls() is None:
+        return None
+    return ThreadPoolExecutor(max_workers=cpus, thread_name_prefix="srgraph-sweep")
+
+
+def _reset_after_fork() -> None:
+    # A forked child inherits the pool without its threads, and maybe a
+    # held lock; it starts afresh.
+    global _LOCK
+    _LOCK = threading.Lock()
+    _pool.cache_clear()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_reset_after_fork)
+
+
+def _map_chunks(fn, n: int, thetas: np.ndarray) -> list:
+    """fn over consecutive chunks of thetas, each stacking at most
+    _BATCH_BYTES of n-by-n complex matrices, results in chunk order.
+
+    Several chunks run on the shared pool with the BLAS at one thread;
+    one chunk, or no pool, runs in the calling thread.  Each matrix
+    gets the same LAPACK call either way, so results do not depend on
+    the split.
+    """
+    size = max(1, _BATCH_BYTES // (16 * n * n))
+    chunks = [thetas[i:i + size] for i in range(0, thetas.size, size)]
+    if len(chunks) > 1:
+        with _LOCK:
+            pool = _pool()
+            if pool is not None:
+                get, set_ = _blas_thread_controls()
+                saved = get()
+                set_(1)
+                try:
+                    return list(pool.map(fn, chunks))
+                finally:
+                    set_(saved)
+    return [fn(chunk) for chunk in chunks]
 
 
 def _rotated_hermitian_parts(a: np.ndarray, thetas: np.ndarray) -> np.ndarray:
@@ -110,15 +187,9 @@ def _faces_batch(a: np.ndarray, thetas: np.ndarray, gap_tol: float):
 
 
 def _faces(a: np.ndarray, thetas, gap_tol: float):
-    """Batch evaluation, optionally split across SRG_THREADS threads."""
+    """_faces_batch over any number of angles, chunk by chunk."""
     thetas = np.asarray(thetas, dtype=np.float64)
-    cap = _thread_cap()
-    if cap <= 1 or thetas.size < 4 * cap:
-        return _faces_batch(a, thetas, gap_tol)
-    chunks = np.array_split(thetas, cap)
-    with ThreadPoolExecutor(max_workers=cap) as ex:
-        parts = list(ex.map(lambda t: _faces_batch(a, t, gap_tol), chunks))
-    return _join(parts)
+    return _join(_map_chunks(lambda t: _faces_batch(a, t, gap_tol), a.shape[0], thetas))
 
 
 def _join(parts):
@@ -221,7 +292,9 @@ def support_values(a, thetas) -> np.ndarray:
     thetas = np.asarray(thetas, dtype=np.float64)
     if thetas.size == 0:
         return np.empty(0)
-    return np.linalg.eigvalsh(_rotated_hermitian_parts(m, thetas))[:, -1]
+    parts = _map_chunks(
+        lambda t: np.linalg.eigvalsh(_rotated_hermitian_parts(m, t))[:, -1], m.shape[0], thetas)
+    return np.concatenate(parts)
 
 
 def support_margins(a, zs, num_angles: int = 720) -> np.ndarray:

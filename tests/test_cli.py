@@ -16,6 +16,7 @@ from srgraph import (
     SrgOptions,
     default_grid,
     general_eig,
+    hull_bk_spectrum,
     lti_srg,
     nrange_boundary,
     srg_complex,
@@ -488,6 +489,34 @@ def test_repeated_runs_are_byte_identical(run_cli, matrix_file, tmp_path):
         assert code == 0
         svgs.append(dest.read_bytes())
     assert svgs[0] == svgs[1]
+
+
+def test_matrix_svg_spectrum_solves_the_eigenproblem_once(run_cli, matrix_file, tmp_path,
+                                                          monkeypatch):
+    m = np.array([[1.0, -2.0, 0.5], [2.0, 1.0, 0.0], [0.0, 0.3, -1.0]])
+    path = matrix_file("spec.json", m)
+    calls, eigvals = [], np.linalg.eigvals
+
+    def counted(a):
+        calls.append(np.array_equal(a, m))
+        return eigvals(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", counted)
+    dest = tmp_path / "spec.svg"
+    code, _, _ = run_cli(["matrix", "--input", path, "--angles", "48", "--format", "svg",
+                          "--spectrum", "--out", str(dest)])
+    assert code == 0
+    assert calls.count(True) == 1
+    monkeypatch.undo()
+    # The figure assembled from hull_bk_spectrum and a second eigensolve.
+    fig = svgfig.SvgFigure(title="srg")
+    fig.add_polygon(cli._region_outline(cli.srg_real(m, SrgOptions(num_angles=48))),
+                    fill=svgfig.REGION_FILL, stroke=svgfig.REGION_EDGE)
+    fig.add_polygon(cli._region_outline(hull_bk_spectrum(m)), fill=svgfig.HULL_FILL,
+                    stroke=svgfig.HULL_EDGE, opacity=0.9)
+    for ev in general_eig(m).tolist():
+        fig.add_dot(ev)
+    assert dest.read_text() == fig.render()
 
 
 def test_svg_is_self_contained(run_cli, matrix_file, tmp_path):

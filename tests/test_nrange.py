@@ -1,6 +1,12 @@
 from __future__ import annotations
 
+import contextlib
 import math
+import multiprocessing
+import queue
+import sys
+import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -191,16 +197,162 @@ def test_input_validation():
         nrange_boundary(np.zeros((2, 3)), num_angles=64)
 
 
-def test_thread_env_does_not_change_results(monkeypatch):
+def _same_bits(x, y) -> bool:
+    x, y = np.asarray(x), np.asarray(y)
+    return x.dtype == y.dtype and np.array_equal(x.view(np.int64), y.view(np.int64))
+
+
+def _count_stacked_eigh(monkeypatch) -> list:
+    """Patch np.linalg.eigh to record the batch length of each stacked call."""
+    batches, eigh = [], np.linalg.eigh
+
+    def counted(x, *args, **kwargs):
+        if np.ndim(x) == 3:
+            batches.append(len(x))
+        return eigh(x, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    return batches
+
+
+@contextlib.contextmanager
+def _blas_threads_at(count: int):
+    """Set the BLAS thread count for the block and yield it as read back,
+    or None where nrange finds no BLAS controls; restore it after."""
+    controls = nrange._blas_thread_controls()
+    if controls is None:
+        yield None
+        return
+    get, set_ = controls
+    saved = get()
+    set_(count)
+    try:
+        yield get()
+    finally:
+        set_(saved)
+
+
+def _blas_threads() -> int:
+    return nrange._blas_thread_controls()[0]()
+
+
+def test_chunked_rounds_match_one_batch_bit_for_bit(monkeypatch):
+    # A budget of three matrices splits every round into many chunks,
+    # which run on the shared pool where there is one.  eye(3) is
+    # degenerate at every angle and diag(1, 1, 2j) on an arc, so flat
+    # faces fall on both sides of chunk borders.
     rng = np.random.default_rng(49)
-    a = rand_complex(rng, 4)
-    monkeypatch.delenv("SRG_THREADS", raising=False)
-    serial = nrange_boundary(a, num_angles=256, refine_tol=1e-8)
-    monkeypatch.setenv("SRG_THREADS", "4")
-    threaded = nrange_boundary(a, num_angles=256, refine_tol=1e-8)
-    assert np.array_equal(np.array(serial.support_points),
-                          np.array(threaded.support_points))
-    assert serial.hull.vertices == threaded.hull.vertices
+    for a in (np.eye(3, dtype=complex), np.diag([1.0, 1.0, 2j]), rand_complex(rng, 4)):
+        n = a.shape[0]
+        gap_tol = nrange.DEGENERACY_GAP * frob(a)
+        thetas = np.concatenate([2.0 * math.pi * np.arange(64) / 64,
+                                 rng.uniform(0.0, 2.0 * math.pi, 37)])
+        want = nrange._faces_batch(a, thetas, gap_tol)
+        monkeypatch.setattr(nrange, "_BATCH_BYTES", 3 * 16 * n * n)
+        batches = _count_stacked_eigh(monkeypatch)
+        got = nrange._faces(a, thetas, gap_tol)
+        assert batches and max(batches) == 3 and sum(batches) == thetas.size
+        for x, y in zip(got[:3], want[:3]):
+            assert _same_bits(x, y)
+        assert list(got[3]) == list(want[3])
+        for k, pts in want[3].items():
+            assert _same_bits(got[3][k], pts)
+        # Whole sweeps, refinement rounds included, against the list
+        # bookkeeping, which solves each round as one stack.
+        for refine_tol in (None, 1e-6):
+            sweep = nrange_boundary(a, num_angles=64, refine_tol=refine_tol)
+            ref = oracles.sweep_ref(
+                a, 64, refine_tol, gap_tol, nrange._rotated_hermitian_parts,
+                nrange._degenerate_face, nrange._apex_chord_bounds)
+            for field, arr in zip(("angles", "support_points", "support_values"), ref):
+                assert _same_bits(getattr(sweep, field), arr)
+        monkeypatch.undo()
+
+
+def test_eigensolver_inputs_stay_within_the_byte_budget(monkeypatch):
+    nbytes = []
+    for name in ("eigh", "eigvalsh"):
+        def recorded(x, *args, _solver=getattr(np.linalg, name), **kwargs):
+            nbytes.append(np.asarray(x).nbytes)
+            return _solver(x, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, recorded)
+    rng = np.random.default_rng(51)
+    with _blas_threads_at(2) as before:
+        sweep = nrange_boundary(rand_complex(rng, 24), num_angles=720, refine_tol=1e-6)
+        assert before is None or _blas_threads() == before
+        h = support_values(rand_complex(rng, 64), np.linspace(0.0, 2 * math.pi, 720))
+        assert before is None or _blas_threads() == before
+    assert sweep.angles.size > 720
+    assert h.shape == (720,)
+    assert nbytes and max(nbytes) <= nrange._BATCH_BYTES
+
+
+def test_concurrent_sweeps_agree_and_restore_blas_threads(monkeypatch):
+    # More sweeping threads than cores, each round split into chunks on
+    # the one shared pool; a lost restore of the BLAS thread count or a
+    # mixed-up chunk order would show.
+    rng = np.random.default_rng(52)
+    a = rand_complex(rng, 6)
+    monkeypatch.setattr(nrange, "_BATCH_BYTES", 5 * 16 * 36)
+    want = nrange_boundary(a, num_angles=64, refine_tol=1e-6)
+    results, errors = [None] * 4, []
+
+    def sweep(i):
+        try:
+            results[i] = nrange_boundary(a, num_angles=64, refine_tol=1e-6)
+        except Exception as exc:  # reported by the assertion below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with _blas_threads_at(2) as before:
+            threads = [threading.Thread(target=sweep, args=(i,)) for i in range(len(results))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+            assert before is None or _blas_threads() == before
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    for got in results:
+        assert _same_bits(got.support_points, want.support_points)
+
+
+def _sweep_in_child(a, out):
+    out.put(nrange_boundary(a, num_angles=128, refine_tol=1e-6).hull.vertices)
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="fork is unavailable")
+def test_forked_child_sweeps_after_a_pooled_sweep(monkeypatch):
+    rng = np.random.default_rng(53)
+    a = rand_complex(rng, 5)
+    monkeypatch.setattr(nrange, "_BATCH_BYTES", 7 * 16 * 25)
+    batches = _count_stacked_eigh(monkeypatch)
+    want = nrange_boundary(a, num_angles=128, refine_tol=1e-6).hull.vertices
+    assert len(batches) > 1
+    ctx = multiprocessing.get_context("fork")
+    out = ctx.Queue()
+    with warnings.catch_warnings():
+        # Newer Pythons warn on fork in a process with threads; the
+        # child resets the pool, which is what this test checks.
+        warnings.simplefilter("ignore", DeprecationWarning)
+        child = ctx.Process(target=_sweep_in_child, args=(a, out))
+        child.start()
+    try:
+        got = out.get(timeout=120)
+        child.join(timeout=60)
+    except queue.Empty:
+        pytest.fail("the forked child did not finish its sweep")
+    finally:
+        if child.is_alive():
+            child.kill()
+            child.join(timeout=10)
+    assert got == want
+    assert child.exitcode == 0
 
 
 def test_sweep_arrays_match_list_bookkeeping():
