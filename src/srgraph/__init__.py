@@ -41,19 +41,14 @@ from .errors import (
     FactorizationDegenerateError,
     IllConditionedError,
     InputError,
-    NotHermitianError,
-    NotHpdError,
     NumericalError,
     OutOfDiskError,
     SrgError,
 )
 from .linalg import (
-    HermEigResult,
     as_matrix,
     frob,
     general_eig,
-    herm_eig,
-    inv_sqrt_hpd,
     poly_roots,
 )
 from .nrange import NRangeBoundary, nrange_boundary, nrange_contains, support_values
@@ -110,17 +105,12 @@ __all__ = [
     "FactorizationDegenerateError",
     "IllConditionedError",
     "InputError",
-    "NotHermitianError",
-    "NotHpdError",
     "NumericalError",
     "OutOfDiskError",
     "SrgError",
-    "HermEigResult",
     "as_matrix",
     "frob",
     "general_eig",
-    "herm_eig",
-    "inv_sqrt_hpd",
     "poly_roots",
     "NRangeBoundary",
     "nrange_boundary",

@@ -55,10 +55,12 @@ def load_matrix_file(path: str) -> tuple[np.ndarray, str]:
     if not isinstance(data, dict):
         raise InputError("matrix file must be a JSON object")
     try:
-        n = int(data["n"])
+        n = data["n"]
         re = _as_real_array(data["re"], "re")
     except KeyError as exc:
         raise InputError(f"matrix file is missing the {exc.args[0]!r} entry") from exc
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise InputError(f"n must be an integer, got {n!r}")
     if re.shape != (n, n):
         raise InputError(f"re must be a {n}x{n} array")
     if "im" in data and data["im"] is not None:

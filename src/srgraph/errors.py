@@ -15,20 +15,12 @@ class InputError(SrgError):
     """An argument violates the documented contract of an operation."""
 
 
-class NotHermitianError(InputError):
-    """A matrix required to be Hermitian is not, beyond tolerance."""
-
-
 class NumericalError(SrgError):
     """A numerically degenerate or failed computation."""
 
 
 class OutOfDiskError(NumericalError):
     """A point lies outside the closed unit disk beyond the clamp tolerance."""
-
-
-class NotHpdError(NumericalError):
-    """A matrix required to be Hermitian positive definite is not."""
 
 
 class FactorizationDegenerateError(NumericalError):

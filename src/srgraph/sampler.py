@@ -53,7 +53,11 @@ def sample_srg(t, field: str = "complex", count: int = 10000, seed: int = 1) -> 
         else:
             x[bad] = rng.standard_normal((bad.size, n)) + 1j * rng.standard_normal((bad.size, n))
         nx = np.linalg.norm(x, axis=1)
-    y = x @ m.T
+    # Sample T / 2^k, with 2^k just above the largest |entry|, so that
+    # |Tx| neither over- nor underflows, and scale the gain back at the
+    # end.  Powers of two scale exactly: normal-range samples keep every bit.
+    k = math.frexp(float(np.max(np.abs(m))))[1]
+    y = x @ np.ldexp(m.view(np.float64), -k).view(np.complex128).T
     ny = np.linalg.norm(y, axis=1)
     # The defining angle is arccos(Re<y,x> / (|y||x|)), clamped against
     # round-off.  It is evaluated through the half-angle identity
@@ -72,7 +76,7 @@ def sample_srg(t, field: str = "complex", count: int = 10000, seed: int = 1) -> 
     # Rows are (upper, conjugate) pairs; a zero output keeps only its
     # first slot, the point 0.  cos and sin come from libm through math,
     # as scalar code gets them (numpy's SIMD versions may differ by an ulp).
-    ratio = ny[nonzero] / nx[nonzero]
+    ratio = np.ldexp(ny[nonzero] / nx[nonzero], k)
     kept = angles[nonzero].tolist()
     cos = np.fromiter(map(math.cos, kept), dtype=np.float64, count=len(kept))
     sin = np.fromiter(map(math.sin, kept), dtype=np.float64, count=len(kept))

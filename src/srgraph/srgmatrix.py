@@ -6,7 +6,8 @@ operator
     V = S (-I - iT - iT* + T*T) S
 
 satisfies f(srg(T)) = W(V): tracing the numerical range of V and
-mapping back through the disk inverse yields the SRG.  Real matrices
+mapping back through the disk inverse yields the SRG.  S and V are
+built from the SVD of T, which never forms T*T.  Real matrices
 of size 2 are special: their real-field SRG is only the boundary of
 the complex-field region, so those results carry a boundary_only flag.
 """
@@ -21,7 +22,7 @@ import numpy as np
 
 from . import cgeom
 from .errors import IllConditionedError, InputError
-from .linalg import as_matrix, general_eig, inv_sqrt_hpd
+from .linalg import as_matrix, general_eig
 from .nrange import nrange_boundary, support_margins
 
 # Condition-number ceiling for user-supplied similarity transforms;
@@ -66,16 +67,18 @@ def build_v(t) -> VOperator:
 
     S is the Hermitian inverse square root of I + T*T, so that the
     columns of [S; TS] are orthonormal and W(V) = f(srg(T)) lies in
-    the closed unit disk.
+    the closed unit disk.  S and V come from the SVD T = U diag(s) W*,
+    which never forms T*T: with r = hypot(1, s), c = 1/r and d = s/r,
+    S = W diag(c) W* and V = W [diag(d^2 - c^2) - i(M + M*)] W* where
+    M = diag(c) W*U diag(d).
     """
-    m = as_matrix(t, square=True)
-    n = m.shape[0]
-    eye = np.eye(n, dtype=np.complex128)
-    gram = eye + m.conj().T @ m
-    s = inv_sqrt_hpd(gram)
-    core = -eye - 1j * m - 1j * m.conj().T + m.conj().T @ m
-    v = s @ core @ s
-    return VOperator(v=v, s_factor=s)
+    u, sigma, wh = np.linalg.svd(as_matrix(t, square=True))
+    r = np.hypot(1.0, sigma)  # not sqrt(1 + s^2), which overflows above 1e154
+    c, d = 1.0 / r, sigma / r
+    w = wh.conj().T
+    mc = c[:, None] * (wh @ u) * d
+    core = np.diag(d * d - c * c) - 1j * (mc + mc.conj().T)
+    return VOperator(v=w @ core @ wh, s_factor=(w * c) @ wh)
 
 
 def srg_complex(t, opts: SrgOptions | None = None) -> cgeom.SrgRegion:

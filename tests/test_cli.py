@@ -68,6 +68,11 @@ def test_matrix_loader_validation(tmp_path):
     bad.write_text(json.dumps([1, 2, 3]))
     with pytest.raises(InputError):
         cli.load_matrix_file(str(bad))
+    # n must be a JSON integer: no strings, nulls, floats or booleans.
+    for n in ("abc", None, 1.7, True):
+        bad.write_text(json.dumps({"n": n, "re": [[1.0]]}))
+        with pytest.raises(InputError):
+            cli.load_matrix_file(str(bad))
 
 
 def test_matrix_loader_defaults_to_zero_imaginary(matrix_file):
@@ -181,6 +186,15 @@ def test_matrix_check_passes_for_shift_nilpotent(run_cli, matrix_file):
     )
     assert code == 0
     assert "contained 4000/4000" in err
+
+
+def test_matrix_check_passes_at_gain_1e8(run_cli, matrix_file):
+    # I + T*T has spectrum [2, 1e16] here; S and V come from the SVD of
+    # T, so the region is still computed and certified.
+    path = matrix_file("big.json", [[1e8, 1.0], [0.0, 1.0]], field="real")
+    code, _, err = run_cli(["matrix", "--input", path, "--check", "--seed", "3"])
+    assert code == 0
+    assert re.search(r"contained (\d+)/\1 ", err)
 
 
 def test_matrix_check_failure_exits_three(run_cli, matrix_file, monkeypatch):

@@ -21,6 +21,11 @@ def test_identity_samples_are_all_one():
     samples = sample_srg(np.eye(3), field="complex", count=500, seed=7)
     assert len(samples) == 1000
     assert all(s == 1.0 + 0j for s in samples)
+    # Extreme gains neither underflow to the point 0 nor overflow.
+    for g in (1e-300, 1e200):
+        samples = sample_srg(g * np.eye(2), field="complex", count=500, seed=7)
+        assert len(samples) == 1000
+        assert np.all(np.abs(samples - g) <= 1e-15 * g)
 
 
 def test_zero_matrix_emits_single_zero_per_draw():

@@ -49,14 +49,35 @@ def test_options_validation():
 
 
 def test_build_v_normalizer_identity():
-    # S*S(I + T*T) = I, i.e. S really is the inverse square root.
+    # S*S(I + T*T) = I, i.e. S really is the inverse square root; S is
+    # Hermitian and S^2 commutes with I + T*T.
     rng = np.random.default_rng(50)
-    for n in (2, 3, 5, 8):
-        t = rand_complex(rng, n)
-        vop = build_v(t)
+    cases = [rand_complex(rng, n) for n in (2, 3, 5, 8)]
+    cases += [np.zeros((3, 3)), np.diag([math.sqrt(3.0), math.sqrt(8.0)])]
+    for t in cases:
+        n = t.shape[0]
+        s = build_v(t).s_factor
         gram = np.eye(n) + t.conj().T @ t
-        resid = vop.s_factor.conj().T @ vop.s_factor @ gram - np.eye(n)
-        assert frob(resid) <= 1e-9 * n
+        assert frob(s.conj().T @ s @ gram - np.eye(n)) <= 1e-9 * n
+        assert frob(s.conj().T - s) <= 1e-12 * frob(s)
+        assert frob(s @ s @ gram - gram @ s @ s) <= 1e-9 * n
+    s = build_v(np.diag([math.sqrt(3.0), math.sqrt(8.0)])).s_factor
+    assert frob(s - np.diag([0.5, 1.0 / 3.0])) <= 1e-15
+    assert frob(build_v(np.zeros((3, 3))).s_factor - np.eye(3)) == 0.0
+
+
+def test_build_v_across_gains():
+    # S and V come from the SVD of T, so neither over- nor underflows
+    # where I + T*T would: V stays finite and [S; TS] orthonormal.
+    rng = np.random.default_rng(55)
+    for n in (1, 2, 5):
+        t0 = rand_complex(rng, n) / math.sqrt(2 * n)
+        for g in (1e-9, 1e-3, 1.0, 1e3, 1e8, 1e12, 1e200):
+            t = g * t0
+            vop = build_v(t)
+            assert np.all(np.isfinite(vop.v))
+            graph = np.vstack([vop.s_factor, t @ vop.s_factor])
+            assert frob(graph.conj().T @ graph - np.eye(n)) <= 1e-12 * n
 
 
 def test_build_v_range_in_unit_disk():
