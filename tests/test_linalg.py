@@ -10,6 +10,7 @@ from conftest import rand_complex
 from srgraph import (
     InputError,
     as_matrix,
+    build_v,
     frob,
     general_eig,
     poly_roots,
@@ -48,6 +49,26 @@ def test_general_eig_trace_and_det_identities():
         det_lu = np.linalg.det(a)
         det_eig = np.prod(vals)
         assert abs(det_eig - det_lu) <= 1e-7 * abs(det_lu)
+
+
+# build_v(T).s_factor is (I + T*T)^(-1/2), computed from the SVD of T
+# without forming I + T*T.
+
+
+def test_inv_sqrt_hpd_reference_values():
+    assert np.allclose(build_v(np.zeros((3, 3))).s_factor, np.eye(3))
+    s = build_v(np.diag([math.sqrt(3.0), math.sqrt(8.0)])).s_factor
+    assert np.allclose(s, np.diag([0.5, 1 / 3]))
+
+
+def test_inv_sqrt_hpd_defining_relation_and_commutation():
+    rng = np.random.default_rng(35)
+    t = rand_complex(rng, 5)
+    m = np.eye(5) + t.conj().T @ t
+    s = build_v(t).s_factor
+    assert np.linalg.norm(s.conj().T - s) <= 1e-12 * np.linalg.norm(s)
+    assert np.linalg.norm(s @ s @ m - np.eye(5)) <= 1e-9
+    assert np.linalg.norm(s @ m - m @ s) <= 1e-9
 
 
 def test_poly_roots_known_and_symmetric():
