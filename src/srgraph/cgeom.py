@@ -494,11 +494,19 @@ def region_from_disk_hull(
     The upper branch keeps the non-negative-imaginary representative of
     each boundary point; the lower branch is its elementwise conjugate.
     When `contains_infinity` is None it is derived from whether the
-    hull touches the point 1 within EPS_DISK.
+    hull touches the point 1 within EPS_DISK.  When it is False (a
+    bounded operator), a boundary point that maps to infinity raises
+    NumericalError: the plane point is too large for the model.
     """
     if contains_infinity is None:
         contains_infinity = polygon_signed_distance(hull, 1.0) <= EPS_DISK
-    up, at_infinity = _bk_inverse_upper(polygon_boundary_points(hull, spacing))
+    walk = polygon_boundary_points(hull, spacing)
+    up, at_infinity = _bk_inverse_upper(walk)
+    if contains_infinity is False and at_infinity.any():
+        w = complex(walk[np.argmax(at_infinity)])
+        raise NumericalError(
+            f"disk point {w!r} of a region without infinity lies in the {INF_TOL:g} "
+            f"ball around w = 1, so its preimage is the point at infinity")
     upper, lower = up.tolist(), np.conj(up).tolist()
     for k in np.flatnonzero(at_infinity):
         upper[k] = lower[k] = INFINITY

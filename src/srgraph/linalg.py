@@ -8,6 +8,9 @@ fails loudly on NaN/Inf or shape mismatch.
 
 from __future__ import annotations
 
+import math
+import numbers
+
 import numpy as np
 
 from .errors import InputError
@@ -23,6 +26,12 @@ def as_matrix(a, square: bool = False) -> np.ndarray:
     if square and m.shape[0] != m.shape[1]:
         raise InputError(f"expected a square matrix, got shape {m.shape}")
     return m
+
+
+def require_positive_finite(value, name: str) -> None:
+    """Raise InputError unless value is a finite real number above 0."""
+    if not (isinstance(value, numbers.Real) and math.isfinite(value) and value > 0):
+        raise InputError(f"{name} must be a finite positive number, got {value!r}")
 
 
 def frob(a) -> float:

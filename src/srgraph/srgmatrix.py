@@ -22,7 +22,7 @@ import numpy as np
 
 from . import cgeom
 from .errors import IllConditionedError, InputError
-from .linalg import as_matrix, general_eig
+from .linalg import as_matrix, general_eig, require_positive_finite
 from .nrange import nrange_boundary, support_margins
 
 # Condition-number ceiling for user-supplied similarity transforms;
@@ -52,6 +52,9 @@ class SrgOptions:
             raise InputError("num_angles must be at least 8")
         if not self.tol > 0:
             raise InputError("tol must be positive")
+        if self.refine_tol is not None:
+            require_positive_finite(self.refine_tol, "refine_tol")
+        require_positive_finite(self.spacing, "spacing")
 
 
 @dataclass(frozen=True)

@@ -360,49 +360,70 @@ def svg_fmt_ref(x: float) -> str:
     return "0.0000" if s == "-0.0000" else s
 
 
+def bisect_counts(ta, tb, bounds, ra, rb, refine_tol) -> np.ndarray:
+    """The split rule of plain bisection: two children for every wedge."""
+    return np.full(np.shape(ta), 2, dtype=np.int64)
+
+
 def sweep_ref(a, num_angles: int, refine_tol, gap_tol: float, rotated_parts,
-              degenerate_face, apex_chord_bounds):
+              degenerate_face, apex_chord_bounds, curvatures, split_counts):
     """Angle-sweep bookkeeping with Python lists of (theta, h, points).
 
-    The per-angle helpers are passed in; this checks the ordering,
-    refinement and face expansion around them.  Returns (angles,
-    support_points, support_values) as arrays.
+    The per-angle helpers and the split rule are passed in; this checks
+    the ordering, refinement and face expansion around them.
+    split_counts(ta, tb, bounds, ra, rb, refine_tol) gives the number of
+    equal children of each wedge a round refines (bisect_counts for
+    plain bisection).  Returns (angles, support_points, support_values)
+    as arrays.
     """
 
     def faces(thetas):
+        # One (h, rho, points) per angle.
         w, v = np.linalg.eigh(rotated_parts(a, thetas))
         h, top = w[:, -1], v[:, :, -1]
         points = np.einsum("ki,ij,kj->k", np.conj(top), a, top)
+        rho = curvatures(a, thetas, w, v)
         simple = ([True] * thetas.size if a.shape[0] == 1
                   else (h - w[:, -2] >= gap_tol).tolist())
-        return [(hk, [pk]) if ok else
-                (hk, degenerate_face(a, float(thetas[k]), w[k], v[k], gap_tol))
-                for k, (hk, pk, ok) in enumerate(zip(h.tolist(), points.tolist(), simple))]
+        return [(hk, rk, [pk]) if ok else
+                (hk, math.inf, degenerate_face(a, float(thetas[k]), w[k], v[k], gap_tol))
+                for k, (hk, rk, pk, ok) in enumerate(
+                    zip(h.tolist(), rho.tolist(), points.tolist(), simple))]
 
     thetas = 2.0 * math.pi * np.arange(num_angles) / num_angles
-    entries = [(float(t), h, pts) for t, (h, pts) in zip(thetas, faces(thetas))]
+    initial = faces(thetas)
+    entries = [(float(t), h, pts) for t, (h, _, pts) in zip(thetas, initial)]
     if refine_tol is not None:
-        ta = thetas
-        tb = np.append(thetas[1:], thetas[0] + 2.0 * math.pi)
-        ha = np.array([h for _, h, _ in entries])
-        hb = np.roll(ha, -1)
-        pa = np.array([pts[-1] for _, _, pts in entries], dtype=np.complex128)
-        pb = np.roll(np.array([pts[0] for _, _, pts in entries], dtype=np.complex128), -1)
+        # A wedge is a pair of ends (theta, h, first point, last point,
+        # rho); angles are not wrapped, so the last wedge ends past 2*pi.
+        ends = [(float(t), h, pts[0], pts[-1], rho)
+                for t, (h, rho, pts) in zip(thetas, initial)]
+        wedges = list(zip(ends, ends[1:] + [(ends[0][0] + 2.0 * math.pi, *ends[0][1:])]))
         for _ in range(48):
-            needy = (tb - ta > 1e-9) & (apex_chord_bounds(ta, ha, pa, tb, hb, pb) > refine_tol)
-            if not needy.any():
+            ta, ha, pa, tb, hb, pb = (np.array(col) for col in zip(
+                *[(lo[0], lo[1], lo[3], hi[0], hi[1], hi[2]) for lo, hi in wedges]))
+            bounds = apex_chord_bounds(ta, ha, pa, tb, hb, pb).tolist()
+            needy = [(wedge, b) for wedge, b in zip(wedges, bounds)
+                     if wedge[1][0] - wedge[0][0] > 1e-9 and b > refine_tol]
+            if not needy:
                 break
-            ta, ha, pa, tb, hb, pb = (x[needy] for x in (ta, ha, pa, tb, hb, pb))
-            tm = 0.5 * (ta + tb)
-            tm_wrapped = np.mod(tm, 2.0 * math.pi)
-            mid = faces(tm_wrapped)
-            entries.extend((t, h, pts) for t, (h, pts) in zip(tm_wrapped.tolist(), mid))
-            hm = np.array([h for h, _ in mid])
-            first = np.array([pts[0] for _, pts in mid], dtype=np.complex128)
-            last = np.array([pts[-1] for _, pts in mid], dtype=np.complex128)
-            ta, ha, pa, tb, hb, pb = (
-                np.stack(pair, axis=1).ravel()
-                for pair in ((ta, tm), (ha, hm), (pa, last), (tm, tb), (hm, hb), (first, pb)))
+            counts = split_counts(
+                np.array([lo[0] for (lo, _), _ in needy]),
+                np.array([hi[0] for (_, hi), _ in needy]),
+                np.array([b for _, b in needy]),
+                np.array([lo[4] for (lo, _), _ in needy]),
+                np.array([hi[4] for (_, hi), _ in needy]), refine_tol).tolist()
+            inner = [lo[0] + (hi[0] - lo[0]) * j / k
+                     for ((lo, hi), _), k in zip(needy, counts) for j in range(1, k)]
+            wrapped = np.mod(np.array(inner), 2.0 * math.pi)
+            mid = faces(wrapped)
+            entries.extend((t, h, pts) for t, (h, _, pts) in zip(wrapped.tolist(), mid))
+            mid_ends = iter([(t, h, pts[0], pts[-1], rho)
+                             for t, (h, rho, pts) in zip(inner, mid)])
+            wedges = []
+            for ((lo, hi), _), k in zip(needy, counts):
+                chain = [lo] + [next(mid_ends) for _ in range(k - 1)] + [hi]
+                wedges.extend(zip(chain, chain[1:]))
         entries.sort(key=lambda e: e[0])
     return (np.array([t for t, _, pts in entries for _ in pts], dtype=np.float64),
             np.array([p for _, _, pts in entries for p in pts], dtype=np.complex128),

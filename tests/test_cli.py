@@ -449,6 +449,22 @@ def test_exit_two_on_disk_inverse_overflow(run_cli, matrix_file, tf_file):
     assert err.startswith("numerical error: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("re_part,im_part", [([[0.0]], [[2e6]]), ([[1e13]], None),
+                                          ([[1e200]], None)])
+def test_exit_two_when_a_matrix_maps_to_infinity(run_cli, matrix_file, tmp_path,
+                                                 re_part, im_part):
+    # The disk points of these bounded matrices fall in the ball around
+    # w = 1 whose preimage is the point at infinity; printing infinity
+    # rows for a bounded operator would be wrong, so the run fails.
+    path = matrix_file("big.json", re_part, im=im_part)
+    out = tmp_path / "out.csv"
+    code, _, err = run_cli(["matrix", "--input", path, "--check", "--out", str(out)])
+    assert code == 2
+    assert err.startswith("numerical error: ") and "point at infinity" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_exit_two_on_lti_overflow_without_warnings(run_cli, tf_file):
     # The numerator values of 1e305 s^3/(s+1) overflow on the grid: a
     # typed error that names the frequency, and no numpy RuntimeWarning

@@ -93,26 +93,37 @@ def test_rayleigh_samples_stay_inside_hull():
     assert float(np.max(dists)) <= 1e-6
 
 
-def test_refined_sweep_resolves_boundary_to_tolerance():
-    rng = np.random.default_rng(43)
-    a = rand_complex(rng, 3)
-    tol = 1e-8
+def _assert_resolved_to(a, tol):
     b = nrange_boundary(a, num_angles=90, refine_tol=tol)
     phis = np.linspace(0.0, 2 * math.pi, 5000, endpoint=False)
     hs = support_values(a, phis)
     # The refinement guarantee: the support-point set reaches within tol
-    # of the true support value in every direction.
+    # of the true support value in every direction.  Only the points
+    # swept within 0.05 rad of each direction are projected; a subset
+    # can only reach less far, so this check is no weaker.
     pts = np.array(b.support_points, dtype=complex)
-    proj = np.empty(len(phis))
-    for lo in range(0, len(phis), 64):
-        block = phis[lo:lo + 64]
-        m = np.outer(np.cos(block), pts.real) + np.outer(np.sin(block), pts.imag)
-        proj[lo:lo + 64] = m.max(axis=1)
+    angles = np.concatenate([b.angles - 2 * math.pi, b.angles, b.angles + 2 * math.pi])
+    pts = np.tile(pts, 3)
+    lo, hi = np.searchsorted(angles, phis - 0.05), np.searchsorted(angles, phis + 0.05)
+    proj = np.array([np.max(pts[i:j].real * math.cos(phi) + pts[i:j].imag * math.sin(phi))
+                     for phi, i, j in zip(phis, lo, hi)])
     assert float(np.max(hs - proj)) <= tol + 1e-10
     # The assembled hull adds only the distance-form collinear pruning
     # slack, which is negligible next to the refinement tolerance.
     hull_h = oracles.hull_support_many(list(b.hull.vertices), phis)
     assert float(np.max(hs - hull_h)) <= tol + 1e-9
+
+
+def test_refined_sweep_resolves_boundary_to_tolerance():
+    rng = np.random.default_rng(43)
+    _assert_resolved_to(rand_complex(rng, 3), 1e-8)
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-8, 1e-10])
+def test_refined_sweep_meets_each_tolerance(tol):
+    rng = np.random.default_rng(54)
+    for n in (2, 5, 8):
+        _assert_resolved_to(rand_complex(rng, n), tol)
 
 
 def test_hermitian_matrix_has_real_range():
@@ -197,6 +208,14 @@ def test_input_validation():
         nrange_boundary(np.zeros((2, 3)), num_angles=64)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -1e-8])
+def test_invalid_refine_tol_is_rejected(bad):
+    # NaN used to skip refinement silently; 0 or less refined until the
+    # guards (or the memory) ran out.
+    with pytest.raises(InputError, match="refine_tol"):
+        nrange_boundary(np.array([[0, 1], [0, 0]], dtype=complex), refine_tol=bad)
+
+
 def _same_bits(x, y) -> bool:
     x, y = np.asarray(x), np.asarray(y)
     return x.dtype == y.dtype and np.array_equal(x.view(np.int64), y.view(np.int64))
@@ -252,18 +271,19 @@ def test_chunked_rounds_match_one_batch_bit_for_bit(monkeypatch):
         batches = _count_stacked_eigh(monkeypatch)
         got = nrange._faces(a, thetas, gap_tol)
         assert batches and max(batches) == 3 and sum(batches) == thetas.size
-        for x, y in zip(got[:3], want[:3]):
+        for x, y in zip(got[:4], want[:4]):
             assert _same_bits(x, y)
-        assert list(got[3]) == list(want[3])
-        for k, pts in want[3].items():
-            assert _same_bits(got[3][k], pts)
+        assert list(got[4]) == list(want[4])
+        for k, pts in want[4].items():
+            assert _same_bits(got[4][k], pts)
         # Whole sweeps, refinement rounds included, against the list
         # bookkeeping, which solves each round as one stack.
         for refine_tol in (None, 1e-6):
             sweep = nrange_boundary(a, num_angles=64, refine_tol=refine_tol)
             ref = oracles.sweep_ref(
                 a, 64, refine_tol, gap_tol, nrange._rotated_hermitian_parts,
-                nrange._degenerate_face, nrange._apex_chord_bounds)
+                nrange._degenerate_face, nrange._apex_chord_bounds, nrange._curvatures,
+                nrange._split_counts)
             for field, arr in zip(("angles", "support_points", "support_values"), ref):
                 assert _same_bits(getattr(sweep, field), arr)
         monkeypatch.undo()
@@ -366,8 +386,93 @@ def test_sweep_arrays_match_list_bookkeeping():
             want = oracles.sweep_ref(
                 a, 64, refine_tol, nrange.DEGENERACY_GAP * frob(a),
                 nrange._rotated_hermitian_parts, nrange._degenerate_face,
-                nrange._apex_chord_bounds)
+                nrange._apex_chord_bounds, nrange._curvatures, nrange._split_counts)
             for field, ref in zip(("angles", "support_points", "support_values"), want):
                 arr = getattr(got, field)
                 assert arr.dtype == ref.dtype
                 assert np.array_equal(arr.view(np.int64), ref.view(np.int64))
+
+
+def _bisecting_sweep(a, refine_tol):
+    return oracles.sweep_ref(
+        a, 720, refine_tol, nrange.DEGENERACY_GAP * frob(a), nrange._rotated_hermitian_parts,
+        nrange._degenerate_face, nrange._apex_chord_bounds, nrange._curvatures,
+        oracles.bisect_counts)
+
+
+def test_smooth_boundary_refines_in_two_rounds_with_fewer_angles(monkeypatch):
+    # A random 6x6 and its graph compression V, the operator that
+    # `srg matrix` sweeps: at most two rounds sized from the curvature,
+    # and fewer angles than bisection, whose last round overshoots the
+    # tolerance by up to 4x.
+    calls, faces = [], nrange._faces
+
+    def counted(*args):
+        calls.append(1)
+        return faces(*args)
+
+    monkeypatch.setattr(nrange, "_faces", counted)
+    a = rand_complex(np.random.default_rng(55), 6)
+    for a in (a, build_v(a).v):
+        calls.clear()
+        sweep = nrange_boundary(a, refine_tol=1e-8)
+        assert len(calls) <= 3
+        assert sweep.angles.size <= 0.8 * _bisecting_sweep(a, 1e-8)[0].size
+
+
+def test_polygons_and_segments_cost_no_more_than_bisection():
+    # A normal matrix has curvature 0 away from its corners and a
+    # Hermitian one is a segment; their wedges are bisected.
+    rng = np.random.default_rng(56)
+    diag = np.diag(rng.normal(size=8) + 1j * rng.normal(size=8))
+    herm = rand_complex(rng, 5)
+    herm = (herm + herm.conj().T) / 2
+    for a in (diag, herm):
+        sweep = nrange_boundary(a, refine_tol=1e-8)
+        assert sweep.angles.size <= _bisecting_sweep(a, 1e-8)[0].size
+
+
+def test_curvature_is_h_plus_second_derivative():
+    rng = np.random.default_rng(57)
+    a = rand_complex(rng, 4)
+    thetas = np.linspace(0.0, 2 * math.pi, 16, endpoint=False) + 0.1
+    rho = nrange._faces_batch(a, thetas, nrange.DEGENERACY_GAP * frob(a))[3]
+    step = 1e-3
+    h = [support_values(a, thetas + d) for d in (-step, 0.0, step)]
+    want = h[1] + (h[0] - 2.0 * h[1] + h[2]) / step**2
+    assert np.all(np.isfinite(rho))
+    assert np.max(np.abs(rho - want) / np.abs(want)) <= 1e-5
+
+
+def test_apex_chord_bound_is_accurate_on_narrow_wedges():
+    # A circle of radius R: the apex of a wedge of width w stands
+    # R*sin(w/2)*tan(w/2) above its chord.  Intersecting the support
+    # lines would lose eps*R/w, about 1e-9 at w = 1e-6.
+    rng = np.random.default_rng(58)
+    radius, centre = 2.0, 0.3 - 0.7j
+    for width in (0.5, 1e-2, 1e-4, 1e-6, 1e-8):
+        ta = rng.uniform(0.0, 2 * math.pi, 200)
+        tb = ta + width
+        ha, hb = (centre.real * np.cos(t) + centre.imag * np.sin(t) + radius for t in (ta, tb))
+        pa, pb = (centre + radius * np.exp(1j * t) for t in (ta, tb))
+        got = nrange._apex_chord_bounds(ta, ha, pa, tb, hb, pb)
+        want = radius * math.sin(width / 2) * math.tan(width / 2)
+        assert np.max(np.abs(got - want)) <= 1e-14
+
+
+def test_polygon_refinement_ends_below_its_tolerance(monkeypatch):
+    # A unitary's range is the polygon of its eigenvalues.  Its corner
+    # wedges are bisected down to about 3e-8; the last bounds must come
+    # under refine_tol there, not stop on REFINE_MIN_WEDGE above it.
+    last = {}
+
+    def recorded(*args):
+        last["bounds"] = bounds(*args)
+        last["widths"] = args[3] - args[0]
+        return last["bounds"]
+
+    bounds = nrange._apex_chord_bounds
+    monkeypatch.setattr(nrange, "_apex_chord_bounds", recorded)
+    nrange_boundary(rand_unitary(np.random.default_rng(59), 6), refine_tol=1e-8)
+    assert np.max(last["bounds"]) <= 1e-8
+    assert np.min(last["widths"]) > nrange.REFINE_MIN_WEDGE

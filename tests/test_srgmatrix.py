@@ -44,6 +44,17 @@ def test_options_validation():
     assert opts.tol == 1e-9
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -1e-8])
+def test_options_reject_invalid_refine_tol_and_spacing(bad):
+    # A NaN tolerance used to skip refinement silently, and spacing 0
+    # ended in a numpy warning and a raw ValueError.
+    with pytest.raises(InputError, match="refine_tol"):
+        SrgOptions(refine_tol=bad)
+    with pytest.raises(InputError, match="spacing"):
+        SrgOptions(spacing=bad)
+    assert SrgOptions(refine_tol=None).refine_tol is None
+
+
 # ---------------------------------------------------------------------------
 # build_v
 
