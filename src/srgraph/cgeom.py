@@ -487,9 +487,9 @@ def region_from_disk_hull(
     *,
     contains_infinity: bool | None = None,
     boundary_only: bool = False,
-    spacing: float = EDGE_SPACING,
 ) -> SrgRegion:
-    """Build an SrgRegion from a disk-side hull by mapping its boundary back.
+    """Build an SrgRegion from a disk-side hull by mapping its boundary,
+    walked at EDGE_SPACING, back.
 
     The upper branch keeps the non-negative-imaginary representative of
     each boundary point; the lower branch is its elementwise conjugate.
@@ -500,7 +500,7 @@ def region_from_disk_hull(
     """
     if contains_infinity is None:
         contains_infinity = polygon_signed_distance(hull, 1.0) <= EPS_DISK
-    walk = polygon_boundary_points(hull, spacing)
+    walk = polygon_boundary_points(hull)
     up, at_infinity = _bk_inverse_upper(walk)
     if contains_infinity is False and at_infinity.any():
         w = complex(walk[np.argmax(at_infinity)])
@@ -514,7 +514,7 @@ def region_from_disk_hull(
                      bool(boundary_only))
 
 
-def hull_bk(points: Sequence[ExtComplex], *, spacing: float = EDGE_SPACING) -> SrgRegion:
+def hull_bk(points: Sequence[ExtComplex]) -> SrgRegion:
     """Hyperbolic convex hull g(hull(f(points))) as an SrgRegion."""
     pts = list(points)
     if not pts:
@@ -522,7 +522,7 @@ def hull_bk(points: Sequence[ExtComplex], *, spacing: float = EDGE_SPACING) -> S
     hull = convex_hull_2d(bk_forward_array(pts))
     # None lets region_from_disk_hull derive the flag from the hull.
     flag = True if INFINITY in pts else None
-    return region_from_disk_hull(hull, contains_infinity=flag, spacing=spacing)
+    return region_from_disk_hull(hull, contains_infinity=flag)
 
 
 def region_signed_distance(region: SrgRegion, z: ExtComplex) -> float:

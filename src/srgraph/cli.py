@@ -304,13 +304,15 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    # The options every subcommand shares.
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--version", action="version", version=f"srg {__version__}")
+    common.add_argument("--out", default="-", help="output path, or - for stdout")
+    common.add_argument("--format", choices=("csv", "svg"), default="csv")
 
-    matrix = sub.add_parser("matrix", help="SRG of a dense matrix")
-    matrix.add_argument("--version", action="version", version=f"srg {__version__}")
+    matrix = sub.add_parser("matrix", parents=[common], help="SRG of a dense matrix")
     matrix.add_argument("--input", required=True, help="matrix JSON file")
     matrix.add_argument("--angles", type=int, default=720)
-    matrix.add_argument("--out", default="-", help="output path, or - for stdout")
-    matrix.add_argument("--format", choices=("csv", "svg"), default="csv")
     matrix.add_argument("--spectrum", action="store_true",
                         help="overlay the spectral hull and eigenvalues")
     matrix.add_argument("--check", action="store_true",
@@ -319,22 +321,17 @@ def _build_parser() -> argparse.ArgumentParser:
     matrix.add_argument("--seed", type=int, default=1)
     matrix.set_defaults(func=cmd_srg_matrix)
 
-    lti = sub.add_parser("lti", help="SRG of a rational transfer function")
-    lti.add_argument("--version", action="version", version=f"srg {__version__}")
+    lti = sub.add_parser("lti", parents=[common], help="SRG of a rational transfer function")
     lti.add_argument("--tf", required=True, help="transfer-function JSON file")
     lti.add_argument("--grid", type=int, default=512)
-    lti.add_argument("--out", default="-", help="output path, or - for stdout")
-    lti.add_argument("--format", choices=("csv", "svg"), default="csv")
     lti.add_argument("--emit-factor", action="store_true",
                      help="print the spectral factor coefficients to stderr")
     lti.set_defaults(func=cmd_srg_lti)
 
-    nra = sub.add_parser("nrange", help="numerical-range boundary of a matrix")
-    nra.add_argument("--version", action="version", version=f"srg {__version__}")
+    nra = sub.add_parser("nrange", parents=[common],
+                         help="numerical-range boundary of a matrix")
     nra.add_argument("--input", required=True, help="matrix JSON file")
     nra.add_argument("--angles", type=int, default=720)
-    nra.add_argument("--out", default="-", help="output path, or - for stdout")
-    nra.add_argument("--format", choices=("csv", "svg"), default="csv")
     nra.set_defaults(func=cmd_nrange)
     return parser
 

@@ -200,8 +200,8 @@ def _faces_batch(a: np.ndarray, thetas: np.ndarray, gap_tol: float):
 
     h holds h(theta), first and last the first and last support point
     of each face (the same point on a simple face), rho the radius of
-    curvature (infinite at a degenerate angle), and faces maps the
-    index of each degenerate angle to its full list of face points.
+    curvature (infinite at a degenerate angle), and faces maps each
+    degenerate angle to its full list of face points.
     """
     thetas = np.asarray(thetas, dtype=np.float64)
     w, v = np.linalg.eigh(_rotated_hermitian_parts(a, thetas))
@@ -213,23 +213,18 @@ def _faces_batch(a: np.ndarray, thetas: np.ndarray, gap_tol: float):
     faces = {}
     if a.shape[0] > 1:
         for k in np.flatnonzero(~(h - w[:, -2] >= gap_tol)).tolist():
-            faces[k] = _degenerate_face(a, float(thetas[k]), w[k], v[k], gap_tol)
-            first[k], last[k], rho[k] = faces[k][0], faces[k][-1], np.inf
+            t = float(thetas[k])
+            faces[t] = _degenerate_face(a, t, w[k], v[k], gap_tol)
+            first[k], last[k], rho[k] = faces[t][0], faces[t][-1], np.inf
     return h, first, last, rho, faces
 
 
 def _faces(a: np.ndarray, thetas, gap_tol: float):
-    """_faces_batch over any number of angles, chunk by chunk."""
+    """_faces_batch over any number of angles, chunk by chunk; faces are
+    keyed by angle, so the chunks' face dicts join by union."""
     thetas = np.asarray(thetas, dtype=np.float64)
-    return _join(_map_chunks(lambda t: _faces_batch(a, t, gap_tol), a.shape[0], thetas))
-
-
-def _join(parts):
-    """Concatenate records (arrays..., faces) batch after batch; the face
-    indices shift by the length of the batches before theirs."""
-    offsets = np.cumsum([0] + [len(part[0]) for part in parts]).tolist()
-    faces = {off + k: pts for off, part in zip(offsets, parts) for k, pts in part[-1].items()}
-    return (*(np.concatenate(col) for col in list(zip(*parts))[:-1]), faces)
+    *cols, faces = zip(*_map_chunks(lambda t: _faces_batch(a, t, gap_tol), a.shape[0], thetas))
+    return (*map(np.concatenate, cols), {t: pts for part in faces for t, pts in part.items()})
 
 
 def _apex_chord_bounds(ta, ha, pa, tb, hb, pb) -> np.ndarray:
@@ -289,7 +284,10 @@ def nrange_boundary(a, num_angles: int = 720,
     corner or a flat face.  Rounds repeat until no bound is above
     refine_tol, so the true numerical range lies within refine_tol of
     the returned hull.  The hull itself always lies inside W(A) up to
-    eigensolver noise.
+    eigensolver noise.  The evaluated angles stay in one ascending
+    table, which each round's new angles join by a stable sort; flat
+    faces are kept apart, keyed by their angle, and expand into one row
+    per face point at the end.
     """
     m = as_matrix(a, square=True)
     if num_angles < 8:
@@ -298,60 +296,45 @@ def nrange_boundary(a, num_angles: int = 720,
         require_positive_finite(refine_tol, "refine_tol")
     gap_tol = DEGENERACY_GAP * frob(m)
     thetas = 2.0 * math.pi * np.arange(num_angles) / num_angles
-    h, first, last, rho, faces = _faces(m, thetas, gap_tol)
-    # One (angles, h, first point, degenerate faces) record per round.
-    rounds = [(thetas, h, first, faces)]
+    *columns, faces = _faces(m, thetas, gap_tol)
+    # Every evaluated angle, ascending in [0, 2*pi) from theta = 0, with
+    # the columns theta, h, first and last support point, rho.
+    table = [thetas, *columns]
+    for _ in range(REFINE_MAX_DEPTH if refine_tol is not None else 0):
+        ta, ha, first, pa, ra = table
+        # Wedge i runs from row i to row i + 1; the last one closes the
+        # circle at 2*pi, where row 0 stands.
+        tb = np.append(ta[1:], 2.0 * math.pi)
+        hb, pb, rb = (np.roll(col, -1) for col in (ha, first, ra))
+        bounds = _apex_chord_bounds(ta, ha, pa, tb, hb, pb)
+        needy = (tb - ta > REFINE_MIN_WEDGE) & (bounds > refine_tol)
+        if not needy.any():
+            break
+        ta, tb = ta[needy], tb[needy]
+        k = _split_counts(ta, tb, bounds[needy], ra[needy], rb[needy], refine_tol)
+        # Interior angles ta + (tb - ta)*j/k, j = 1 .. k-1, wedge by wedge.
+        owner = np.repeat(np.arange(k.size), k - 1)
+        j = np.arange(owner.size) - np.repeat(np.cumsum(k - 1) - (k - 1), k - 1) + 1
+        tm = ta[owner] + (tb - ta)[owner] * j / k[owner]
+        *columns, new_faces = _faces(m, tm, gap_tol)
+        faces.update(new_faces)
+        table = [np.concatenate(pair) for pair in zip(table, [tm, *columns])]
+        order = np.argsort(table[0], kind="stable")
+        table = [col[order] for col in table]
 
-    if refine_tol is not None:
-        # Wedge arrays carry extended (non-wrapped) angles so the
-        # wraparound wedge between the last and first sweep angles stays
-        # ordered.
-        ta, ha, pa, ra = thetas, h, last, rho
-        tb = np.append(thetas[1:], thetas[0] + 2.0 * math.pi)
-        hb, pb, rb = np.roll(h, -1), np.roll(first, -1), np.roll(rho, -1)
-        for _ in range(REFINE_MAX_DEPTH):
-            bounds = _apex_chord_bounds(ta, ha, pa, tb, hb, pb)
-            needy = (tb - ta > REFINE_MIN_WEDGE) & (bounds > refine_tol)
-            if not needy.any():
-                break
-            ta, ha, pa, ra, tb, hb, pb, rb = (
-                x[needy] for x in (ta, ha, pa, ra, tb, hb, pb, rb))
-            k = _split_counts(ta, tb, bounds[needy], ra, rb, refine_tol)
-            # Interior angles ta + (tb - ta)*j/k, j = 1 .. k-1, wedge by
-            # wedge; wedge i's run starts at starts[i].
-            owner = np.repeat(np.arange(k.size), k - 1)
-            starts = np.cumsum(k - 1) - (k - 1)
-            j = np.arange(owner.size) - starts[owner] + 1
-            tm = ta[owner] + (tb - ta)[owner] * j / k[owner]
-            tm_wrapped = np.mod(tm, 2.0 * math.pi)
-            hm, first, last, rm, faces = _faces(m, tm_wrapped, gap_tol)
-            rounds.append((tm_wrapped, hm, first, faces))
-            # The children of wedge i run from ta_i through its interior
-            # angles to tb_i: its left end goes before its run, its right
-            # end after it.
-            ta, ha, pa, ra = (np.insert(inner, starts, end) for end, inner in
-                              ((ta, tm), (ha, hm), (pa, last), (ra, rm)))
-            tb, hb, pb, rb = (np.insert(inner, starts + k - 1, end) for end, inner in
-                              ((tb, tm), (hb, hm), (pb, first), (rb, rm)))
-
-    # Order all evaluated angles (stable, so ties keep evaluation order),
-    # then give each degenerate angle one row per face point.
-    angles, values, points, faces = _join(rounds)
-    order = np.argsort(angles, kind="stable")
+    # Give each degenerate angle one row per face point.
+    angles, values, points = table[:3]
     counts = np.ones(angles.size, dtype=np.int64)
-    counts[list(faces)] = [len(pts) for pts in faces.values()]
-    counts = counts[order]
-    points = np.repeat(points[order], counts)
-    if faces:
-        rank = np.empty_like(order)
-        rank[order] = np.arange(order.size)
-        starts = np.cumsum(counts) - counts
-        for k, pts in faces.items():
-            points[starts[rank[k]]:starts[rank[k]] + len(pts)] = pts
+    rows = np.searchsorted(angles, list(faces))
+    counts[rows] = [len(pts) for pts in faces.values()]
+    points = np.repeat(points, counts)
+    starts = np.cumsum(counts) - counts
+    for row, pts in zip(rows.tolist(), faces.values()):
+        points[starts[row]:starts[row] + len(pts)] = pts
     return NRangeBoundary(
-        angles=np.repeat(angles[order], counts),
+        angles=np.repeat(angles, counts),
         support_points=points,
-        support_values=np.repeat(values[order], counts),
+        support_values=np.repeat(values, counts),
         hull=cgeom.convex_hull_2d(points),
     )
 

@@ -134,6 +134,10 @@ def spectral_factorize(tf: RationalTF) -> SpectralFactor:
         )
 
     p = np.polyadd(np.polymul(a, _paraconjugate(a)), np.polymul(b, _paraconjugate(b)))
+    if not (np.all(np.isfinite(p)) and p[0] != 0):
+        raise NumericalError(
+            f"a~a + b~b is not finite with degree {2 * m} in floating point; "
+            "the coefficients are out of range for a spectral factor")
     roots = poly_roots(p)
     lhp = []
     for r in roots:
@@ -280,20 +284,19 @@ def lti_disk_point(tf: RationalTF, omega) -> complex:
 
 @dataclass(frozen=True)
 class FreqGrid:
-    """Finite ascending deduplicated frequencies, plus an infinity flag."""
+    """Finite ascending deduplicated frequencies; lti_srg adds infinity."""
 
     omegas: tuple[float, ...]
-    include_infinity: bool
 
 
-def freq_grid(omegas, include_infinity: bool = True) -> FreqGrid:
+def freq_grid(omegas) -> FreqGrid:
     """Sort, deduplicate, and validate a frequency list."""
     vals = [float(w) for w in omegas]
     if not vals:
         raise InputError("frequency grid must be non-empty")
     if any(not math.isfinite(w) for w in vals):
-        raise InputError("grid frequencies must be finite; infinity is a flag")
-    return FreqGrid(omegas=tuple(sorted(set(vals))), include_infinity=bool(include_infinity))
+        raise InputError("grid frequencies must be finite; infinity is always included")
+    return FreqGrid(omegas=tuple(sorted(set(vals))))
 
 
 def _axis_poles(tf: RationalTF) -> list[float]:
@@ -310,9 +313,9 @@ def _axis_poles(tf: RationalTF) -> list[float]:
 def default_grid(tf: RationalTF, n: int = 512) -> FreqGrid:
     """Projective frequency grid: tan-spaced to cover all magnitudes.
 
-    omega_k = tan(pi (2k - n) / (2n + 2)) for k = 0..n, plus infinity;
-    imaginary-axis poles of h are inserted exactly, with symmetric
-    neighborhoods so the curve's approach to them is sampled.
+    omega_k = tan(pi (2k - n) / (2n + 2)) for k = 0..n (lti_srg adds
+    infinity); imaginary-axis poles of h are inserted exactly, with
+    symmetric neighborhoods so the curve's approach to them is sampled.
     """
     if n < 16:
         raise InputError("default grid needs n >= 16")
@@ -322,7 +325,7 @@ def default_grid(tf: RationalTF, n: int = 512) -> FreqGrid:
         for delta in (1e-2, 1e-3, 1e-4):
             step = delta * max(1.0, abs(wp))
             omegas.extend((wp - step, wp + step))
-    return freq_grid(omegas, include_infinity=True)
+    return freq_grid(omegas)
 
 
 @dataclass(frozen=True)
@@ -346,21 +349,16 @@ def lti_srg(tf: RationalTF, grid: FreqGrid | None = None) -> LtiSrg:
 
     The operator is normal, so the SRG is the hyperbolic hull of the
     frequency-response curve: disk side = convex hull of the per-omega
-    disk points.  Infinity joins the grid whenever the function is
-    improper or has an imaginary-axis pole, regardless of the grid
-    flag.
+    disk points.  omega = infinity always ends the grid: the closure of
+    h(i R) contains h(infinity).
     """
     if grid is None:
         grid = default_grid(tf)
-    improper = tf.degree_num > tf.degree_den
-    with_inf = grid.include_infinity or improper or bool(_axis_poles(tf))
     values, pole, disk = _response(tf, grid.omegas)
-    omegas = grid.omegas
+    omegas = grid.omegas + (INFINITY,)
     curve = [INFINITY if p else h for h, p in zip(values.tolist(), pole.tolist())]
-    if with_inf:
-        omegas += (INFINITY,)
-        curve.append(_value_at_infinity(tf))
-        disk = np.append(disk, cgeom.bk_forward(curve[-1]))
+    curve.append(_value_at_infinity(tf))
+    disk = np.append(disk, cgeom.bk_forward(curve[-1]))
     hull = cgeom.convex_hull_2d(disk)
     region = cgeom.region_from_disk_hull(hull)
     return LtiSrg(

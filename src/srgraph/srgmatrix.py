@@ -38,14 +38,12 @@ class SrgOptions:
     """Knobs for the SRG sweep.
 
     refine_tol bounds how far the true disk-side region may extend
-    beyond the returned polygon (None disables adaptive refinement);
-    spacing is the disk-side arc spacing of the emitted branch points.
+    beyond the returned polygon (None disables adaptive refinement).
     """
 
     num_angles: int = 720
     tol: float = 1e-9
     refine_tol: float | None = DEFAULT_REFINE_TOL
-    spacing: float = cgeom.EDGE_SPACING
 
     def __post_init__(self):
         if self.num_angles < 8:
@@ -54,7 +52,6 @@ class SrgOptions:
             raise InputError("tol must be positive")
         if self.refine_tol is not None:
             require_positive_finite(self.refine_tol, "refine_tol")
-        require_positive_finite(self.spacing, "spacing")
 
 
 @dataclass(frozen=True)
@@ -95,9 +92,7 @@ def srg_complex(t, opts: SrgOptions | None = None) -> cgeom.SrgRegion:
     opts = opts or SrgOptions()
     vop = build_v(t)
     nb = nrange_boundary(vop.v, num_angles=opts.num_angles, refine_tol=opts.refine_tol)
-    return cgeom.region_from_disk_hull(
-        nb.hull, contains_infinity=False, boundary_only=False, spacing=opts.spacing
-    )
+    return cgeom.region_from_disk_hull(nb.hull, contains_infinity=False, boundary_only=False)
 
 
 def srg_real(t, opts: SrgOptions | None = None) -> cgeom.SrgRegion:

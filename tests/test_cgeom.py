@@ -341,11 +341,11 @@ def test_region_branches_are_pointwise_bk_inverse_of_the_walk():
         pts = rng.normal(size=12) + 1j * rng.normal(size=12)
         hulls.append(convex_hull_2d(pts / (1.0 + 1e-10) / np.max(np.abs(pts))))
     for hull in hulls:
-        region = region_from_disk_hull(hull, spacing=0.05)
-        pairs = [bk_inverse(w) for w in polygon_boundary_points(hull, 0.05)]
+        region = region_from_disk_hull(hull)
+        pairs = [bk_inverse(w) for w in polygon_boundary_points(hull)]
         assert repr(region.upper_branch) == repr(tuple(up for up, _ in pairs))
         assert repr(region.lower_branch) == repr(tuple(lo for _, lo in pairs))
-    assert INFINITY in region_from_disk_hull(hulls[0], spacing=0.05).upper_branch
+    assert INFINITY in region_from_disk_hull(hulls[0]).upper_branch
 
 
 def test_region_signed_distance_boundary_only_uses_distance_to_curve():

@@ -174,6 +174,23 @@ def test_nrange_hermitian_is_real(run_cli, matrix_file):
     assert all(abs(p.imag) <= 1e-10 for p in pts)
 
 
+def test_nrange_entries_above_1e154_sweep_like_the_scaled_matrix(run_cli, matrix_file):
+    # The Frobenius norm of this matrix used to overflow, which made every
+    # angle look degenerate: a RuntimeWarning and 1440 rows of flat faces.
+    re_part = np.array([[1e200, 1e200], [0.0, 1.0]])
+    im_part = np.array([[0.0, 3e199], [0.0, 0.0]])
+    path = matrix_file("big.json", re_part, im=im_part)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(["nrange", "--input", path])
+    assert (code, err) == (0, "")
+    pts = np.array(finite_points(parse_csv(out), kind="support"))
+    assert pts.size == 720
+    scale = 2.0 ** 664
+    want = nrange_boundary((re_part + 1j * im_part) / scale).support_points * scale
+    assert np.max(np.abs(pts - want)) <= 1e-14 * np.max(np.abs(want))
+
+
 # ---------------------------------------------------------------------------
 # matrix subcommand extras
 
@@ -365,6 +382,15 @@ def test_lti_extreme_coefficient_scales_exit_zero(run_cli, tf_file, num, den):
     code, out, err = run_cli(["lti", "--tf", tf_file("tf.json", num, den)])
     assert code == 0 and err == ""
     assert out.startswith("kind,theta,re,im,branch\n")
+
+
+@pytest.mark.parametrize("num, den", [([1e200], [1.0, 1.0]), ([1.0], [1e-200, 1.0])])
+def test_lti_emit_factor_out_of_range_exits_two(run_cli, tf_file, num, den):
+    # The same inputs with --emit-factor: a~a + b~b overflows or loses its
+    # leading coefficient, which is a numerical failure, not bad input.
+    code, _, err = run_cli(["lti", "--tf", tf_file("tf.json", num, den), "--emit-factor"])
+    assert code == 2
+    assert err.startswith("numerical error: ") and "Traceback" not in err
 
 
 def test_lti_constant_is_single_point(run_cli, tf_file):

@@ -40,6 +40,20 @@ def test_general_eig_example_matrix_closed_form():
         assert abs(got - want) < 1e-9
 
 
+def test_frob_scales_by_a_power_of_two_without_overflow():
+    # Squares of entries above about 1e154 used to overflow to inf, and
+    # those below 1e-154 to vanish.  The power-of-two scaling is exact,
+    # so in range the norm is the plain one, bit for bit.
+    a = rand_complex(np.random.default_rng(35), 4)
+    assert frob(a) == float(np.linalg.norm(a, "fro"))
+    for e in (-1000, -500, 500, 1000):
+        assert frob(a * 2.0**e) == frob(a) * 2.0**e
+    big = np.array([[1e200, 1e200 + 3e199j], [0.0, 1.0]])
+    assert frob(big) == pytest.approx(math.hypot(1e200, 1e200, 3e199, 1.0), rel=1e-15)
+    assert frob([[1e-200, 0.0]]) == 1e-200
+    assert frob(np.zeros((2, 2))) == 0.0
+
+
 def test_general_eig_trace_and_det_identities():
     rng = np.random.default_rng(34)
     for n in (2, 4, 6):

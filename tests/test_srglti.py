@@ -235,9 +235,8 @@ def test_disk_point_identity_with_direct_map():
 
 
 def test_freq_grid_sorts_and_deduplicates():
-    g = freq_grid([3.0, -1.0, 3.0, 0.0], include_infinity=False)
+    g = freq_grid([3.0, -1.0, 3.0, 0.0])
     assert g.omegas == (-1.0, 0.0, 3.0)
-    assert not g.include_infinity
 
 
 def test_freq_grid_validation():
@@ -255,7 +254,6 @@ def test_default_grid_minimum_size():
 
 def test_default_grid_shape_and_symmetry():
     g = default_grid(rational_tf(*TWO_OVER_SQUARE), 16)
-    assert g.include_infinity
     assert len(g.omegas) == 17
     ws = g.omegas
     for lo, hi in zip(ws, reversed(ws)):
@@ -316,7 +314,7 @@ def test_integrator_region_is_imaginary_axis_with_infinity():
 
 def test_improper_function_forces_infinity():
     tf = rational_tf([1.0, 0.0], [1.0])  # h = iw, improper
-    grid = freq_grid([0.5, 1.0, 2.0], include_infinity=False)
+    grid = freq_grid([0.5, 1.0, 2.0])
     out = lti_srg(tf, grid)
     assert is_infinity(out.omegas[-1])
     assert out.disk_points[-1] == 1.0 + 0j
@@ -423,10 +421,10 @@ def test_lti_srg_matches_the_exact_rational_oracle():
     # where |a|^2 + |b|^2 has near-double roots next to the axis.
     poles_hit = 0
     for tf, axis in _identity_cases():
-        user = freq_grid([-2.5, -0.5, 0.0, 0.5, 1.0, 2.5] + axis, include_infinity=False)
+        user = freq_grid([-2.5, -0.5, 0.0, 0.5, 1.0, 2.5] + axis)
         for grid in (default_grid(tf, 16), default_grid(tf, 256), user):
             out = lti_srg(tf, grid)
-            assert out.omegas[:len(grid.omegas)] == grid.omegas
+            assert out.omegas == grid.omegas + (INFINITY,)
             disk, curve = oracles.lti_points_exact(tf.num, tf.den, out.omegas)
             assert max(map(abs, np.subtract(out.disk_points, disk))) <= 1e-12
             assert list(map(is_infinity, out.curve)) == list(map(is_infinity, curve))

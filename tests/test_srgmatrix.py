@@ -7,6 +7,7 @@ import pytest
 
 import oracles
 from conftest import rand_complex, rand_normal_matrix, rand_unitary
+from srgraph.cgeom import EDGE_SPACING
 from srgraph import (
     IllConditionedError,
     frob,
@@ -46,11 +47,11 @@ def test_options_validation():
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -1e-8])
 def test_options_reject_invalid_refine_tol_and_spacing(bad):
-    # A NaN tolerance used to skip refinement silently, and spacing 0
-    # ended in a numpy warning and a raw ValueError.
+    # A NaN tolerance used to skip refinement silently.  The branch-point
+    # spacing is the constant EDGE_SPACING, not an option.
     with pytest.raises(InputError, match="refine_tol"):
         SrgOptions(refine_tol=bad)
-    with pytest.raises(InputError, match="spacing"):
+    with pytest.raises(TypeError, match="spacing"):
         SrgOptions(spacing=bad)
     assert SrgOptions(refine_tol=None).refine_tol is None
 
@@ -377,10 +378,9 @@ def test_disk_hull_is_convex_hull_of_its_vertices():
 
 def test_branch_points_respect_spacing():
     rng = np.random.default_rng(64)
-    opts = SrgOptions(num_angles=96, spacing=1.0 / 64.0)
-    region = srg_complex(rand_complex(rng, 3), opts)
+    region = srg_complex(rand_complex(rng, 3), SrgOptions(num_angles=96))
     ws = [bk_forward(complex(u)) for u in region.upper_branch]
     gaps = [abs(b - a) for a, b in zip(ws, ws[1:])]
-    # Boundary points on the disk side are spaced at most ~spacing apart
-    # (vertices may be closer).
-    assert max(gaps) <= 1.0 / 64.0 + 1e-9
+    # Boundary points on the disk side are spaced at most ~EDGE_SPACING
+    # apart (vertices may be closer).
+    assert max(gaps) <= EDGE_SPACING + 1e-9
