@@ -51,7 +51,7 @@ from .linalg import (
     general_eig,
     poly_roots,
 )
-from .nrange import NRangeBoundary, nrange_boundary, nrange_contains, support_values
+from .nrange import NRangeBoundary, nrange_boundary, nrange_contains
 from .sampler import SampleReport, check_containment, sample_srg
 from .srglti import (
     FreqGrid,
@@ -68,7 +68,6 @@ from .srglti import (
 )
 from .srgmatrix import (
     SpectrumReport,
-    SrgOptions,
     VOperator,
     build_v,
     gamma_scaling_demo,
@@ -115,7 +114,6 @@ __all__ = [
     "NRangeBoundary",
     "nrange_boundary",
     "nrange_contains",
-    "support_values",
     "SampleReport",
     "check_containment",
     "sample_srg",
@@ -131,7 +129,6 @@ __all__ = [
     "spectral_factorize",
     "tf_value",
     "SpectrumReport",
-    "SrgOptions",
     "VOperator",
     "build_v",
     "gamma_scaling_demo",

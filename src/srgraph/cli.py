@@ -24,7 +24,7 @@ from .errors import InputError, NumericalError
 from .linalg import general_eig
 from .nrange import nrange_boundary
 from .srglti import default_grid, lti_srg, rational_tf, spectral_factorize
-from .srgmatrix import SrgOptions, srg_complex, srg_real
+from .srgmatrix import srg_complex, srg_real
 
 CSV_HEADER = "kind,theta,re,im,branch"
 
@@ -208,8 +208,12 @@ def _region_outline(region: cgeom.SrgRegion) -> np.ndarray:
 
 def cmd_srg_matrix(args) -> int:
     matrix, field = load_matrix_file(args.input)
-    opts = SrgOptions(num_angles=args.angles)
-    region = srg_real(matrix, opts) if field == "real" else srg_complex(matrix, opts)
+    region = srg_real(matrix) if field == "real" else srg_complex(matrix)
+    if args.check:
+        # Drawn before any output is written, so that a bad --samples or
+        # --seed leaves none.
+        samples = sampler.sample_srg(matrix, field=field, count=args.samples,
+                                     seed=args.seed)
 
     if args.format == "csv":
         groups = _region_columns(region)
@@ -230,8 +234,6 @@ def cmd_srg_matrix(args) -> int:
     _write_text(args.out, text)
 
     if args.check:
-        samples = sampler.sample_srg(matrix, field=field, count=args.samples,
-                                     seed=args.seed)
         report = sampler.check_containment(samples, region, tol=1e-7)
         print(
             f"check: contained {report.contained}/{report.total} "
@@ -272,7 +274,7 @@ def cmd_srg_lti(args) -> int:
 
 def cmd_nrange(args) -> int:
     matrix, _ = load_matrix_file(args.input)
-    boundary = nrange_boundary(matrix, num_angles=args.angles)
+    boundary = nrange_boundary(matrix)
     if args.format == "csv":
         text = _csv_text(*_columns("support", boundary.angles, boundary.support_points, ""))
     else:
@@ -312,7 +314,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     matrix = sub.add_parser("matrix", parents=[common], help="SRG of a dense matrix")
     matrix.add_argument("--input", required=True, help="matrix JSON file")
-    matrix.add_argument("--angles", type=int, default=720)
     matrix.add_argument("--spectrum", action="store_true",
                         help="overlay the spectral hull and eigenvalues")
     matrix.add_argument("--check", action="store_true",
@@ -331,7 +332,6 @@ def _build_parser() -> argparse.ArgumentParser:
     nra = sub.add_parser("nrange", parents=[common],
                          help="numerical-range boundary of a matrix")
     nra.add_argument("--input", required=True, help="matrix JSON file")
-    nra.add_argument("--angles", type=int, default=720)
     nra.set_defaults(func=cmd_nrange)
     return parser
 

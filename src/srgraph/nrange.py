@@ -13,7 +13,7 @@ curvature rho = h + h'' = 2 sum_{j>1} |x_j* H'(theta) x_1|^2 /
 Angle batches are solved as stacked Hermitian eigenproblems of at most
 _BATCH_BYTES each, so memory stays bounded however many angles a round
 holds; a round of several such chunks runs on a process-wide thread
-pool with the BLAS held at one thread.  Optional adaptive
+pool with the BLAS held at one thread.  Adaptive
 refinement splits sweep wedges, breadth-first in batches, until the
 exact outer bound - the distance from the support-line apex to the
 chord of adjacent support points - drops below a target, which
@@ -23,6 +23,11 @@ ends asks for (the bound is about rho*width^2/4 on a smooth arc) while
 that agrees with the bound, which shrinks with the square of the
 width; so a smooth wedge meets the target in one round, and a wedge
 across a corner or a flat face (rho near 0) is bisected.
+
+The support points span Johnson's inner polygon and their support
+lines his outer one (SIAM J. Numer. Anal. 15, 1978); the apex-chord
+bound is the gap between them.  Every support value the package uses,
+membership included, comes from this one certified sweep.
 """
 
 from __future__ import annotations
@@ -38,9 +43,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import cgeom
-from .errors import InputError
 from .linalg import as_matrix, frob, require_positive_finite
 
+# Default outer-approximation bound of a sweep, relative to
+# max(1, largest support value on the start grid): W(A) lies within
+# that distance of the returned hull.
+DEFAULT_REFINE_TOL = 1e-8
+# Angles of the uniform grid every sweep starts from.
+_START_ANGLES = 720
 # Relative gap under which the top eigenvalue counts as degenerate.
 DEGENERACY_GAP = 1e-10
 # Guards for adaptive refinement: the most rounds, and the narrowest
@@ -62,13 +72,15 @@ class NRangeBoundary:
 
     angles are ascending in [0, 2*pi), repeated where a flat face
     emitted several support points; hull is the convex hull of all
-    support points.
+    support points; bound is the largest apex-chord bound left between
+    consecutive angles, so that W(A) lies within bound of hull.
     """
 
     angles: np.ndarray
     support_points: np.ndarray
     support_values: np.ndarray
     hull: cgeom.ConvexPolygon
+    bound: float
 
 
 @functools.cache
@@ -272,46 +284,29 @@ def _split_counts(ta, tb, bounds, ra, rb, refine_tol: float) -> np.ndarray:
     return np.fmax(k, 2.0).astype(np.int64)
 
 
-def nrange_boundary(a, num_angles: int = 720,
-                    refine_tol: float | None = None) -> NRangeBoundary:
-    """Trace the boundary of W(A) with a uniform angle sweep.
-
-    With refine_tol set, each round splits every wedge between
-    consecutive angles whose apex-to-chord bound is above it into k
-    equal parts and evaluates all the new angles in one batch.  k comes
-    from the curvature at the wedge's ends and from its bound, so that
-    a smooth wedge meets refine_tol in one round, and is 2 across a
-    corner or a flat face.  Rounds repeat until no bound is above
-    refine_tol, so the true numerical range lies within refine_tol of
-    the returned hull.  The hull itself always lies inside W(A) up to
-    eigensolver noise.  The evaluated angles stay in one ascending
-    table, which each round's new angles join by a stable sort; flat
-    faces are kept apart, keyed by their angle, and expand into one row
-    per face point at the end.
-    """
-    m = as_matrix(a, square=True)
-    if num_angles < 8:
-        raise InputError("num_angles must be at least 8")
-    if refine_tol is not None:
-        require_positive_finite(refine_tol, "refine_tol")
+def _sweep(m: np.ndarray, refine_tol: float) -> tuple[NRangeBoundary, float]:
+    """The refined sweep of nrange_boundary and the target it refined to,
+    refine_tol*max(1, largest support value on the start grid)."""
+    require_positive_finite(refine_tol, "refine_tol")
     gap_tol = DEGENERACY_GAP * frob(m)
-    thetas = 2.0 * math.pi * np.arange(num_angles) / num_angles
+    thetas = 2.0 * math.pi * np.arange(_START_ANGLES) / _START_ANGLES
     *columns, faces = _faces(m, thetas, gap_tol)
+    target = refine_tol * max(1.0, float(np.max(columns[0])))
     # Every evaluated angle, ascending in [0, 2*pi) from theta = 0, with
     # the columns theta, h, first and last support point, rho.
     table = [thetas, *columns]
-    for _ in range(REFINE_MAX_DEPTH if refine_tol is not None else 0):
+    for depth in range(REFINE_MAX_DEPTH + 1):
         ta, ha, first, pa, ra = table
         # Wedge i runs from row i to row i + 1; the last one closes the
         # circle at 2*pi, where row 0 stands.
         tb = np.append(ta[1:], 2.0 * math.pi)
         hb, pb, rb = (np.roll(col, -1) for col in (ha, first, ra))
         bounds = _apex_chord_bounds(ta, ha, pa, tb, hb, pb)
-        needy = (tb - ta > REFINE_MIN_WEDGE) & (bounds > refine_tol)
-        if not needy.any():
+        needy = (tb - ta > REFINE_MIN_WEDGE) & (bounds > target)
+        if depth == REFINE_MAX_DEPTH or not needy.any():
             break
         ta, tb = ta[needy], tb[needy]
-        k = _split_counts(ta, tb, bounds[needy], ra[needy], rb[needy], refine_tol)
+        k = _split_counts(ta, tb, bounds[needy], ra[needy], rb[needy], target)
         # Interior angles ta + (tb - ta)*j/k, j = 1 .. k-1, wedge by wedge.
         owner = np.repeat(np.arange(k.size), k - 1)
         j = np.arange(owner.size) - np.repeat(np.cumsum(k - 1) - (k - 1), k - 1) + 1
@@ -331,46 +326,55 @@ def nrange_boundary(a, num_angles: int = 720,
     starts = np.cumsum(counts) - counts
     for row, pts in zip(rows.tolist(), faces.values()):
         points[starts[row]:starts[row] + len(pts)] = pts
-    return NRangeBoundary(
+    boundary = NRangeBoundary(
         angles=np.repeat(angles, counts),
         support_points=points,
         support_values=np.repeat(values, counts),
         hull=cgeom.convex_hull_2d(points),
+        bound=float(np.max(bounds)),
     )
+    return boundary, target
 
 
-def support_values(a, thetas) -> np.ndarray:
-    """Support function h(theta) = lambda_max(Re(e^{-i*theta}A)) on a grid."""
-    m = as_matrix(a, square=True)
-    thetas = np.asarray(thetas, dtype=np.float64)
-    if thetas.size == 0:
-        return np.empty(0)
-    parts = _map_chunks(
-        lambda t: np.linalg.eigvalsh(_rotated_hermitian_parts(m, t))[:, -1], m.shape[0], thetas)
-    return np.concatenate(parts)
+def nrange_boundary(a, refine_tol: float = DEFAULT_REFINE_TOL) -> NRangeBoundary:
+    """Trace the boundary of W(A) by a refined support-line sweep.
 
-
-def support_margins(a, zs, num_angles: int = 720) -> np.ndarray:
-    """Slack of each point z inside the sampled support lines of W(A).
-
-    For every z returns the minimum over theta_k = 2*pi*k/num_angles of
-    h(theta_k) - (Re z*cos(theta_k) + Im z*sin(theta_k)).  The sampled
-    lines bound a convex outer approximation of W(A), so a negative
-    margin certifies that z lies outside W(A).
+    The sweep starts on _START_ANGLES equally spaced angles.  Each round
+    splits every wedge between consecutive angles whose apex-to-chord
+    bound is above the target refine_tol*max(1, w), w the largest
+    support value on the start grid, into k equal parts and evaluates
+    all the new angles in one batch.  k comes from the curvature at the
+    wedge's ends and from its bound, so that a smooth wedge meets the
+    target in one round, and is 2 across a corner or a flat face.
+    Rounds repeat until no bound is above the target or the guards stop
+    them; bound reports the largest bound left, so W(A) lies within
+    bound of the returned hull, and the hull itself inside W(A) up to
+    eigensolver noise.  The evaluated angles stay in one ascending
+    table, which each round's new angles join by a stable sort; flat
+    faces are kept apart, keyed by their angle, and expand into one row
+    per face point at the end.
     """
-    if num_angles < 8:
-        raise InputError("num_angles must be at least 8")
-    thetas = 2.0 * math.pi * np.arange(num_angles) / num_angles
-    h = support_values(a, thetas)
-    zs = np.asarray(zs, dtype=np.complex128).ravel()
-    projections = np.outer(zs.real, np.cos(thetas)) + np.outer(zs.imag, np.sin(thetas))
-    return np.min(h - projections, axis=1)
+    return _sweep(as_matrix(a, square=True), refine_tol)[0]
 
 
-def nrange_contains(a, z, tol: float = 1e-9, num_angles: int = 720) -> bool:
-    """Support-function membership test for z in W(A).
+def _certified_distances(a, zs, tol: float) -> tuple[np.ndarray, float]:
+    """Signed distances of the points zs to the hull of one sweep of A
+    at refine_tol = tol, and the radius max(target, bound) of that sweep.
 
-    Errs outward only: the sampled support lines bound a convex outer
-    approximation of W(A), so False answers are certified.
+    A distance above the radius certifies z outside W(A); one at or
+    below it puts z within the radius of W(A).
     """
-    return bool(support_margins(a, [complex(z)], num_angles)[0] >= -tol)
+    boundary, target = _sweep(as_matrix(a, square=True), tol)
+    return cgeom._signed_distances(boundary.hull.vertices, zs), max(target, boundary.bound)
+
+
+def nrange_contains(a, zs, tol: float = DEFAULT_REFINE_TOL) -> np.ndarray:
+    """Membership of each point z in W(A), from one sweep at refine_tol = tol.
+
+    z counts as inside when its distance to the sweep's hull is at most
+    max(tol*max(1, w), bound), with w and bound as in nrange_boundary.
+    So False certifies z outside W(A), and True certifies z within that
+    radius of W(A).
+    """
+    distances, radius = _certified_distances(a, zs, tol)
+    return distances <= radius

@@ -12,6 +12,7 @@ boundary-only region, up to tolerance.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +36,8 @@ def sample_srg(t, field: str = "complex", count: int = 10000, seed: int = 1) -> 
     m = as_matrix(t, square=True)
     if count < 1:
         raise InputError("count must be at least 1")
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+        raise InputError(f"seed must be a non-negative integer, got {seed!r}")
     if field not in ("real", "complex"):
         raise InputError("field must be 'real' or 'complex'")
     if field == "real" and np.max(np.abs(m.imag)) != 0.0:

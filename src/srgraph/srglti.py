@@ -149,6 +149,21 @@ def spectral_factorize(tf: RationalTF) -> SpectralFactor:
             )
         if r.real < 0:
             lhp.append(r)
+    # A zero that a and b share on the axis is a multiple root of p,
+    # which the root finder may split off the axis by 1e-8 or more, past
+    # the test above.  The mean of such a cluster is accurate to round-off,
+    # so a and b are tested at the mean of each root's cluster (the roots
+    # within twice its nearest neighbour's distance) with the tolerance
+    # _response uses for a shared zero.
+    gaps = np.abs(roots[:, None] - roots[None, :])
+    cluster = gaps <= 2.0 * np.min(gaps + np.diag(np.full(roots.size, np.inf)), axis=1)[:, None]
+    omegas = (cluster @ roots).imag / np.count_nonzero(cluster, axis=1)
+    shared = ((np.abs(np.polyval(a, 1j * omegas)) <= _pole_tol(tf.den, omegas))
+              & (np.abs(np.polyval(b, 1j * omegas)) <= _pole_tol(tf.num, omegas)))
+    if shared.any():
+        raise FactorizationDegenerateError(
+            "numerator and denominator share an imaginary-axis zero near "
+            f"s = {float(omegas[np.argmax(shared)]):.6g}j; no stable spectral factor exists")
     if len(lhp) != m:
         raise NumericalError(
             f"spectral factor degree bookkeeping failed: expected {m} stable "

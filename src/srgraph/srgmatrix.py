@@ -20,38 +20,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import cgeom
+from . import cgeom, nrange
 from .errors import IllConditionedError, InputError
-from .linalg import as_matrix, general_eig, require_positive_finite
-from .nrange import nrange_boundary, support_margins
+from .linalg import as_matrix, general_eig
+from .nrange import DEFAULT_REFINE_TOL, nrange_boundary
 
 # Condition-number ceiling for user-supplied similarity transforms;
 # beyond this S T S^-1 has no double-precision accuracy left.
 COND_LIMIT = 1e12
-# Default outer-approximation bound requested from the angle sweep: the
-# true region lies within this distance of the returned polygon.
-DEFAULT_REFINE_TOL = 1e-8
-
-
-@dataclass(frozen=True)
-class SrgOptions:
-    """Knobs for the SRG sweep.
-
-    refine_tol bounds how far the true disk-side region may extend
-    beyond the returned polygon (None disables adaptive refinement).
-    """
-
-    num_angles: int = 720
-    tol: float = 1e-9
-    refine_tol: float | None = DEFAULT_REFINE_TOL
-
-    def __post_init__(self):
-        if self.num_angles < 8:
-            raise InputError("num_angles must be at least 8")
-        if not self.tol > 0:
-            raise InputError("tol must be positive")
-        if self.refine_tol is not None:
-            require_positive_finite(self.refine_tol, "refine_tol")
 
 
 @dataclass(frozen=True)
@@ -81,21 +57,19 @@ def build_v(t) -> VOperator:
     return VOperator(v=w @ core @ wh, s_factor=(w * c) @ wh)
 
 
-def srg_complex(t, opts: SrgOptions | None = None) -> cgeom.SrgRegion:
+def srg_complex(t, refine_tol: float = DEFAULT_REFINE_TOL) -> cgeom.SrgRegion:
     """SRG of T over the complex field.
 
-    The disk-side hull is the traced numerical range of V; the plane
-    branches come from mapping its boundary back through the disk
-    inverse.  Matrices are bounded, so the region never contains
-    infinity.
+    The disk-side hull is the traced numerical range of V, within
+    refine_tol of the true disk-side region; the plane branches come
+    from mapping its boundary back through the disk inverse.  Matrices
+    are bounded, so the region never contains infinity.
     """
-    opts = opts or SrgOptions()
-    vop = build_v(t)
-    nb = nrange_boundary(vop.v, num_angles=opts.num_angles, refine_tol=opts.refine_tol)
+    nb = nrange_boundary(build_v(t).v, refine_tol=refine_tol)
     return cgeom.region_from_disk_hull(nb.hull, contains_infinity=False, boundary_only=False)
 
 
-def srg_real(t, opts: SrgOptions | None = None) -> cgeom.SrgRegion:
+def srg_real(t, refine_tol: float = DEFAULT_REFINE_TOL) -> cgeom.SrgRegion:
     """SRG of a real matrix over the real field.
 
     For a 2x2 real matrix the real-field SRG is exactly the boundary
@@ -105,7 +79,7 @@ def srg_real(t, opts: SrgOptions | None = None) -> cgeom.SrgRegion:
     m = as_matrix(t, square=True)
     if np.max(np.abs(m.imag)) != 0.0:
         raise InputError("srg_real requires a matrix with real entries")
-    region = srg_complex(m, opts)
+    region = srg_complex(m, refine_tol)
     if m.shape[0] == 2:
         return dataclasses.replace(region, boundary_only=True)
     return region
@@ -121,7 +95,7 @@ def hull_bk_spectrum(t) -> cgeom.SrgRegion:
     return cgeom.hull_bk([complex(ev) for ev in eigs])
 
 
-def similarity_scaled_srg(t, s, opts: SrgOptions | None = None) -> cgeom.SrgRegion:
+def similarity_scaled_srg(t, s, refine_tol: float = DEFAULT_REFINE_TOL) -> cgeom.SrgRegion:
     """SRG of T under the scaled metric induced by S: srg(S T S^-1)."""
     m = as_matrix(t, square=True)
     sm = as_matrix(s, square=True)
@@ -134,10 +108,10 @@ def similarity_scaled_srg(t, s, opts: SrgOptions | None = None) -> cgeom.SrgRegi
         )
     # Right division (S T) S^-1 without forming the inverse explicitly.
     scaled = np.linalg.solve(sm.T, (sm @ m).T).T
-    return srg_complex(scaled, opts)
+    return srg_complex(scaled, refine_tol)
 
 
-def gamma_scaling_demo(t, gammas, opts: SrgOptions | None = None):
+def gamma_scaling_demo(t, gammas, refine_tol: float = DEFAULT_REFINE_TOL):
     """Shrink the SRG toward the spectral hull with S = diag(g, g^2, ...)Q.
 
     Q comes from a complex Schur triangularization, so Q T Q* is upper
@@ -164,7 +138,7 @@ def gamma_scaling_demo(t, gammas, opts: SrgOptions | None = None):
     out = []
     for g in gam:
         scale = np.diag([g ** (k + 1) for k in range(n)]).astype(np.complex128)
-        region = similarity_scaled_srg(m, scale @ q, opts)
+        region = similarity_scaled_srg(m, scale @ q, refine_tol)
         out.append((g, cgeom.polygon_hausdorff(region.disk_hull, target)))
     return out
 
@@ -173,8 +147,10 @@ def gamma_scaling_demo(t, gammas, opts: SrgOptions | None = None):
 class SpectrumReport:
     """Per-eigenvalue containment margins of f(eigenvalue) in W(V).
 
-    margin > 0 means strictly inside the sampled support lines; an
-    eigenvalue counts as contained when margin >= -tol.
+    margin is minus the signed distance to the hull of the sweep of V,
+    so margin > 0 means inside the hull; an eigenvalue counts as
+    contained when margin >= -tol, where tol is the sweep's certified
+    radius (see nrange_contains).
     """
 
     eigenvalues: tuple[complex, ...]
@@ -191,19 +167,19 @@ class SpectrumReport:
         return min(self.margins)
 
 
-def spectrum_check(t, opts: SrgOptions | None = None) -> SpectrumReport:
+def spectrum_check(t, refine_tol: float = DEFAULT_REFINE_TOL) -> SpectrumReport:
     """Verify that every eigenvalue's disk image lies in W(V).
 
-    Failures are reported, not raised: the report carries one margin
-    per eigenvalue (minimum slack over the sampled support lines).
+    Failures are reported, not raised: V is built and swept once at
+    refine_tol, and the report carries one margin per eigenvalue,
+    decided by the rule of nrange_contains.
     """
-    opts = opts or SrgOptions()
-    vop = build_v(t)
     eigs = [complex(ev) for ev in general_eig(t)]
-    margins = support_margins(vop.v, cgeom.bk_forward_array(eigs), opts.num_angles)
+    distances, radius = nrange._certified_distances(
+        build_v(t).v, cgeom.bk_forward_array(eigs), refine_tol)
     return SpectrumReport(
         eigenvalues=tuple(eigs),
-        margins=tuple(float(m) for m in margins),
-        contained=tuple(bool(m >= -opts.tol) for m in margins),
-        tol=opts.tol,
+        margins=tuple((-distances).tolist()),
+        contained=tuple((distances <= radius).tolist()),
+        tol=radius,
     )

@@ -216,6 +216,18 @@ def hull_support_many(verts: list[complex], phis: np.ndarray) -> np.ndarray:
     return _support_at(v, normals, active, np.asarray(phis, dtype=float))
 
 
+def support_values_ref(a, thetas) -> np.ndarray:
+    """Support function h(theta) = lambda_max((e^{-i theta} A + e^{i theta} A*)/2)
+    of W(A), one numpy eigvalsh call per block of 256 angles."""
+    a = np.asarray(a, dtype=complex)
+    thetas = np.asarray(thetas, dtype=float)
+    out = np.empty(thetas.size)
+    for lo in range(0, thetas.size, 256):
+        rot = np.exp(-1j * thetas[lo:lo + 256])[:, None, None] * a
+        out[lo:lo + 256] = np.linalg.eigvalsh((rot + np.conj(np.swapaxes(rot, 1, 2))) / 2)[:, -1]
+    return out
+
+
 def tf_eval(num, den, s: complex) -> complex:
     """Rational function value by Horner evaluation of both polynomials."""
     def horner(c):
@@ -365,16 +377,17 @@ def bisect_counts(ta, tb, bounds, ra, rb, refine_tol) -> np.ndarray:
     return np.full(np.shape(ta), 2, dtype=np.int64)
 
 
-def sweep_ref(a, num_angles: int, refine_tol, gap_tol: float, rotated_parts,
+def sweep_ref(a, num_angles: int, refine_tol: float, gap_tol: float, rotated_parts,
               degenerate_face, apex_chord_bounds, curvatures, split_counts):
     """Angle-sweep bookkeeping with Python lists of (theta, h, points).
 
     The per-angle helpers and the split rule are passed in; this checks
-    the ordering, refinement and face expansion around them.
-    split_counts(ta, tb, bounds, ra, rb, refine_tol) gives the number of
-    equal children of each wedge a round refines (bisect_counts for
-    plain bisection).  Returns (angles, support_points, support_values)
-    as arrays.
+    the ordering, refinement and face expansion around them.  Wedges are
+    refined to refine_tol*max(1, largest support value on the
+    num_angles start grid).  split_counts(ta, tb, bounds, ra, rb, target)
+    gives the number of equal children of each wedge a round refines
+    (bisect_counts for plain bisection).  Returns (angles,
+    support_points, support_values) as arrays.
     """
 
     def faces(thetas):
@@ -393,38 +406,38 @@ def sweep_ref(a, num_angles: int, refine_tol, gap_tol: float, rotated_parts,
     thetas = 2.0 * math.pi * np.arange(num_angles) / num_angles
     initial = faces(thetas)
     entries = [(float(t), h, pts) for t, (h, _, pts) in zip(thetas, initial)]
-    if refine_tol is not None:
-        # A wedge is a pair of ends (theta, h, first point, last point,
-        # rho); angles are not wrapped, so the last wedge ends past 2*pi.
-        ends = [(float(t), h, pts[0], pts[-1], rho)
-                for t, (h, rho, pts) in zip(thetas, initial)]
-        wedges = list(zip(ends, ends[1:] + [(ends[0][0] + 2.0 * math.pi, *ends[0][1:])]))
-        for _ in range(48):
-            ta, ha, pa, tb, hb, pb = (np.array(col) for col in zip(
-                *[(lo[0], lo[1], lo[3], hi[0], hi[1], hi[2]) for lo, hi in wedges]))
-            bounds = apex_chord_bounds(ta, ha, pa, tb, hb, pb).tolist()
-            needy = [(wedge, b) for wedge, b in zip(wedges, bounds)
-                     if wedge[1][0] - wedge[0][0] > 1e-9 and b > refine_tol]
-            if not needy:
-                break
-            counts = split_counts(
-                np.array([lo[0] for (lo, _), _ in needy]),
-                np.array([hi[0] for (_, hi), _ in needy]),
-                np.array([b for _, b in needy]),
-                np.array([lo[4] for (lo, _), _ in needy]),
-                np.array([hi[4] for (_, hi), _ in needy]), refine_tol).tolist()
-            inner = [lo[0] + (hi[0] - lo[0]) * j / k
-                     for ((lo, hi), _), k in zip(needy, counts) for j in range(1, k)]
-            wrapped = np.mod(np.array(inner), 2.0 * math.pi)
-            mid = faces(wrapped)
-            entries.extend((t, h, pts) for t, (h, _, pts) in zip(wrapped.tolist(), mid))
-            mid_ends = iter([(t, h, pts[0], pts[-1], rho)
-                             for t, (h, rho, pts) in zip(inner, mid)])
-            wedges = []
-            for ((lo, hi), _), k in zip(needy, counts):
-                chain = [lo] + [next(mid_ends) for _ in range(k - 1)] + [hi]
-                wedges.extend(zip(chain, chain[1:]))
-        entries.sort(key=lambda e: e[0])
+    target = refine_tol * max(1.0, max(h for h, _, _ in initial))
+    # A wedge is a pair of ends (theta, h, first point, last point,
+    # rho); angles are not wrapped, so the last wedge ends past 2*pi.
+    ends = [(float(t), h, pts[0], pts[-1], rho)
+            for t, (h, rho, pts) in zip(thetas, initial)]
+    wedges = list(zip(ends, ends[1:] + [(ends[0][0] + 2.0 * math.pi, *ends[0][1:])]))
+    for _ in range(48):
+        ta, ha, pa, tb, hb, pb = (np.array(col) for col in zip(
+            *[(lo[0], lo[1], lo[3], hi[0], hi[1], hi[2]) for lo, hi in wedges]))
+        bounds = apex_chord_bounds(ta, ha, pa, tb, hb, pb).tolist()
+        needy = [(wedge, b) for wedge, b in zip(wedges, bounds)
+                 if wedge[1][0] - wedge[0][0] > 1e-9 and b > target]
+        if not needy:
+            break
+        counts = split_counts(
+            np.array([lo[0] for (lo, _), _ in needy]),
+            np.array([hi[0] for (_, hi), _ in needy]),
+            np.array([b for _, b in needy]),
+            np.array([lo[4] for (lo, _), _ in needy]),
+            np.array([hi[4] for (_, hi), _ in needy]), target).tolist()
+        inner = [lo[0] + (hi[0] - lo[0]) * j / k
+                 for ((lo, hi), _), k in zip(needy, counts) for j in range(1, k)]
+        wrapped = np.mod(np.array(inner), 2.0 * math.pi)
+        mid = faces(wrapped)
+        entries.extend((t, h, pts) for t, (h, _, pts) in zip(wrapped.tolist(), mid))
+        mid_ends = iter([(t, h, pts[0], pts[-1], rho)
+                         for t, (h, rho, pts) in zip(inner, mid)])
+        wedges = []
+        for ((lo, hi), _), k in zip(needy, counts):
+            chain = [lo] + [next(mid_ends) for _ in range(k - 1)] + [hi]
+            wedges.extend(zip(chain, chain[1:]))
+    entries.sort(key=lambda e: e[0])
     return (np.array([t for t, _, pts in entries for _ in pts], dtype=np.float64),
             np.array([p for _, _, pts in entries for p in pts], dtype=np.complex128),
             np.array([h for _, h, pts in entries for _ in pts], dtype=np.float64))

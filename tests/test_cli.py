@@ -13,7 +13,6 @@ from srgraph import (
     INFINITY,
     InputError,
     SampleReport,
-    SrgOptions,
     default_grid,
     general_eig,
     hull_bk_spectrum,
@@ -98,7 +97,7 @@ def test_tf_loader_validation(tmp_path):
 
 def test_csv_schema_and_sorting(run_cli, matrix_file):
     path = matrix_file("id2.json", [[1.0, 0.0], [0.0, 1.0]], field="real")
-    code, out, _ = run_cli(["matrix", "--input", path, "--angles", "64"])
+    code, out, _ = run_cli(["matrix", "--input", path])
     assert code == 0
     rows = parse_csv(out)
     assert rows, "no data rows"
@@ -125,7 +124,7 @@ def test_csv_numbers_roundtrip_at_full_precision(run_cli, matrix_file):
     m = rng.normal(size=(3, 3))
     path = matrix_file("m.json", m)
     code, out, _ = run_cli(
-        ["matrix", "--input", path, "--angles", "32", "--format", "csv"]
+        ["matrix", "--input", path, "--format", "csv"]
     )
     assert code == 0
     for kind, _, re, im, _ in parse_csv(out):
@@ -142,12 +141,13 @@ def test_csv_numbers_roundtrip_at_full_precision(run_cli, matrix_file):
 
 def test_nrange_segment_endpoints(run_cli, matrix_file):
     path = matrix_file("d01.json", [[0.0, 0.0], [0.0, 1.0]])
-    code, out, _ = run_cli(["nrange", "--input", path, "--angles", "96"])
+    code, out, _ = run_cli(["nrange", "--input", path])
     assert code == 0
     pts = finite_points(parse_csv(out), kind="support")
-    # 96 sweep angles; the two angles whose support line touches the
-    # whole segment (a flat face) emit both endpoints, adding two rows.
-    assert len(pts) == 98
+    # 720 sweep angles, none refined, since every wedge's bound is 0;
+    # the two angles whose support line touches the whole segment (a
+    # flat face) emit both endpoints, adding two rows.
+    assert len(pts) == 722
     assert all(abs(p.imag) <= 1e-9 for p in pts)
     assert min(p.real for p in pts) <= 1e-9
     assert max(p.real for p in pts) >= 1.0 - 1e-9
@@ -159,8 +159,26 @@ def test_nrange_shift_nilpotent_circle(run_cli, matrix_file):
     code, out, _ = run_cli(["nrange", "--input", path])
     assert code == 0
     pts = finite_points(parse_csv(out), kind="support")
-    assert len(pts) == 720
+    # The refined sweep: more rows than the 720 start angles.
+    assert len(pts) > 720
     assert all(abs(abs(p) - 0.5) <= 1e-9 for p in pts)
+
+
+def test_nrange_prints_a_certified_boundary(run_cli, matrix_file):
+    # The printed support points are refined to the default tolerance:
+    # the true support function exceeds that of their hull by at most
+    # 1e-8*max(1, largest support value) in every direction.  The bare
+    # 720-angle grid misses by about 3e-5 here.
+    rng = np.random.default_rng(92)
+    a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    path = matrix_file("a.json", a.real, a.imag)
+    code, out, _ = run_cli(["nrange", "--input", path])
+    assert code == 0
+    pts = finite_points(parse_csv(out), kind="support")
+    phis = 2 * math.pi * (np.arange(4096) + 0.5 * (math.sqrt(5.0) - 1.0)) / 4096
+    h_true = oracles.support_values_ref(a, phis)
+    h_hull = oracles.hull_support_many(pts, phis)
+    assert float(np.max(h_true - h_hull)) <= 1e-8 * max(1.0, float(np.max(h_true)))
 
 
 def test_nrange_hermitian_is_real(run_cli, matrix_file):
@@ -168,7 +186,7 @@ def test_nrange_hermitian_is_real(run_cli, matrix_file):
     a = rng.normal(size=(4, 4))
     h = (a + a.T) / 2
     path = matrix_file("h.json", h)
-    code, out, _ = run_cli(["nrange", "--input", path, "--angles", "64"])
+    code, out, _ = run_cli(["nrange", "--input", path])
     assert code == 0
     pts = finite_points(parse_csv(out), kind="support")
     assert all(abs(p.imag) <= 1e-10 for p in pts)
@@ -185,9 +203,14 @@ def test_nrange_entries_above_1e154_sweep_like_the_scaled_matrix(run_cli, matrix
         code, out, err = run_cli(["nrange", "--input", path])
     assert (code, err) == (0, "")
     pts = np.array(finite_points(parse_csv(out), kind="support"))
-    assert pts.size == 720
+    # The refinement target scales with the matrix, so the sweep takes
+    # the angles of the matrix scaled down to unit size, not the
+    # millions an absolute 1e-8 would ask for.
     scale = 2.0 ** 664
-    want = nrange_boundary((re_part + 1j * im_part) / scale).support_points * scale
+    unit = nrange_boundary((re_part + 1j * im_part) / scale)
+    assert 720 < pts.size <= 2 * unit.angles.size
+    assert pts.size == unit.support_points.size
+    want = unit.support_points * scale
     assert np.max(np.abs(pts - want)) <= 1e-14 * np.max(np.abs(want))
 
 
@@ -198,7 +221,7 @@ def test_nrange_entries_above_1e154_sweep_like_the_scaled_matrix(run_cli, matrix
 def test_matrix_check_passes_for_shift_nilpotent(run_cli, matrix_file):
     path = matrix_file("nil.json", [[0.0, 1.0], [0.0, 0.0]], field="real")
     code, _, err = run_cli(
-        ["matrix", "--input", path, "--angles", "180", "--check",
+        ["matrix", "--input", path, "--check",
          "--samples", "2000", "--seed", "3"]
     )
     assert code == 0
@@ -214,6 +237,19 @@ def test_matrix_check_passes_at_gain_1e8(run_cli, matrix_file):
     assert re.search(r"contained (\d+)/\1 ", err)
 
 
+def test_matrix_check_negative_seed_exits_one_without_traceback(run_cli, matrix_file,
+                                                               tmp_path):
+    # numpy's generator refuses a negative seed with a raw ValueError;
+    # the sampler reports it as an input error, before any output.
+    path = matrix_file("nil.json", [[0.0, 1.0], [0.0, 0.0]])
+    out = tmp_path / "out.csv"
+    code, _, err = run_cli(["matrix", "--input", path, "--check", "--seed", "-1",
+                            "--out", str(out)])
+    assert code == 1
+    assert err.startswith("error: ") and "seed" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_matrix_check_failure_exits_three(run_cli, matrix_file, monkeypatch):
     path = matrix_file("id2.json", [[1.0, 0.0], [0.0, 1.0]])
 
@@ -224,7 +260,7 @@ def test_matrix_check_failure_exits_three(run_cli, matrix_file, monkeypatch):
 
     monkeypatch.setattr("srgraph.sampler.check_containment", fake_check)
     code, _, err = run_cli(
-        ["matrix", "--input", path, "--angles", "32", "--check"]
+        ["matrix", "--input", path, "--check"]
     )
     assert code == 3
     assert "contained 9/10" in err
@@ -233,7 +269,7 @@ def test_matrix_check_failure_exits_three(run_cli, matrix_file, monkeypatch):
 def test_matrix_spectrum_rows(run_cli, matrix_file):
     path = matrix_file("fig.json", oracles.FIG_MATRIX.real)
     code, out, _ = run_cli(
-        ["matrix", "--input", path, "--angles", "64", "--spectrum"]
+        ["matrix", "--input", path, "--spectrum"]
     )
     assert code == 0
     rows = parse_csv(out)
@@ -259,9 +295,9 @@ def test_matrix_spectrum_csv_matches_row_reference(run_cli, matrix_file):
     # The doubled eigenvalue 2 gives spectrum rows with equal sort keys.
     m = np.array([[2.0, 0.0, 0.0], [0.0, 2.0, 1.0], [0.0, 0.0, -1.0]])
     path = matrix_file("m.json", m)
-    code, out, _ = run_cli(["matrix", "--input", path, "--angles", "48", "--spectrum"])
+    code, out, _ = run_cli(["matrix", "--input", path, "--spectrum"])
     assert code == 0
-    region = srg_complex(m, SrgOptions(num_angles=48))
+    region = srg_complex(m)
     rows = oracles.region_rows_ref(region)
     rows += [("spectrum", 0.0, complex(ev), "") for ev in general_eig(m)]
     assert out == oracles.csv_text_ref(rows)
@@ -286,9 +322,9 @@ def test_lti_csv_matches_row_reference(run_cli, tf_file, num, den):
 def test_nrange_csv_matches_row_reference(run_cli, matrix_file):
     m = np.diag([1.0, 1.0, 2.0]) + np.diag([0.5j, 0.0], 1)
     path = matrix_file("m.json", m.real, m.imag)
-    code, out, _ = run_cli(["nrange", "--input", path, "--angles", "32"])
+    code, out, _ = run_cli(["nrange", "--input", path])
     assert code == 0
-    b = nrange_boundary(m, num_angles=32)
+    b = nrange_boundary(m)
     rows = [("support", float(t), complex(p), "")
             for t, p in zip(b.angles, b.support_points)]
     assert out == oracles.csv_text_ref(rows)
@@ -381,6 +417,21 @@ def test_lti_extreme_coefficient_scales_exit_zero(run_cli, tf_file, num, den):
     # disk points never form it.
     code, out, err = run_cli(["lti", "--tf", tf_file("tf.json", num, den)])
     assert code == 0 and err == ""
+    assert out.startswith("kind,theta,re,im,branch\n")
+
+
+def test_lti_emit_factor_on_shared_axis_zeros_exits_two(run_cli, tf_file):
+    # (s^2+1)/(s^2+1)^2: a and b share the zeros +-i, so no Hurwitz factor
+    # exists.  The root finder splits the double roots of a~a + b~b off
+    # the axis; the factor used to be printed with imaginary dust.
+    path = tf_file("tf.json", [1.0, 0.0, 1.0], [1.0, 0.0, 2.0, 0.0, 1.0])
+    code, _, err = run_cli(["lti", "--tf", path, "--emit-factor"])
+    assert code == 2
+    assert err.startswith("numerical error: ") and "imaginary-axis zero" in err
+    assert "s_den" not in err and "Traceback" not in err
+    # Without the flag the SRG of 1/(s^2+1) is still computed.
+    code, out, err = run_cli(["lti", "--tf", path])
+    assert (code, err) == (0, "")
     assert out.startswith("kind,theta,re,im,branch\n")
 
 
@@ -511,6 +562,10 @@ def test_exit_one_on_usage_errors(run_cli):
     assert code == 1
     code, _, _ = run_cli(["frobnicate"])
     assert code == 1
+    # The sweep has no angle count to set.
+    for sub in ("matrix", "nrange"):
+        code, _, _ = run_cli([sub, "--input", "x.json", "--angles", "64"])
+        assert code == 1
 
 
 def test_version_exits_zero(run_cli):
@@ -529,7 +584,7 @@ def test_repeated_runs_are_byte_identical(run_cli, matrix_file, tmp_path):
     for name in ("a.csv", "b.csv"):
         dest = tmp_path / name
         code, _, _ = run_cli(
-            ["matrix", "--input", path, "--angles", "128", "--out", str(dest)]
+            ["matrix", "--input", path, "--out", str(dest)]
         )
         assert code == 0
         outs.append(dest.read_bytes())
@@ -539,7 +594,7 @@ def test_repeated_runs_are_byte_identical(run_cli, matrix_file, tmp_path):
     for name in ("a.svg", "b.svg"):
         dest = tmp_path / name
         code, _, _ = run_cli(
-            ["matrix", "--input", path, "--angles", "128", "--format", "svg",
+            ["matrix", "--input", path, "--format", "svg",
              "--spectrum", "--out", str(dest)]
         )
         assert code == 0
@@ -559,14 +614,14 @@ def test_matrix_svg_spectrum_solves_the_eigenproblem_once(run_cli, matrix_file, 
 
     monkeypatch.setattr(np.linalg, "eigvals", counted)
     dest = tmp_path / "spec.svg"
-    code, _, _ = run_cli(["matrix", "--input", path, "--angles", "48", "--format", "svg",
+    code, _, _ = run_cli(["matrix", "--input", path, "--format", "svg",
                           "--spectrum", "--out", str(dest)])
     assert code == 0
     assert calls.count(True) == 1
     monkeypatch.undo()
     # The figure assembled from hull_bk_spectrum and a second eigensolve.
     fig = svgfig.SvgFigure(title="srg")
-    fig.add_polygon(cli._region_outline(cli.srg_real(m, SrgOptions(num_angles=48))),
+    fig.add_polygon(cli._region_outline(cli.srg_real(m)),
                     fill=svgfig.REGION_FILL, stroke=svgfig.REGION_EDGE)
     fig.add_polygon(cli._region_outline(hull_bk_spectrum(m)), fill=svgfig.HULL_FILL,
                     stroke=svgfig.HULL_EDGE, opacity=0.9)
@@ -579,7 +634,7 @@ def test_svg_is_self_contained(run_cli, matrix_file, tmp_path):
     path = matrix_file("fig.json", oracles.FIG_MATRIX.real)
     dest = tmp_path / "fig.svg"
     code, _, _ = run_cli(
-        ["matrix", "--input", path, "--angles", "96", "--format", "svg",
+        ["matrix", "--input", path, "--format", "svg",
          "--spectrum", "--out", str(dest)]
     )
     assert code == 0

@@ -84,6 +84,11 @@ def test_sampler_validation():
         sample_srg(np.eye(2), field="quaternion")
     with pytest.raises(InputError):
         sample_srg(np.eye(2) * (1 + 1j), field="real")
+    # numpy's generator would raise a bare ValueError or TypeError.
+    for seed in (-1, 1.5, "1", None, True):
+        with pytest.raises(InputError, match="seed"):
+            sample_srg(np.eye(2), seed=seed)
+    assert sample_srg(np.eye(2), count=1, seed=np.int64(3)).size == 2
 
 
 def test_disjoint_region_contains_nothing():

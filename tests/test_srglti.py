@@ -160,6 +160,19 @@ def test_factor_degenerate_shared_axis_zero():
         spectral_factorize(rational_tf([1.0, 0.0, 1.0], [1.0, 1.0, 1.0, 1.0]))
 
 
+@pytest.mark.parametrize("num, den", [
+    ([1.0, 0.0, 1.0], [1.0, 0.0, 2.0, 0.0, 1.0]),                 # (s^2+1)/(s^2+1)^2
+    ([1.0, 0.0, 2.0, 0.0, 1.0], [1.0, 0.0, 2.0, 0.0, 1.0]),       # (s^2+1)^2/(s^2+1)^2
+    ([1.0, 0.0, 2.0, 0.0, 1.0], [1.0, 1.0, 3.0, 2.0, 3.0, 1.0, 1.0]),  # a double shared pair
+])
+def test_factor_shared_axis_zeros_split_off_the_axis(num, den):
+    # The shared zeros are multiple roots of a~a + b~b, which the root
+    # finder splits off the axis by 1e-8 to 1e-4, past AXIS_TOL; the
+    # factor used to come out non-Hurwitz, with imaginary dust.
+    with pytest.raises(FactorizationDegenerateError, match="imaginary-axis zero"):
+        spectral_factorize(rational_tf(num, den))
+
+
 def test_factor_axis_zero_of_numerator_alone_is_fine():
     # h = s/(s^2+s+1) has an axis zero at 0 but the denominator does
     # not vanish there; factorization is regular.

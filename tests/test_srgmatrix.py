@@ -1,5 +1,6 @@
 """Tests for the matrix SRG: graph compression, regions, scalings."""
 
+import inspect
 import math
 
 import numpy as np
@@ -12,7 +13,6 @@ from srgraph import (
     IllConditionedError,
     frob,
     InputError,
-    SrgOptions,
     bk_forward,
     build_v,
     convex_hull_2d,
@@ -32,28 +32,31 @@ from srgraph import (
 
 
 # ---------------------------------------------------------------------------
-# SrgOptions
+# The refine_tol keyword, the only sweep option
 
 
 def test_options_validation():
-    with pytest.raises(InputError):
-        SrgOptions(num_angles=7)
-    with pytest.raises(InputError):
-        SrgOptions(tol=0.0)
-    opts = SrgOptions()
-    assert opts.num_angles == 720
-    assert opts.tol == 1e-9
+    # Every matrix SRG function takes refine_tol, default 1e-8, and no
+    # angle count or separate containment tolerance.
+    for fn in (srg_complex, srg_real, similarity_scaled_srg, gamma_scaling_demo,
+               spectrum_check):
+        params = inspect.signature(fn).parameters
+        assert params["refine_tol"].default == 1e-8
+        assert not {"opts", "num_angles", "tol"} & set(params)
+    with pytest.raises(TypeError, match="num_angles"):
+        srg_complex(np.eye(2), num_angles=720)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -1e-8])
 def test_options_reject_invalid_refine_tol_and_spacing(bad):
     # A NaN tolerance used to skip refinement silently.  The branch-point
     # spacing is the constant EDGE_SPACING, not an option.
-    with pytest.raises(InputError, match="refine_tol"):
-        SrgOptions(refine_tol=bad)
+    t = np.array([[0.0, 1.0], [0.0, 0.0]])
+    for fn in (srg_complex, srg_real, spectrum_check):
+        with pytest.raises(InputError, match="refine_tol"):
+            fn(t, refine_tol=bad)
     with pytest.raises(TypeError, match="spacing"):
-        SrgOptions(spacing=bad)
-    assert SrgOptions(refine_tol=None).refine_tol is None
+        srg_complex(t, spacing=bad)
 
 
 # ---------------------------------------------------------------------------
@@ -97,7 +100,7 @@ def test_build_v_range_in_unit_disk():
     for n in (2, 4, 6):
         t = rand_complex(rng, n) * rng.uniform(0.1, 10.0)
         vop = build_v(t)
-        b = nrange_boundary(vop.v, num_angles=360)
+        b = nrange_boundary(vop.v)
         assert max(abs(p) for p in b.support_points) <= 1.0 + 1e-8
 
 
@@ -117,7 +120,7 @@ def test_build_v_nilpotent_range_is_known_ellipse():
     # W(V) for the 2x2 shift is the filled ellipse with foci
     # -(1+i)/2, -(1-i)/2 and major axis sqrt(2).
     vop = build_v(np.array([[0.0, 1.0], [0.0, 0.0]]))
-    b = nrange_boundary(vop.v, num_angles=720, refine_tol=1e-9)
+    b = nrange_boundary(vop.v, refine_tol=1e-9)
     res = max(abs(oracles.ellipse_residual(complex(p))) for p in b.support_points)
     assert res <= 1e-8
 
@@ -145,7 +148,7 @@ def test_normal_diagonal_matches_spectral_hull():
 
 def test_branches_are_exact_conjugates():
     rng = np.random.default_rng(52)
-    region = srg_complex(rand_complex(rng, 3), SrgOptions(num_angles=96))
+    region = srg_complex(rand_complex(rng, 3))
     assert len(region.upper_branch) == len(region.lower_branch)
     for u, l in zip(region.upper_branch, region.lower_branch):
         assert complex(l) == complex(u).conjugate()
@@ -171,8 +174,8 @@ def test_s_choice_invariance_under_unitary_factor():
     t = rand_complex(rng, 3)
     vop = build_v(t)
     u = rand_unitary(rng, 3)
-    b1 = nrange_boundary(vop.v, num_angles=90, refine_tol=1e-9)
-    b2 = nrange_boundary(u.conj().T @ vop.v @ u, num_angles=90, refine_tol=1e-9)
+    b1 = nrange_boundary(vop.v, refine_tol=1e-9)
+    b2 = nrange_boundary(u.conj().T @ vop.v @ u, refine_tol=1e-9)
     d = oracles.hausdorff_support_exact(list(b1.hull.vertices), list(b2.hull.vertices))
     assert d <= 1e-8
 
@@ -347,21 +350,21 @@ def test_spectrum_check_normal_matrix_touches_boundary():
     # so the worst margin is zero up to solver noise.
     assert abs(report.worst_margin) <= 1e-8
     assert len(report.eigenvalues) == 4
-    assert report.tol == 1e-9
+    # The sweep of V meets its target 1e-8, so that is the radius.
+    assert report.tol == 1e-8
 
 
 def test_spectrum_check_four_by_four_benchmark_matrix():
-    report = spectrum_check(oracles.FIG_MATRIX, SrgOptions(tol=1e-7))
+    report = spectrum_check(oracles.FIG_MATRIX, refine_tol=1e-7)
     assert len(report.eigenvalues) == 4
     assert report.all_contained
 
 
 def test_spectrum_check_random_matrices_never_fail():
     rng = np.random.default_rng(62)
-    opts = SrgOptions(tol=1e-7)
     for _ in range(100):
         t = rand_complex(rng, 5)
-        report = spectrum_check(t, opts)
+        report = spectrum_check(t, refine_tol=1e-7)
         assert report.all_contained
 
 
@@ -371,14 +374,14 @@ def test_spectrum_check_random_matrices_never_fail():
 
 def test_disk_hull_is_convex_hull_of_its_vertices():
     rng = np.random.default_rng(63)
-    region = srg_complex(rand_complex(rng, 3), SrgOptions(num_angles=128))
+    region = srg_complex(rand_complex(rng, 3))
     rebuilt = convex_hull_2d(region.disk_hull.vertices)
     assert rebuilt.vertices == region.disk_hull.vertices
 
 
 def test_branch_points_respect_spacing():
     rng = np.random.default_rng(64)
-    region = srg_complex(rand_complex(rng, 3), SrgOptions(num_angles=96))
+    region = srg_complex(rand_complex(rng, 3))
     ws = [bk_forward(complex(u)) for u in region.upper_branch]
     gaps = [abs(b - a) for a, b in zip(ws, ws[1:])]
     # Boundary points on the disk side are spaced at most ~EDGE_SPACING
