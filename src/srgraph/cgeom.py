@@ -110,12 +110,13 @@ def clamp_disk(w, eps: float = EPS_DISK) -> complex:
 def split_infinity(points) -> tuple[np.ndarray, np.ndarray]:
     """Split extended-plane points into complex128 values and the INFINITY mask.
 
-    Values under the mask are 0.  Arrays pass through without a scan.
+    Values under the mask are 0.  Numeric arrays pass through without a
+    scan; object arrays, which may hold INFINITY, are scanned.
     """
-    if isinstance(points, np.ndarray):
+    if isinstance(points, np.ndarray) and points.dtype != object:
         zs = points.astype(np.complex128, copy=False).ravel()
         return zs, np.zeros(zs.size, dtype=bool)
-    pts = list(points)
+    pts = list(np.ravel(points) if isinstance(points, np.ndarray) else points)
     if INFINITY not in pts:
         return np.array(pts, dtype=np.complex128).reshape(-1), np.zeros(len(pts), dtype=bool)
     at_infinity = np.array([is_infinity(p) for p in pts])

@@ -1,33 +1,44 @@
 """Numerical-range boundary tracing by the support-function rotation method.
 
-For each sweep angle theta the Hermitian part of e^{-i*theta}A is
-diagonalized; its top eigenvector x gives a boundary support point
-p = <Ax, x> and the support value h(theta) = lambda_max.  A nearly
-degenerate top eigenvalue signals a flat face, in which case the
-compression of A to the top eigenspace is diagonalized and every
+With A = (M + M*)/2 and B = i(M - M*)/2, both Hermitian, the Hermitian
+part of e^{-i*theta}M is H(theta) = cos(theta) A - sin(theta) B.  Its
+top eigenvector x gives a boundary support point p = <Mx, x> and the
+support value h(theta) = lambda_max.  Since H(theta + pi) = -H(theta),
+the same eigendecomposition gives the opposite side too: h(theta + pi)
+= -lambda_min, with the bottom eigenvector as its support point, as in
+Johnson's sweep (SIAM J. Numer. Anal. 15, 1978).  So every eigensolve
+is at an angle in [0, pi) and fills two rows of the sweep.  When
+M = M^T, as V of a real T is, A and B are real symmetric and the
+stacks are float64, so LAPACK runs its real routine; otherwise they
+are complex.  The dtype alone picks the routine.
+
+A nearly degenerate extreme eigenvalue signals a flat face, in which
+case the compression of M to that eigenspace is diagonalized and every
 eigenvector contributes a support point (the face endpoints among
 them).  The same eigendecomposition gives the boundary's radius of
-curvature rho = h + h'' = 2 sum_{j>1} |x_j* H'(theta) x_1|^2 /
-(lambda_1 - lambda_j) (Loisel and Maxwell, SIMAX 39(4), 2018).
+curvature rho = h + h'' = 2 sum_j |x_j* H'(theta) x|^2 / |lambda_j -
+lambda| over the other eigenpairs (Loisel and Maxwell, SIMAX 39(4),
+2018), at theta and at theta + pi alike.
 
-Angle batches are solved as stacked Hermitian eigenproblems of at most
+Angle batches are solved as stacked eigenproblems of at most
 _BATCH_BYTES each, so memory stays bounded however many angles a round
 holds; a round of several such chunks runs on a process-wide thread
-pool with the BLAS held at one thread.  Adaptive
-refinement splits sweep wedges, breadth-first in batches, until the
-exact outer bound - the distance from the support-line apex to the
-chord of adjacent support points - drops below a target, which
-certifies W(A) within that distance of the assembled polygon.  Each
-round splits a wedge into equal parts, as many as the curvature at its
-ends asks for (the bound is about rho*width^2/4 on a smooth arc) while
-that agrees with the bound, which shrinks with the square of the
-width; so a smooth wedge meets the target in one round, and a wedge
-across a corner or a flat face (rho near 0) is bisected.
+pool with the BLAS held at one thread.  Adaptive refinement splits
+sweep wedges, breadth-first in batches, until the exact outer bound -
+the distance from the support-line apex to the chord of adjacent
+support points - drops below a target, which certifies W(M) within
+that distance of the assembled polygon.  The table of angles stays
+symmetric under theta -> theta + pi, so a wedge and its opposite split
+together, into as many equal parts as the needier of the two asks for
+from the curvature at its ends (the bound is about rho*width^2/4 on a
+smooth arc) while that agrees with the bound, which shrinks with the
+square of the width; so a smooth wedge meets the target in one round,
+and a wedge across a corner or a flat face (rho near 0) is bisected.
 
 The support points span Johnson's inner polygon and their support
-lines his outer one (SIAM J. Numer. Anal. 15, 1978); the apex-chord
-bound is the gap between them.  Every support value the package uses,
-membership included, comes from this one certified sweep.
+lines his outer one; the apex-chord bound is the gap between them.
+Every support value the package uses, membership included, comes from
+this one certified sweep.
 """
 
 from __future__ import annotations
@@ -43,13 +54,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import cgeom
+from .errors import InputError
 from .linalg import as_matrix, frob, require_positive_finite
 
 # Default outer-approximation bound of a sweep, relative to
 # max(1, largest support value on the start grid): W(A) lies within
 # that distance of the returned hull.
 DEFAULT_REFINE_TOL = 1e-8
-# Angles of the uniform grid every sweep starts from.
+# Angles of the uniform grid on [0, 2*pi) every sweep starts from, two
+# per eigensolve.
 _START_ANGLES = 720
 # Relative gap under which the top eigenvalue counts as degenerate.
 DEGENERACY_GAP = 1e-10
@@ -58,7 +71,7 @@ DEGENERACY_GAP = 1e-10
 # except a bisection).
 REFINE_MAX_DEPTH = 48
 REFINE_MIN_WEDGE = 1e-9
-# Bytes of stacked n-by-n complex matrices one eigensolver call takes.
+# Bytes of stacked n-by-n matrices one eigensolver call takes.
 _BATCH_BYTES = 1 << 18
 
 # One parallel section at a time, so that sweeps from several user
@@ -132,16 +145,17 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_reset_after_fork)
 
 
-def _map_chunks(fn, n: int, thetas: np.ndarray) -> list:
+def _map_chunks(fn, a: np.ndarray, thetas: np.ndarray) -> list:
     """fn over consecutive chunks of thetas, each stacking at most
-    _BATCH_BYTES of n-by-n complex matrices, results in chunk order.
+    _BATCH_BYTES of matrices of a's shape and dtype, results in chunk
+    order.
 
     Several chunks run on the shared pool with the BLAS at one thread;
     one chunk, or no pool, runs in the calling thread.  Each matrix
     gets the same LAPACK call either way, so results do not depend on
     the split.
     """
-    size = max(1, _BATCH_BYTES // (16 * n * n))
+    size = max(1, _BATCH_BYTES // a.nbytes)
     chunks = [thetas[i:i + size] for i in range(0, thetas.size, size)]
     if len(chunks) > 1:
         with _LOCK:
@@ -157,48 +171,62 @@ def _map_chunks(fn, n: int, thetas: np.ndarray) -> list:
     return [fn(chunk) for chunk in chunks]
 
 
-def _rotated_hermitian_parts(a: np.ndarray, thetas: np.ndarray) -> np.ndarray:
-    """Stack of H_theta = (e^{-i theta} A + e^{i theta} A*)/2."""
-    ph = np.exp(-1j * thetas)
-    stack = ph[:, None, None] * a[None, :, :]
-    return (stack + np.conj(np.swapaxes(stack, 1, 2))) / 2.0
+def _hermitian_parts(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The Hermitian A = (M + M*)/2 and B = i(M - M*)/2, so M = A - iB.
+
+    Both are real symmetric, and returned as float64, exactly when
+    M = M^T, as build_v makes V for real T; the eigensolver then runs
+    in real arithmetic.
+    """
+    a = (m + m.conj().T) / 2.0
+    b = 0.5j * (m - m.conj().T)
+    if not (a.imag.any() or b.imag.any()):
+        return a.real.copy(), b.real.copy()
+    return a, b
 
 
-def _degenerate_face(a: np.ndarray, theta: float, w: np.ndarray, v: np.ndarray,
+def _rotated_hermitian_parts(a: np.ndarray, b: np.ndarray, thetas: np.ndarray) -> np.ndarray:
+    """Stack of H(theta) = cos(theta) A - sin(theta) B, the Hermitian part
+    of e^{-i theta} M; its dtype is that of A and B."""
+    return np.cos(thetas)[:, None, None] * a - np.sin(thetas)[:, None, None] * b
+
+
+def _degenerate_face(m: np.ndarray, theta: float, w: np.ndarray, v: np.ndarray,
                      gap_tol: float) -> list[complex]:
     """All support points of a flat face, ordered along the face.
 
-    The face is resolved by diagonalizing the skew part of the
-    compression of A to the near-top eigenspace; ordering follows the
-    imaginary part of e^{-i*theta} p.
+    w (ascending) and v are the eigendecomposition of the Hermitian part
+    of e^{-i*theta} M.  The face is resolved by diagonalizing the skew
+    part of the compression of M to the near-top eigenspace; ordering
+    follows the imaginary part of e^{-i*theta} p.
     """
     sel = np.nonzero(w >= w[-1] - gap_tol)[0]
     sub = v[:, sel]
     ph = complex(math.cos(theta), -math.sin(theta))
-    comp = sub.conj().T @ a @ sub
+    comp = sub.conj().T @ m @ sub
     skew = (ph * comp - np.conj(ph) * comp.conj().T) / 2j
     skew = (skew + skew.conj().T) / 2.0
     _, u = np.linalg.eigh(skew)
     pts = []
     for j in range(u.shape[1]):
         x = sub @ u[:, j]
-        pts.append(complex(np.vdot(x, a @ x)))
+        pts.append(complex(np.vdot(x, m @ x)))
     return pts
 
 
-def _curvatures(a: np.ndarray, thetas: np.ndarray, w: np.ndarray, v: np.ndarray) -> np.ndarray:
+def _curvatures(a: np.ndarray, b: np.ndarray, thetas: np.ndarray, w: np.ndarray,
+                v: np.ndarray) -> np.ndarray:
     """Radius of curvature rho = h + h'' of the boundary at each angle.
 
     rho = 2 sum_{j>1} |x_j* H'(theta) x_1|^2 / (lambda_1 - lambda_j) from
     the eigendecomposition (w ascending, v) of H(theta), where
-    H'(theta) = (-i e^{-i theta} A + i e^{i theta} A*)/2; infinite
-    where an eigenvalue ties the top one.  O(n^2) per angle.
+    H'(theta) = -sin(theta) A - cos(theta) B; infinite where an
+    eigenvalue ties the top one.  O(n^2) per angle.
     """
     top = v[:, :, -1]
-    ph = np.exp(-1j * thetas)[:, None]
     ax = np.einsum("ij,kj->ki", a, top)
-    xa = np.einsum("ki,ij->kj", np.conj(top), a)  # rows x* A, so A* x = conj(xa)
-    dx = 0.5j * (np.conj(ph * xa) - ph * ax)
+    bx = np.einsum("ij,kj->ki", b, top)
+    dx = -(np.sin(thetas)[:, None] * ax + np.cos(thetas)[:, None] * bx)
     # |x_j* y| = |x_j^T conj(y)|, which spares a conjugate copy of v.
     c = np.abs(np.einsum("kij,ki->kj", v[:, :, :-1], np.conj(dx)))
     gaps = w[:, -1:] - w[:, :-1]
@@ -207,36 +235,53 @@ def _curvatures(a: np.ndarray, thetas: np.ndarray, w: np.ndarray, v: np.ndarray)
     return 2.0 * np.sum(scaled * scaled, axis=1)
 
 
-def _faces_batch(a: np.ndarray, thetas: np.ndarray, gap_tol: float):
-    """Support data for a batch of angles: (h, first, last, rho, faces).
-
-    h holds h(theta), first and last the first and last support point
-    of each face (the same point on a simple face), rho the radius of
-    curvature (infinite at a degenerate angle), and faces maps each
-    degenerate angle to its full list of face points.
-    """
-    thetas = np.asarray(thetas, dtype=np.float64)
-    w, v = np.linalg.eigh(_rotated_hermitian_parts(a, thetas))
+def _top_support(m, a, b, thetas, w, v, gap_tol: float):
+    """(h, first, last, rho, faces) from the top eigenpairs of H(theta),
+    given its eigendecomposition (w ascending, v); see _faces_batch."""
     h = w[:, -1]
     top = v[:, :, -1]
-    first = np.einsum("ki,ij,kj->k", np.conj(top), a, top)
+    first = np.einsum("ki,ij,kj->k", np.conj(top), m, top)
     last = first.copy()
-    rho = _curvatures(a, thetas, w, v)
+    rho = _curvatures(a, b, thetas, w, v)
     faces = {}
-    if a.shape[0] > 1:
+    if m.shape[0] > 1:
         for k in np.flatnonzero(~(h - w[:, -2] >= gap_tol)).tolist():
             t = float(thetas[k])
-            faces[t] = _degenerate_face(a, t, w[k], v[k], gap_tol)
+            faces[t] = _degenerate_face(m, t, w[k], v[k], gap_tol)
             first[k], last[k], rho[k] = faces[t][0], faces[t][-1], np.inf
     return h, first, last, rho, faces
 
 
-def _faces(a: np.ndarray, thetas, gap_tol: float):
+def _faces_batch(m: np.ndarray, a: np.ndarray, b: np.ndarray, thetas: np.ndarray,
+                 gap_tol: float):
+    """Support data for a batch of angles in [0, pi) and their opposites:
+    (h, first, last, rho, faces), with (A, B) = _hermitian_parts(M).
+
+    One eigendecomposition of H(theta) serves theta, row 0 of each
+    column, and theta + pi, row 1: H(theta + pi) = -H(theta), whose
+    top eigenpair is the bottom one of H(theta) with the eigenvalue
+    negated.  h holds the support values, first and last the first and
+    last support point of each face (the same point on a simple face),
+    rho the radius of curvature (infinite at a degenerate angle), and
+    faces maps each degenerate angle, theta or theta + pi, to its full
+    list of face points.
+    """
+    thetas = np.asarray(thetas, dtype=np.float64)
+    w, v = np.linalg.eigh(_rotated_hermitian_parts(a, b, thetas))
+    sides = [_top_support(m, a, b, *side, gap_tol) for side in
+             ((thetas, w, v), (thetas + math.pi, -w[:, ::-1], v[:, :, ::-1]))]
+    (*cols, faces), (*bottom, bottom_faces) = sides
+    faces.update(bottom_faces)
+    return (*map(np.stack, zip(cols, bottom)), faces)
+
+
+def _faces(m: np.ndarray, a: np.ndarray, b: np.ndarray, thetas, gap_tol: float):
     """_faces_batch over any number of angles, chunk by chunk; faces are
     keyed by angle, so the chunks' face dicts join by union."""
     thetas = np.asarray(thetas, dtype=np.float64)
-    *cols, faces = zip(*_map_chunks(lambda t: _faces_batch(a, t, gap_tol), a.shape[0], thetas))
-    return (*map(np.concatenate, cols), {t: pts for part in faces for t, pts in part.items()})
+    *cols, faces = zip(*_map_chunks(lambda t: _faces_batch(m, a, b, t, gap_tol), a, thetas))
+    return (*(np.concatenate(col, axis=1) for col in cols),
+            {t: pts for part in faces for t, pts in part.items()})
 
 
 def _apex_chord_bounds(ta, ha, pa, tb, hb, pb) -> np.ndarray:
@@ -289,36 +334,45 @@ def _sweep(m: np.ndarray, refine_tol: float) -> tuple[NRangeBoundary, float]:
     refine_tol*max(1, largest support value on the start grid)."""
     require_positive_finite(refine_tol, "refine_tol")
     gap_tol = DEGENERACY_GAP * frob(m)
-    thetas = 2.0 * math.pi * np.arange(_START_ANGLES) / _START_ANGLES
-    *columns, faces = _faces(m, thetas, gap_tol)
+    a, b = _hermitian_parts(m)
+    half = _START_ANGLES // 2
+    thetas = math.pi * np.arange(half) / half
+    *columns, faces = _faces(m, a, b, thetas, gap_tol)
     target = refine_tol * max(1.0, float(np.max(columns[0])))
-    # Every evaluated angle, ascending in [0, 2*pi) from theta = 0, with
-    # the columns theta, h, first and last support point, rho.
+    # Every eigensolved angle theta, ascending in [0, pi) from 0, and
+    # the columns h, first and last support point, rho, each with row 0
+    # at theta and row 1 at theta + pi; read row by row, one table
+    # ascending over [0, 2*pi).
     table = [thetas, *columns]
     for depth in range(REFINE_MAX_DEPTH + 1):
-        ta, ha, first, pa, ra = table
-        # Wedge i runs from row i to row i + 1; the last one closes the
-        # circle at 2*pi, where row 0 stands.
+        t, h, first, last, rho = table
+        # Wedge i runs from angle i to angle i + 1 of the whole table;
+        # the last one closes the circle at 2*pi, where angle 0 stands.
+        # Wedges i and i + t.size are opposite, and split as a pair.
+        ta = np.concatenate([t, t + math.pi])
         tb = np.append(ta[1:], 2.0 * math.pi)
-        hb, pb, rb = (np.roll(col, -1) for col in (ha, first, ra))
+        ha, pa, ra = h.ravel(), last.ravel(), rho.ravel()
+        hb, pb, rb = (np.roll(col.ravel(), -1) for col in (h, first, rho))
         bounds = _apex_chord_bounds(ta, ha, pa, tb, hb, pb)
-        needy = (tb - ta > REFINE_MIN_WEDGE) & (bounds > target)
+        needy = ((tb - ta > REFINE_MIN_WEDGE) & (bounds > target)).reshape(2, -1).any(axis=0)
         if depth == REFINE_MAX_DEPTH or not needy.any():
             break
-        ta, tb = ta[needy], tb[needy]
-        k = _split_counts(ta, tb, bounds[needy], ra[needy], rb[needy], target)
+        both = np.tile(needy, 2)
+        k = _split_counts(ta[both], tb[both], bounds[both], ra[both], rb[both], target)
+        k = k.reshape(2, -1).max(axis=0)
+        ta, tb = ta[:t.size][needy], tb[:t.size][needy]
         # Interior angles ta + (tb - ta)*j/k, j = 1 .. k-1, wedge by wedge.
         owner = np.repeat(np.arange(k.size), k - 1)
         j = np.arange(owner.size) - np.repeat(np.cumsum(k - 1) - (k - 1), k - 1) + 1
         tm = ta[owner] + (tb - ta)[owner] * j / k[owner]
-        *columns, new_faces = _faces(m, tm, gap_tol)
+        *columns, new_faces = _faces(m, a, b, tm, gap_tol)
         faces.update(new_faces)
-        table = [np.concatenate(pair) for pair in zip(table, [tm, *columns])]
+        table = [np.concatenate(pair, axis=-1) for pair in zip(table, [tm, *columns])]
         order = np.argsort(table[0], kind="stable")
-        table = [col[order] for col in table]
+        table = [col[..., order] for col in table]
 
     # Give each degenerate angle one row per face point.
-    angles, values, points = table[:3]
+    angles, values, points = np.concatenate([t, t + math.pi]), h.ravel(), first.ravel()
     counts = np.ones(angles.size, dtype=np.int64)
     rows = np.searchsorted(angles, list(faces))
     counts[rows] = [len(pts) for pts in faces.values()]
@@ -339,20 +393,21 @@ def _sweep(m: np.ndarray, refine_tol: float) -> tuple[NRangeBoundary, float]:
 def nrange_boundary(a, refine_tol: float = DEFAULT_REFINE_TOL) -> NRangeBoundary:
     """Trace the boundary of W(A) by a refined support-line sweep.
 
-    The sweep starts on _START_ANGLES equally spaced angles.  Each round
-    splits every wedge between consecutive angles whose apex-to-chord
-    bound is above the target refine_tol*max(1, w), w the largest
-    support value on the start grid, into k equal parts and evaluates
-    all the new angles in one batch.  k comes from the curvature at the
-    wedge's ends and from its bound, so that a smooth wedge meets the
-    target in one round, and is 2 across a corner or a flat face.
-    Rounds repeat until no bound is above the target or the guards stop
-    them; bound reports the largest bound left, so W(A) lies within
-    bound of the returned hull, and the hull itself inside W(A) up to
-    eigensolver noise.  The evaluated angles stay in one ascending
-    table, which each round's new angles join by a stable sort; flat
-    faces are kept apart, keyed by their angle, and expand into one row
-    per face point at the end.
+    The sweep starts on _START_ANGLES equally spaced angles, from half
+    as many eigensolves on [0, pi), each at theta and theta + pi.  Each
+    round splits every pair of opposite wedges where either
+    apex-to-chord bound is above the target refine_tol*max(1, w), w the
+    largest support value on the start grid, into k equal parts, k the
+    larger of the two wedges' counts from their end curvatures and
+    bounds (2 across a corner or a flat face), and evaluates all the new
+    angles in one batch.  Rounds repeat until no bound is above the
+    target or the guards stop them; bound reports the largest bound
+    left, so W(A) lies within bound of the returned hull, and the hull
+    itself inside W(A) up to eigensolver noise.  The evaluated angles
+    stay in one table, ascending and symmetric under theta -> theta +
+    pi; flat faces, at the top or the bottom of an eigensolve, are kept
+    apart, keyed by their angle, and expand into one row per face point
+    at the end.
     """
     return _sweep(as_matrix(a, square=True), refine_tol)[0]
 
@@ -374,7 +429,10 @@ def nrange_contains(a, zs, tol: float = DEFAULT_REFINE_TOL) -> np.ndarray:
     z counts as inside when its distance to the sweep's hull is at most
     max(tol*max(1, w), bound), with w and bound as in nrange_boundary.
     So False certifies z outside W(A), and True certifies z within that
-    radius of W(A).
+    radius of W(A).  A NaN, infinite or INFINITY point raises InputError.
     """
+    zs, at_infinity = cgeom.split_infinity([zs] if np.ndim(zs) == 0 else zs)
+    if at_infinity.any() or not np.isfinite(zs).all():
+        raise InputError("membership points must be finite complex numbers")
     distances, radius = _certified_distances(a, zs, tol)
     return distances <= radius

@@ -45,16 +45,24 @@ def build_v(t) -> VOperator:
     columns of [S; TS] are orthonormal and W(V) = f(srg(T)) lies in
     the closed unit disk.  S and V come from the SVD T = U diag(s) W*,
     which never forms T*T: with r = hypot(1, s), c = 1/r and d = s/r,
-    S = W diag(c) W* and V = W [diag(d^2 - c^2) - i(M + M*)] W* where
-    M = diag(c) W*U diag(d).
+    S = W diag(c) W* and V = A - iB with the Hermitian A = W diag(d^2 -
+    c^2) W* and B = W (M + M*) W*, where M = diag(c) W*U diag(d).  For
+    real T the SVD is real, so A and B are real symmetric, V = V^T, and
+    the sweep of V runs real eigensolves.
     """
-    u, sigma, wh = np.linalg.svd(as_matrix(t, square=True))
+    m = as_matrix(t, square=True)
+    if not m.imag.any():
+        m = m.real
+    u, sigma, wh = np.linalg.svd(m)
     r = np.hypot(1.0, sigma)  # not sqrt(1 + s^2), which overflows above 1e154
     c, d = 1.0 / r, sigma / r
     w = wh.conj().T
     mc = c[:, None] * (wh @ u) * d
-    core = np.diag(d * d - c * c) - 1j * (mc + mc.conj().T)
-    return VOperator(v=w @ core @ wh, s_factor=(w * c) @ wh)
+    a = (w * (d * d - c * c)) @ wh
+    b = w @ (mc + mc.conj().T) @ wh
+    # Exactly Hermitian, which rounding in the products is not.
+    a, b = ((x + x.conj().T) / 2.0 for x in (a, b))
+    return VOperator(v=a - 1j * b, s_factor=(w * c) @ wh)
 
 
 def srg_complex(t, refine_tol: float = DEFAULT_REFINE_TOL) -> cgeom.SrgRegion:

@@ -377,66 +377,82 @@ def bisect_counts(ta, tb, bounds, ra, rb, refine_tol) -> np.ndarray:
     return np.full(np.shape(ta), 2, dtype=np.int64)
 
 
-def sweep_ref(a, num_angles: int, refine_tol: float, gap_tol: float, rotated_parts,
-              degenerate_face, apex_chord_bounds, curvatures, split_counts):
-    """Angle-sweep bookkeeping with Python lists of (theta, h, points).
+def sweep_ref(a, num_angles: int, refine_tol: float, gap_tol: float, hermitian_parts,
+              rotated_parts, degenerate_face, apex_chord_bounds, curvatures, split_counts):
+    """Paired angle-sweep bookkeeping with Python lists of (theta, h, points).
 
     The per-angle helpers and the split rule are passed in; this checks
-    the ordering, refinement and face expansion around them.  Wedges are
-    refined to refine_tol*max(1, largest support value on the
-    num_angles start grid).  split_counts(ta, tb, bounds, ra, rb, target)
-    gives the number of equal children of each wedge a round refines
-    (bisect_counts for plain bisection).  Returns (angles,
-    support_points, support_values) as arrays.
+    the pairing, ordering, refinement and face expansion around them.
+    Each eigensolve at an angle theta in [0, pi) gives the support at
+    theta from the top of H(theta) and at theta + pi from the top of
+    -H(theta) = H(theta + pi).  The sweep starts on num_angles // 2
+    angles in [0, pi), and wedges are refined to refine_tol*max(1,
+    largest support value on those num_angles directions).  A wedge and
+    its opposite split together, into the larger of their
+    split_counts(ta, tb, bounds, ra, rb, target) (bisect_counts for
+    plain bisection), whenever either is above the target.  Returns
+    (angles, support_points, support_values) as arrays.
     """
+    part_a, part_b = hermitian_parts(a)
 
-    def faces(thetas):
-        # One (h, rho, points) per angle.
-        w, v = np.linalg.eigh(rotated_parts(a, thetas))
-        h, top = w[:, -1], v[:, :, -1]
-        points = np.einsum("ki,ij,kj->k", np.conj(top), a, top)
-        rho = curvatures(a, thetas, w, v)
-        simple = ([True] * thetas.size if a.shape[0] == 1
-                  else (h - w[:, -2] >= gap_tol).tolist())
-        return [(hk, rk, [pk]) if ok else
-                (hk, math.inf, degenerate_face(a, float(thetas[k]), w[k], v[k], gap_tol))
-                for k, (hk, rk, pk, ok) in enumerate(
-                    zip(h.tolist(), rho.tolist(), points.tolist(), simple))]
+    def ends(thetas):
+        # Per angle, the ends (angle, h, first, last, rho) at theta and at
+        # theta + pi, and the support points of each.
+        w, v = np.linalg.eigh(rotated_parts(part_a, part_b, thetas))
+        out = []
+        for angles, ws, vs in ((thetas, w, v), (thetas + math.pi, -w[:, ::-1], v[:, :, ::-1])):
+            top = vs[:, :, -1]
+            points = np.einsum("ki,ij,kj->k", np.conj(top), a, top)
+            rho = curvatures(part_a, part_b, angles, ws, vs)
+            simple = ([True] * angles.size if a.shape[0] == 1
+                      else (ws[:, -1] - ws[:, -2] >= gap_tol).tolist())
+            side = []
+            for k, (t, h, r, p, ok) in enumerate(zip(angles.tolist(), ws[:, -1].tolist(),
+                                                     rho.tolist(), points.tolist(), simple)):
+                pts = [p] if ok else degenerate_face(a, t, ws[k], vs[k], gap_tol)
+                side.append(((t, h, pts[0], pts[-1], r if ok else math.inf), pts))
+            out.append(side)
+        return list(zip(*out))
 
-    thetas = 2.0 * math.pi * np.arange(num_angles) / num_angles
-    initial = faces(thetas)
-    entries = [(float(t), h, pts) for t, (h, _, pts) in zip(thetas, initial)]
-    target = refine_tol * max(1.0, max(h for h, _, _ in initial))
-    # A wedge is a pair of ends (theta, h, first point, last point,
-    # rho); angles are not wrapped, so the last wedge ends past 2*pi.
-    ends = [(float(t), h, pts[0], pts[-1], rho)
-            for t, (h, rho, pts) in zip(thetas, initial)]
-    wedges = list(zip(ends, ends[1:] + [(ends[0][0] + 2.0 * math.pi, *ends[0][1:])]))
+    half = num_angles // 2
+    initial = ends(math.pi * np.arange(half) / half)
+    entries = [(end[0], end[1], pts) for pair in initial for end, pts in pair]
+    target = refine_tol * max(1.0, max(h for _, h, _ in entries))
+    # A wedge is a pair of ends, and a pair is a wedge and its opposite.
+    # Angles are not wrapped: the last top wedge ends at pi, on the first
+    # bottom end, and the last bottom wedge at 2*pi.
+    top = [end for (end, _), _ in initial]
+    bottom = [end for _, (end, _) in initial]
+    wrap = (top[0][0] + 2.0 * math.pi, *top[0][1:])
+    pairs = list(zip(zip(top, top[1:] + bottom[:1]), zip(bottom, bottom[1:] + [wrap])))
     for _ in range(48):
+        wedges = [wedge for pair in pairs for wedge in pair]
         ta, ha, pa, tb, hb, pb = (np.array(col) for col in zip(
             *[(lo[0], lo[1], lo[3], hi[0], hi[1], hi[2]) for lo, hi in wedges]))
         bounds = apex_chord_bounds(ta, ha, pa, tb, hb, pb).tolist()
-        needy = [(wedge, b) for wedge, b in zip(wedges, bounds)
-                 if wedge[1][0] - wedge[0][0] > 1e-9 and b > target]
+        over = [hi[0] - lo[0] > 1e-9 and bound > target
+                for (lo, hi), bound in zip(wedges, bounds)]
+        needy = [i for i in range(len(pairs)) if over[2 * i] or over[2 * i + 1]]
         if not needy:
             break
+        halves = [(wedges[j], bounds[j]) for i in needy for j in (2 * i, 2 * i + 1)]
         counts = split_counts(
-            np.array([lo[0] for (lo, _), _ in needy]),
-            np.array([hi[0] for (_, hi), _ in needy]),
-            np.array([b for _, b in needy]),
-            np.array([lo[4] for (lo, _), _ in needy]),
-            np.array([hi[4] for (_, hi), _ in needy]), target).tolist()
+            np.array([lo[0] for (lo, _), _ in halves]),
+            np.array([hi[0] for (_, hi), _ in halves]),
+            np.array([b for _, b in halves]),
+            np.array([lo[4] for (lo, _), _ in halves]),
+            np.array([hi[4] for (_, hi), _ in halves]), target).tolist()
+        split = [(pairs[i], max(counts[2 * j], counts[2 * j + 1])) for j, i in enumerate(needy)]
         inner = [lo[0] + (hi[0] - lo[0]) * j / k
-                 for ((lo, hi), _), k in zip(needy, counts) for j in range(1, k)]
-        wrapped = np.mod(np.array(inner), 2.0 * math.pi)
-        mid = faces(wrapped)
-        entries.extend((t, h, pts) for t, (h, _, pts) in zip(wrapped.tolist(), mid))
-        mid_ends = iter([(t, h, pts[0], pts[-1], rho)
-                         for t, (h, rho, pts) in zip(inner, mid)])
-        wedges = []
-        for ((lo, hi), _), k in zip(needy, counts):
-            chain = [lo] + [next(mid_ends) for _ in range(k - 1)] + [hi]
-            wedges.extend(zip(chain, chain[1:]))
+                 for ((lo, hi), _), k in split for j in range(1, k)]
+        mid = iter(ends(np.array(inner)))
+        pairs = []
+        for ((top_lo, top_hi), (bot_lo, bot_hi)), k in split:
+            new = [next(mid) for _ in range(k - 1)]
+            entries.extend((end[0], end[1], pts) for pair in new for end, pts in pair)
+            top = [top_lo] + [end for (end, _), _ in new] + [top_hi]
+            bottom = [bot_lo] + [end for _, (end, _) in new] + [bot_hi]
+            pairs.extend(zip(zip(top, top[1:]), zip(bottom, bottom[1:])))
     entries.sort(key=lambda e: e[0])
     return (np.array([t for t, _, pts in entries for _ in pts], dtype=np.float64),
             np.array([p for _, _, pts in entries for p in pts], dtype=np.complex128),

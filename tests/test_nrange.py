@@ -14,6 +14,7 @@ import pytest
 import oracles
 from conftest import rand_complex, rand_unitary
 from srgraph import (
+    INFINITY,
     InputError,
     bk_forward,
     build_v,
@@ -144,6 +145,22 @@ def test_degenerate_flat_faces_emit_segment_endpoints():
     assert len(b.hull.vertices) == 2
 
 
+def test_flat_face_seen_only_from_the_bottom_emits_both_endpoints():
+    # The edge 0 -> 1 of the triangle diag(0, 1, 0.5 + i) has its normal
+    # at 3*pi/2, so only the bottom eigenpairs of H(pi/2) see it.  Its
+    # row expands into both endpoints, and the angles stay ascending.
+    b = nrange_boundary(np.diag([0.0, 1.0, 0.5 + 1j]))
+    assert list(b.angles) == sorted(b.angles)
+    assert np.all((b.angles >= 0.0) & (b.angles < 2 * math.pi))
+    face = b.angles == b.angles[np.argmin(np.abs(b.angles - 1.5 * math.pi))]
+    assert abs(b.angles[face][0] - 1.5 * math.pi) < 1e-12
+    pts = b.support_points[face]
+    assert pts.size == 2
+    assert np.max(np.abs(np.sort_complex(pts) - np.array([0.0, 1.0]))) < 1e-12
+    assert np.all(b.support_values[face] == b.support_values[face][0])
+    assert b.hull.vertices == (0j, 1 + 0j, 0.5 + 1j)
+
+
 def test_normal_matrix_range_is_spectral_hull():
     rng = np.random.default_rng(45)
     from conftest import rand_normal_matrix
@@ -174,6 +191,19 @@ def test_unitary_similarity_invariance():
     b2 = nrange_boundary(u.conj().T @ a @ u, refine_tol=1e-9)
     d = oracles.hausdorff_support_exact(list(b1.hull.vertices), list(b2.hull.vertices))
     assert d <= 1e-8
+
+
+def test_each_eigensolve_fills_two_angles(monkeypatch):
+    # Without flat faces every row is one angle, and one eigenproblem
+    # gives the angle theta in [0, pi) and its opposite theta + pi.
+    batches = _count_stacked_eigh(monkeypatch)
+    rng = np.random.default_rng(63)
+    for a in (rand_complex(rng, 5), build_v(rng.normal(size=(4, 4))).v):
+        batches.clear()
+        b = nrange_boundary(a)
+        assert np.unique(b.angles).size == b.angles.size
+        assert 2 * sum(batches) == b.angles.size
+        assert np.max(b.angles[:b.angles.size // 2]) < math.pi
 
 
 def test_membership_queries():
@@ -218,12 +248,31 @@ def test_input_validation():
         nrange_contains(np.zeros((2, 3)), [0.0])
 
 
+@pytest.mark.parametrize("z", [INFINITY, math.nan, math.inf, -math.inf, complex(0.0, math.inf),
+                               complex(math.nan, 0.0)])
+def test_membership_rejects_points_that_are_not_finite(z):
+    # INFINITY used to raise a raw TypeError, and NaN or a float
+    # infinity to answer False.
+    a = np.array([[0, 1], [0, 0]], dtype=complex)
+    for zs in ([0.1, z], z, np.array([0.1, z], dtype=object)):
+        with pytest.raises(InputError, match="finite"):
+            nrange_contains(a, zs)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -1e-8])
 def test_invalid_refine_tol_is_rejected(bad):
     # NaN used to skip refinement silently; 0 or less refined until the
     # guards (or the memory) ran out.
     with pytest.raises(InputError, match="refine_tol"):
         nrange_boundary(np.array([[0, 1], [0, 0]], dtype=complex), refine_tol=bad)
+
+
+def _reference_sweep(a, num_angles, refine_tol, split_counts=nrange._split_counts):
+    """oracles.sweep_ref around the library's per-angle helpers."""
+    return oracles.sweep_ref(
+        a, num_angles, refine_tol, nrange.DEGENERACY_GAP * frob(a), nrange._hermitian_parts,
+        nrange._rotated_hermitian_parts, nrange._degenerate_face, nrange._apex_chord_bounds,
+        nrange._curvatures, split_counts)
 
 
 def _same_bits(x, y) -> bool:
@@ -268,22 +317,26 @@ def _blas_threads() -> int:
 def test_chunked_rounds_match_one_batch_bit_for_bit(monkeypatch):
     # A budget of three matrices splits every round into many chunks,
     # which run on the shared pool where there is one.  eye(3) is
-    # degenerate at every angle and diag(1, 1, 2j) on an arc, so flat
-    # faces fall on both sides of chunk borders.
+    # degenerate at every angle and diag(1, 1, 2j) on an arc at the top
+    # and on the opposite arc at the bottom, so flat faces fall on both
+    # sides of chunk borders; both are real symmetric stacks, and the
+    # random matrix a complex one.
     rng = np.random.default_rng(49)
     for a in (np.eye(3, dtype=complex), np.diag([1.0, 1.0, 2j]), rand_complex(rng, 4)):
-        n = a.shape[0]
         gap_tol = nrange.DEGENERACY_GAP * frob(a)
-        thetas = np.concatenate([2.0 * math.pi * np.arange(64) / 64,
-                                 rng.uniform(0.0, 2.0 * math.pi, 37)])
-        want = nrange._faces_batch(a, thetas, gap_tol)
-        monkeypatch.setattr(nrange, "_BATCH_BYTES", 3 * 16 * n * n)
+        part_a, part_b = nrange._hermitian_parts(a)
+        thetas = np.concatenate([math.pi * np.arange(32) / 32, rng.uniform(0.0, math.pi, 37)])
+        want = nrange._faces_batch(a, part_a, part_b, thetas, gap_tol)
+        monkeypatch.setattr(nrange, "_BATCH_BYTES", 3 * part_a.nbytes)
         batches = _count_stacked_eigh(monkeypatch)
-        got = nrange._faces(a, thetas, gap_tol)
+        got = nrange._faces(a, part_a, part_b, thetas, gap_tol)
         assert batches and max(batches) == 3 and sum(batches) == thetas.size
         for x, y in zip(got[:4], want[:4]):
+            assert x.shape == (2, thetas.size)
             assert _same_bits(x, y)
-        assert list(got[4]) == list(want[4])
+        # Faces are keyed by angle; a chunk lists its top faces before
+        # its bottom ones, so only the key set is order-free.
+        assert got[4].keys() == want[4].keys()
         for k, pts in want[4].items():
             assert _same_bits(got[4][k], pts)
         # Whole sweeps from 64 angles, unrefined (at tolerance 1) and
@@ -292,29 +345,38 @@ def test_chunked_rounds_match_one_batch_bit_for_bit(monkeypatch):
         monkeypatch.setattr(nrange, "_START_ANGLES", 64)
         for refine_tol in (1.0, 1e-6):
             sweep = nrange_boundary(a, refine_tol=refine_tol)
-            ref = oracles.sweep_ref(
-                a, 64, refine_tol, gap_tol, nrange._rotated_hermitian_parts,
-                nrange._degenerate_face, nrange._apex_chord_bounds, nrange._curvatures,
-                nrange._split_counts)
+            ref = _reference_sweep(a, 64, refine_tol)
             for field, arr in zip(("angles", "support_points", "support_values"), ref):
                 assert _same_bits(getattr(sweep, field), arr)
         monkeypatch.undo()
 
 
 def test_eigensolver_inputs_stay_within_the_byte_budget(monkeypatch):
-    nbytes, eigh = [], np.linalg.eigh
+    # A complex 24x24 matrix, and V of a real one, whose stacks are
+    # real: chunks are sized by the stack's itemsize, so a real chunk
+    # holds twice the matrices of a complex one in the same bytes.
+    stacks, eigh = [], np.linalg.eigh
 
     def recorded(x, *args, **kwargs):
-        nbytes.append(np.asarray(x).nbytes)
+        x = np.asarray(x)
+        if x.ndim == 3:
+            stacks.append((x.dtype, len(x), x.nbytes))
         return eigh(x, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", recorded)
     rng = np.random.default_rng(51)
-    with _blas_threads_at(2) as before:
-        sweep = nrange_boundary(rand_complex(rng, 24), refine_tol=1e-6)
-        assert before is None or _blas_threads() == before
-    assert sweep.angles.size > 720
-    assert nbytes and max(nbytes) <= nrange._BATCH_BYTES
+    n = 24
+    for a, dtype in ((rand_complex(rng, n), np.complex128),
+                     (build_v(rng.normal(size=(n, n))).v, np.float64)):
+        stacks.clear()
+        with _blas_threads_at(2) as before:
+            sweep = nrange_boundary(a, refine_tol=1e-6)
+            assert before is None or _blas_threads() == before
+        assert sweep.angles.size > 720
+        assert stacks and {d for d, _, _ in stacks} == {np.dtype(dtype)}
+        assert max(b for _, _, b in stacks) <= nrange._BATCH_BYTES
+        per_chunk = nrange._BATCH_BYTES // (np.dtype(dtype).itemsize * n * n)
+        assert max(k for _, k, _ in stacks) == per_chunk
 
 
 def test_concurrent_sweeps_agree_and_restore_blas_threads(monkeypatch):
@@ -397,10 +459,7 @@ def test_sweep_arrays_match_list_bookkeeping(monkeypatch):
               build_v(np.array([[0.0, 1.0], [0.0, 0.0]])).v):
         for refine_tol in (1.0, 1e-8):
             got = nrange_boundary(a, refine_tol=refine_tol)
-            want = oracles.sweep_ref(
-                a, 64, refine_tol, nrange.DEGENERACY_GAP * frob(a),
-                nrange._rotated_hermitian_parts, nrange._degenerate_face,
-                nrange._apex_chord_bounds, nrange._curvatures, nrange._split_counts)
+            want = _reference_sweep(a, 64, refine_tol)
             for field, ref in zip(("angles", "support_points", "support_values"), want):
                 arr = getattr(got, field)
                 assert arr.dtype == ref.dtype
@@ -408,10 +467,7 @@ def test_sweep_arrays_match_list_bookkeeping(monkeypatch):
 
 
 def _bisecting_sweep(a, refine_tol):
-    return oracles.sweep_ref(
-        a, 720, refine_tol, nrange.DEGENERACY_GAP * frob(a), nrange._rotated_hermitian_parts,
-        nrange._degenerate_face, nrange._apex_chord_bounds, nrange._curvatures,
-        oracles.bisect_counts)
+    return _reference_sweep(a, 720, refine_tol, oracles.bisect_counts)
 
 
 def test_smooth_boundary_refines_in_two_rounds_with_fewer_angles(monkeypatch):
@@ -447,15 +503,21 @@ def test_polygons_and_segments_cost_no_more_than_bisection():
 
 
 def test_curvature_is_h_plus_second_derivative():
+    # Row 0 at theta from the top of H(theta), row 1 at theta + pi from
+    # its bottom; a complex matrix and the real symmetric stacks of V.
     rng = np.random.default_rng(57)
-    a = rand_complex(rng, 4)
-    thetas = np.linspace(0.0, 2 * math.pi, 16, endpoint=False) + 0.1
-    rho = nrange._faces_batch(a, thetas, nrange.DEGENERACY_GAP * frob(a))[3]
-    step = 1e-3
-    h = [oracles.support_values_ref(a, thetas + d) for d in (-step, 0.0, step)]
-    want = h[1] + (h[0] - 2.0 * h[1] + h[2]) / step**2
-    assert np.all(np.isfinite(rho))
-    assert np.max(np.abs(rho - want) / np.abs(want)) <= 1e-5
+    thetas = np.linspace(0.0, math.pi, 8, endpoint=False) + 0.1
+    t = rand_complex(rng, 4)
+    for a in (t, build_v(t.real).v):
+        part_a, part_b = nrange._hermitian_parts(a)
+        rho = nrange._faces_batch(a, part_a, part_b, thetas, nrange.DEGENERACY_GAP * frob(a))[3]
+        assert rho.shape == (2, thetas.size)
+        step = 1e-3
+        for side, at in enumerate((thetas, thetas + math.pi)):
+            h = [oracles.support_values_ref(a, at + d) for d in (-step, 0.0, step)]
+            want = h[1] + (h[0] - 2.0 * h[1] + h[2]) / step**2
+            assert np.all(np.isfinite(rho[side]))
+            assert np.max(np.abs(rho[side] - want) / np.abs(want)) <= 1e-5
 
 
 def test_apex_chord_bound_is_accurate_on_narrow_wedges():

@@ -95,6 +95,55 @@ def test_build_v_across_gains():
             assert frob(graph.conj().T @ graph - np.eye(n)) <= 1e-12 * n
 
 
+def test_build_v_of_real_matrix_is_complex_symmetric():
+    # For real T the SVD is real, so V = A - iB with A and B real
+    # symmetric, and V = V^T exactly: no imaginary rounding dust in A or
+    # B, which would send the sweep to complex eigensolves.
+    rng = np.random.default_rng(56)
+    for n in (1, 2, 3, 8, 24):
+        for t in (rng.normal(size=(n, n)), rng.normal(size=(n, n)).astype(complex)):
+            vop = build_v(t)
+            assert vop.v.dtype == np.complex128
+            assert np.array_equal(vop.v, vop.v.T)
+            graph = np.vstack([vop.s_factor, t @ vop.s_factor])
+            assert frob(graph.conj().T @ graph - np.eye(n)) <= 1e-12 * n
+    v = build_v(rand_complex(rng, 4)).v
+    assert not np.array_equal(v, v.T)
+
+
+def test_sweep_dtype_follows_the_field_of_t(monkeypatch):
+    # Real T gives float64 stacks, complex T complex128 ones.
+    dtypes, eigh = set(), np.linalg.eigh
+
+    def recorded(x, *args, **kwargs):
+        if np.ndim(x) == 3:
+            dtypes.add(np.asarray(x).dtype)
+        return eigh(x, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", recorded)
+    rng = np.random.default_rng(57)
+    for t, want in ((rng.normal(size=(5, 5)), np.float64), (rand_complex(rng, 5), np.complex128)):
+        dtypes.clear()
+        srg_complex(t)
+        assert dtypes == {np.dtype(want)}
+
+
+def test_real_and_complex_sweeps_of_one_range_agree():
+    # V of a real T sweeps in real arithmetic; Q V Q* for a complex
+    # unitary Q has the same numerical range but sweeps in complex
+    # arithmetic.  Both hulls are within the target of W(V), so within
+    # twice the target of each other.
+    rng = np.random.default_rng(58)
+    for n in (2, 4, 8):
+        v = build_v(rng.normal(size=(n, n))).v
+        q = rand_unitary(rng, n)
+        real = nrange_boundary(v)
+        cplx = nrange_boundary(q @ v @ q.conj().T)
+        target = 1e-8 * max(1.0, float(np.max(real.support_values)))
+        d = oracles.hausdorff_support_exact(list(real.hull.vertices), list(cplx.hull.vertices))
+        assert d <= 2.0 * target
+
+
 def test_build_v_range_in_unit_disk():
     rng = np.random.default_rng(51)
     for n in (2, 4, 6):
