@@ -268,11 +268,9 @@ def _faces_batch(m: np.ndarray, a: np.ndarray, b: np.ndarray, thetas: np.ndarray
     """
     thetas = np.asarray(thetas, dtype=np.float64)
     w, v = np.linalg.eigh(_rotated_hermitian_parts(a, b, thetas))
-    sides = [_top_support(m, a, b, *side, gap_tol) for side in
-             ((thetas, w, v), (thetas + math.pi, -w[:, ::-1], v[:, :, ::-1]))]
-    (*cols, faces), (*bottom, bottom_faces) = sides
-    faces.update(bottom_faces)
-    return (*map(np.stack, zip(cols, bottom)), faces)
+    top, bottom = (_top_support(m, a, b, *side, gap_tol) for side in
+                   ((thetas, w, v), (thetas + math.pi, -w[:, ::-1], v[:, :, ::-1])))
+    return (*map(np.stack, zip(top[:4], bottom[:4])), {**top[4], **bottom[4]})
 
 
 def _faces(m: np.ndarray, a: np.ndarray, b: np.ndarray, thetas, gap_tol: float):
