@@ -12,13 +12,14 @@ M = M^T, as V of a real T is, A and B are real symmetric and the
 stacks are float64, so LAPACK runs its real routine; otherwise they
 are complex.  The dtype alone picks the routine.
 
-A nearly degenerate extreme eigenvalue signals a flat face, in which
-case the compression of M to that eigenspace is diagonalized and every
-eigenvector contributes a support point (the face endpoints among
-them).  The same eigendecomposition gives the boundary's radius of
-curvature rho = h + h'' = 2 sum_j |x_j* H'(theta) x|^2 / |lambda_j -
-lambda| over the other eigenpairs (Loisel and Maxwell, SIMAX 39(4),
-2018), at theta and at theta + pi alike.
+A repeated extreme eigenvalue needs no special case: any unit vector x
+of the top eigenspace lies on the support line, Re(e^{-i*theta}<Mx, x>)
+= x*H(theta)x = lambda_max, so each angle gives one support point, and
+a flat face's endpoints come from the angles beside its normal.  The
+same eigendecomposition gives the boundary's radius of curvature
+rho = h + h'' = 2 sum_j |x_j* H'(theta) x|^2 / |lambda_j - lambda| over
+the other eigenpairs (Loisel and Maxwell, SIMAX 39(4), 2018), at theta
+and at theta + pi alike.
 
 Angle batches are solved as stacked eigenproblems of at most
 _BATCH_BYTES each, so memory stays bounded however many angles a round
@@ -55,7 +56,7 @@ import numpy as np
 
 from . import cgeom
 from .errors import InputError
-from .linalg import as_matrix, frob, require_positive_finite
+from .linalg import as_matrix, require_positive_finite
 
 # Default outer-approximation bound of a sweep, relative to
 # max(1, largest support value on the start grid): W(A) lies within
@@ -64,8 +65,6 @@ DEFAULT_REFINE_TOL = 1e-8
 # Angles of the uniform grid on [0, 2*pi) every sweep starts from, two
 # per eigensolve.
 _START_ANGLES = 720
-# Relative gap under which the top eigenvalue counts as degenerate.
-DEGENERACY_GAP = 1e-10
 # Guards for adaptive refinement: the most rounds, and the narrowest
 # wedge that is still split (no split makes a wedge narrower than this,
 # except a bisection).
@@ -83,8 +82,8 @@ _LOCK = threading.Lock()
 class NRangeBoundary:
     """Support data of a numerical-range boundary sweep.
 
-    angles are ascending in [0, 2*pi), repeated where a flat face
-    emitted several support points; hull is the convex hull of all
+    angles are strictly ascending in [0, 2*pi), one row per angle with
+    its support point and support value; hull is the convex hull of all
     support points; bound is the largest apex-chord bound left between
     consecutive angles, so that W(A) lies within bound of hull.
     """
@@ -191,29 +190,6 @@ def _rotated_hermitian_parts(a: np.ndarray, b: np.ndarray, thetas: np.ndarray) -
     return np.cos(thetas)[:, None, None] * a - np.sin(thetas)[:, None, None] * b
 
 
-def _degenerate_face(m: np.ndarray, theta: float, w: np.ndarray, v: np.ndarray,
-                     gap_tol: float) -> list[complex]:
-    """All support points of a flat face, ordered along the face.
-
-    w (ascending) and v are the eigendecomposition of the Hermitian part
-    of e^{-i*theta} M.  The face is resolved by diagonalizing the skew
-    part of the compression of M to the near-top eigenspace; ordering
-    follows the imaginary part of e^{-i*theta} p.
-    """
-    sel = np.nonzero(w >= w[-1] - gap_tol)[0]
-    sub = v[:, sel]
-    ph = complex(math.cos(theta), -math.sin(theta))
-    comp = sub.conj().T @ m @ sub
-    skew = (ph * comp - np.conj(ph) * comp.conj().T) / 2j
-    skew = (skew + skew.conj().T) / 2.0
-    _, u = np.linalg.eigh(skew)
-    pts = []
-    for j in range(u.shape[1]):
-        x = sub @ u[:, j]
-        pts.append(complex(np.vdot(x, m @ x)))
-    return pts
-
-
 def _curvatures(a: np.ndarray, b: np.ndarray, thetas: np.ndarray, w: np.ndarray,
                 v: np.ndarray) -> np.ndarray:
     """Radius of curvature rho = h + h'' of the boundary at each angle.
@@ -235,51 +211,36 @@ def _curvatures(a: np.ndarray, b: np.ndarray, thetas: np.ndarray, w: np.ndarray,
     return 2.0 * np.sum(scaled * scaled, axis=1)
 
 
-def _top_support(m, a, b, thetas, w, v, gap_tol: float):
-    """(h, first, last, rho, faces) from the top eigenpairs of H(theta),
-    given its eigendecomposition (w ascending, v); see _faces_batch."""
-    h = w[:, -1]
+def _top_support(m, a, b, thetas, w, v):
+    """(h, p, rho) from the top eigenpairs of H(theta), given its
+    eigendecomposition (w ascending, v); see _supports_batch."""
     top = v[:, :, -1]
-    first = np.einsum("ki,ij,kj->k", np.conj(top), m, top)
-    last = first.copy()
-    rho = _curvatures(a, b, thetas, w, v)
-    faces = {}
-    if m.shape[0] > 1:
-        for k in np.flatnonzero(~(h - w[:, -2] >= gap_tol)).tolist():
-            t = float(thetas[k])
-            faces[t] = _degenerate_face(m, t, w[k], v[k], gap_tol)
-            first[k], last[k], rho[k] = faces[t][0], faces[t][-1], np.inf
-    return h, first, last, rho, faces
+    p = np.einsum("ki,ij,kj->k", np.conj(top), m, top)
+    return w[:, -1], p, _curvatures(a, b, thetas, w, v)
 
 
-def _faces_batch(m: np.ndarray, a: np.ndarray, b: np.ndarray, thetas: np.ndarray,
-                 gap_tol: float):
+def _supports_batch(m: np.ndarray, a: np.ndarray, b: np.ndarray, thetas: np.ndarray):
     """Support data for a batch of angles in [0, pi) and their opposites:
-    (h, first, last, rho, faces), with (A, B) = _hermitian_parts(M).
+    (h, p, rho), with (A, B) = _hermitian_parts(M).
 
     One eigendecomposition of H(theta) serves theta, row 0 of each
     column, and theta + pi, row 1: H(theta + pi) = -H(theta), whose
     top eigenpair is the bottom one of H(theta) with the eigenvalue
-    negated.  h holds the support values, first and last the first and
-    last support point of each face (the same point on a simple face),
-    rho the radius of curvature (infinite at a degenerate angle), and
-    faces maps each degenerate angle, theta or theta + pi, to its full
-    list of face points.
+    negated.  h holds the support values, p the support points and rho
+    the radius of curvature.
     """
     thetas = np.asarray(thetas, dtype=np.float64)
     w, v = np.linalg.eigh(_rotated_hermitian_parts(a, b, thetas))
-    top, bottom = (_top_support(m, a, b, *side, gap_tol) for side in
+    top, bottom = (_top_support(m, a, b, *side) for side in
                    ((thetas, w, v), (thetas + math.pi, -w[:, ::-1], v[:, :, ::-1])))
-    return (*map(np.stack, zip(top[:4], bottom[:4])), {**top[4], **bottom[4]})
+    return tuple(map(np.stack, zip(top, bottom)))
 
 
-def _faces(m: np.ndarray, a: np.ndarray, b: np.ndarray, thetas, gap_tol: float):
-    """_faces_batch over any number of angles, chunk by chunk; faces are
-    keyed by angle, so the chunks' face dicts join by union."""
+def _supports(m: np.ndarray, a: np.ndarray, b: np.ndarray, thetas):
+    """_supports_batch over any number of angles, chunk by chunk."""
     thetas = np.asarray(thetas, dtype=np.float64)
-    *cols, faces = zip(*_map_chunks(lambda t: _faces_batch(m, a, b, t, gap_tol), a, thetas))
-    return (*(np.concatenate(col, axis=1) for col in cols),
-            {t: pts for part in faces for t, pts in part.items()})
+    parts = _map_chunks(lambda t: _supports_batch(m, a, b, t), a, thetas)
+    return tuple(np.concatenate(col, axis=1) for col in zip(*parts))
 
 
 def _apex_chord_bounds(ta, ha, pa, tb, hb, pb) -> np.ndarray:
@@ -331,26 +292,24 @@ def _sweep(m: np.ndarray, refine_tol: float) -> tuple[NRangeBoundary, float]:
     """The refined sweep of nrange_boundary and the target it refined to,
     refine_tol*max(1, largest support value on the start grid)."""
     require_positive_finite(refine_tol, "refine_tol")
-    gap_tol = DEGENERACY_GAP * frob(m)
     a, b = _hermitian_parts(m)
     half = _START_ANGLES // 2
     thetas = math.pi * np.arange(half) / half
-    *columns, faces = _faces(m, a, b, thetas, gap_tol)
+    columns = _supports(m, a, b, thetas)
     target = refine_tol * max(1.0, float(np.max(columns[0])))
     # Every eigensolved angle theta, ascending in [0, pi) from 0, and
-    # the columns h, first and last support point, rho, each with row 0
-    # at theta and row 1 at theta + pi; read row by row, one table
-    # ascending over [0, 2*pi).
+    # the columns h, p and rho, each with row 0 at theta and row 1 at
+    # theta + pi; read row by row, one table ascending over [0, 2*pi).
     table = [thetas, *columns]
     for depth in range(REFINE_MAX_DEPTH + 1):
-        t, h, first, last, rho = table
+        t, h, p, rho = table
         # Wedge i runs from angle i to angle i + 1 of the whole table;
         # the last one closes the circle at 2*pi, where angle 0 stands.
         # Wedges i and i + t.size are opposite, and split as a pair.
         ta = np.concatenate([t, t + math.pi])
         tb = np.append(ta[1:], 2.0 * math.pi)
-        ha, pa, ra = h.ravel(), last.ravel(), rho.ravel()
-        hb, pb, rb = (np.roll(col.ravel(), -1) for col in (h, first, rho))
+        ha, pa, ra = h.ravel(), p.ravel(), rho.ravel()
+        hb, pb, rb = (np.roll(col, -1) for col in (ha, pa, ra))
         bounds = _apex_chord_bounds(ta, ha, pa, tb, hb, pb)
         needy = ((tb - ta > REFINE_MIN_WEDGE) & (bounds > target)).reshape(2, -1).any(axis=0)
         if depth == REFINE_MAX_DEPTH or not needy.any():
@@ -363,26 +322,17 @@ def _sweep(m: np.ndarray, refine_tol: float) -> tuple[NRangeBoundary, float]:
         owner = np.repeat(np.arange(k.size), k - 1)
         j = np.arange(owner.size) - np.repeat(np.cumsum(k - 1) - (k - 1), k - 1) + 1
         tm = ta[owner] + (tb - ta)[owner] * j / k[owner]
-        *columns, new_faces = _faces(m, a, b, tm, gap_tol)
-        faces.update(new_faces)
+        columns = _supports(m, a, b, tm)
         table = [np.concatenate(pair, axis=-1) for pair in zip(table, [tm, *columns])]
         order = np.argsort(table[0], kind="stable")
         table = [col[..., order] for col in table]
 
-    # Give each degenerate angle one row per face point.
-    angles, values, points = np.concatenate([t, t + math.pi]), h.ravel(), first.ravel()
-    counts = np.ones(angles.size, dtype=np.int64)
-    rows = np.searchsorted(angles, list(faces))
-    counts[rows] = [len(pts) for pts in faces.values()]
-    points = np.repeat(points, counts)
-    starts = np.cumsum(counts) - counts
-    for row, pts in zip(rows.tolist(), faces.values()):
-        points[starts[row]:starts[row] + len(pts)] = pts
+    # The loop ends on the whole table: ta, ha and pa hold every row.
     boundary = NRangeBoundary(
-        angles=np.repeat(angles, counts),
-        support_points=points,
-        support_values=np.repeat(values, counts),
-        hull=cgeom.convex_hull_2d(points),
+        angles=ta,
+        support_points=pa,
+        support_values=ha,
+        hull=cgeom.convex_hull_2d(pa),
         bound=float(np.max(bounds)),
     )
     return boundary, target
@@ -403,9 +353,7 @@ def nrange_boundary(a, refine_tol: float = DEFAULT_REFINE_TOL) -> NRangeBoundary
     left, so W(A) lies within bound of the returned hull, and the hull
     itself inside W(A) up to eigensolver noise.  The evaluated angles
     stay in one table, ascending and symmetric under theta -> theta +
-    pi; flat faces, at the top or the bottom of an eigensolve, are kept
-    apart, keyed by their angle, and expand into one row per face point
-    at the end.
+    pi, with one support point per angle.
     """
     return _sweep(as_matrix(a, square=True), refine_tol)[0]
 

@@ -377,15 +377,15 @@ def bisect_counts(ta, tb, bounds, ra, rb, refine_tol) -> np.ndarray:
     return np.full(np.shape(ta), 2, dtype=np.int64)
 
 
-def sweep_ref(a, num_angles: int, refine_tol: float, gap_tol: float, hermitian_parts,
-              rotated_parts, degenerate_face, apex_chord_bounds, curvatures, split_counts):
-    """Paired angle-sweep bookkeeping with Python lists of (theta, h, points).
+def sweep_ref(a, num_angles: int, refine_tol: float, hermitian_parts, rotated_parts,
+              apex_chord_bounds, curvatures, split_counts):
+    """Paired angle-sweep bookkeeping with Python lists of (theta, h, p).
 
     The per-angle helpers and the split rule are passed in; this checks
-    the pairing, ordering, refinement and face expansion around them.
-    Each eigensolve at an angle theta in [0, pi) gives the support at
-    theta from the top of H(theta) and at theta + pi from the top of
-    -H(theta) = H(theta + pi).  The sweep starts on num_angles // 2
+    the pairing, ordering and refinement around them.  Each eigensolve
+    at an angle theta in [0, pi) gives the support at theta from the top
+    of H(theta) and at theta + pi from the top of -H(theta) = H(theta +
+    pi), one support point each.  The sweep starts on num_angles // 2
     angles in [0, pi), and wedges are refined to refine_tol*max(1,
     largest support value on those num_angles directions).  A wedge and
     its opposite split together, into the larger of their
@@ -396,39 +396,32 @@ def sweep_ref(a, num_angles: int, refine_tol: float, gap_tol: float, hermitian_p
     part_a, part_b = hermitian_parts(a)
 
     def ends(thetas):
-        # Per angle, the ends (angle, h, first, last, rho) at theta and at
-        # theta + pi, and the support points of each.
+        # Per angle, the ends (angle, h, p, rho) at theta and at theta + pi.
         w, v = np.linalg.eigh(rotated_parts(part_a, part_b, thetas))
         out = []
         for angles, ws, vs in ((thetas, w, v), (thetas + math.pi, -w[:, ::-1], v[:, :, ::-1])):
             top = vs[:, :, -1]
             points = np.einsum("ki,ij,kj->k", np.conj(top), a, top)
             rho = curvatures(part_a, part_b, angles, ws, vs)
-            simple = ([True] * angles.size if a.shape[0] == 1
-                      else (ws[:, -1] - ws[:, -2] >= gap_tol).tolist())
-            side = []
-            for k, (t, h, r, p, ok) in enumerate(zip(angles.tolist(), ws[:, -1].tolist(),
-                                                     rho.tolist(), points.tolist(), simple)):
-                pts = [p] if ok else degenerate_face(a, t, ws[k], vs[k], gap_tol)
-                side.append(((t, h, pts[0], pts[-1], r if ok else math.inf), pts))
-            out.append(side)
+            out.append(list(zip(angles.tolist(), ws[:, -1].tolist(), points.tolist(),
+                                rho.tolist())))
         return list(zip(*out))
 
     half = num_angles // 2
     initial = ends(math.pi * np.arange(half) / half)
-    entries = [(end[0], end[1], pts) for pair in initial for end, pts in pair]
+    entries = [end[:3] for pair in initial for end in pair]
     target = refine_tol * max(1.0, max(h for _, h, _ in entries))
     # A wedge is a pair of ends, and a pair is a wedge and its opposite.
     # Angles are not wrapped: the last top wedge ends at pi, on the first
     # bottom end, and the last bottom wedge at 2*pi.
-    top = [end for (end, _), _ in initial]
-    bottom = [end for _, (end, _) in initial]
+    top = [end for end, _ in initial]
+    bottom = [end for _, end in initial]
     wrap = (top[0][0] + 2.0 * math.pi, *top[0][1:])
     pairs = list(zip(zip(top, top[1:] + bottom[:1]), zip(bottom, bottom[1:] + [wrap])))
     for _ in range(48):
         wedges = [wedge for pair in pairs for wedge in pair]
         ta, ha, pa, tb, hb, pb = (np.array(col) for col in zip(
-            *[(lo[0], lo[1], lo[3], hi[0], hi[1], hi[2]) for lo, hi in wedges]))
+            *[(*lo[:3], *hi[:3]) for lo, hi in wedges]))
         bounds = apex_chord_bounds(ta, ha, pa, tb, hb, pb).tolist()
         over = [hi[0] - lo[0] > 1e-9 and bound > target
                 for (lo, hi), bound in zip(wedges, bounds)]
@@ -440,8 +433,8 @@ def sweep_ref(a, num_angles: int, refine_tol: float, gap_tol: float, hermitian_p
             np.array([lo[0] for (lo, _), _ in halves]),
             np.array([hi[0] for (_, hi), _ in halves]),
             np.array([b for _, b in halves]),
-            np.array([lo[4] for (lo, _), _ in halves]),
-            np.array([hi[4] for (_, hi), _ in halves]), target).tolist()
+            np.array([lo[3] for (lo, _), _ in halves]),
+            np.array([hi[3] for (_, hi), _ in halves]), target).tolist()
         split = [(pairs[i], max(counts[2 * j], counts[2 * j + 1])) for j, i in enumerate(needy)]
         inner = [lo[0] + (hi[0] - lo[0]) * j / k
                  for ((lo, hi), _), k in split for j in range(1, k)]
@@ -449,14 +442,14 @@ def sweep_ref(a, num_angles: int, refine_tol: float, gap_tol: float, hermitian_p
         pairs = []
         for ((top_lo, top_hi), (bot_lo, bot_hi)), k in split:
             new = [next(mid) for _ in range(k - 1)]
-            entries.extend((end[0], end[1], pts) for pair in new for end, pts in pair)
-            top = [top_lo] + [end for (end, _), _ in new] + [top_hi]
-            bottom = [bot_lo] + [end for _, (end, _) in new] + [bot_hi]
+            entries.extend(end[:3] for pair in new for end in pair)
+            top = [top_lo] + [end for end, _ in new] + [top_hi]
+            bottom = [bot_lo] + [end for _, end in new] + [bot_hi]
             pairs.extend(zip(zip(top, top[1:]), zip(bottom, bottom[1:])))
     entries.sort(key=lambda e: e[0])
-    return (np.array([t for t, _, pts in entries for _ in pts], dtype=np.float64),
-            np.array([p for _, _, pts in entries for p in pts], dtype=np.complex128),
-            np.array([h for _, h, pts in entries for _ in pts], dtype=np.float64))
+    return (np.array([t for t, _, _ in entries], dtype=np.float64),
+            np.array([p for _, _, p in entries], dtype=np.complex128),
+            np.array([h for _, h, _ in entries], dtype=np.float64))
 
 
 def clamp_disk_ref(w, eps: float = 1e-9) -> complex:

@@ -144,10 +144,11 @@ def test_nrange_segment_endpoints(run_cli, matrix_file):
     code, out, _ = run_cli(["nrange", "--input", path])
     assert code == 0
     pts = finite_points(parse_csv(out), kind="support")
-    # 720 sweep angles, none refined, since every wedge's bound is 0;
-    # the two angles whose support line touches the whole segment (a
-    # flat face) emit both endpoints, adding two rows.
-    assert len(pts) == 722
+    # 720 sweep angles, none refined, since every wedge's bound is 0,
+    # one row each; the two angles whose support line touches the whole
+    # segment give one point of it, and the endpoints come from the
+    # angles beside them.
+    assert len(pts) == 720
     assert all(abs(p.imag) <= 1e-9 for p in pts)
     assert min(p.real for p in pts) <= 1e-9
     assert max(p.real for p in pts) >= 1.0 - 1e-9
@@ -194,7 +195,7 @@ def test_nrange_hermitian_is_real(run_cli, matrix_file):
 
 def test_nrange_entries_above_1e154_sweep_like_the_scaled_matrix(run_cli, matrix_file):
     # The Frobenius norm of this matrix used to overflow, which made every
-    # angle look degenerate: a RuntimeWarning and 1440 rows of flat faces.
+    # angle look degenerate: a RuntimeWarning and two rows per angle.
     re_part = np.array([[1e200, 1e200], [0.0, 1.0]])
     im_part = np.array([[0.0, 3e199], [0.0, 0.0]])
     path = matrix_file("big.json", re_part, im=im_part)

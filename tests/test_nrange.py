@@ -147,17 +147,15 @@ def test_degenerate_flat_faces_emit_segment_endpoints():
 
 def test_flat_face_seen_only_from_the_bottom_emits_both_endpoints():
     # The edge 0 -> 1 of the triangle diag(0, 1, 0.5 + i) has its normal
-    # at 3*pi/2, so only the bottom eigenpairs of H(pi/2) see it.  Its
-    # row expands into both endpoints, and the angles stay ascending.
+    # at 3*pi/2, so only the bottom eigenpairs of H(pi/2) see it.  That
+    # angle keeps one row, like every other, and the face's endpoints
+    # come from the angles on either side of it.
     b = nrange_boundary(np.diag([0.0, 1.0, 0.5 + 1j]))
-    assert list(b.angles) == sorted(b.angles)
+    assert np.all(np.diff(b.angles) > 0.0)
     assert np.all((b.angles >= 0.0) & (b.angles < 2 * math.pi))
-    face = b.angles == b.angles[np.argmin(np.abs(b.angles - 1.5 * math.pi))]
-    assert abs(b.angles[face][0] - 1.5 * math.pi) < 1e-12
-    pts = b.support_points[face]
-    assert pts.size == 2
-    assert np.max(np.abs(np.sort_complex(pts) - np.array([0.0, 1.0]))) < 1e-12
-    assert np.all(b.support_values[face] == b.support_values[face][0])
+    assert np.min(np.abs(b.angles - 1.5 * math.pi)) < 1e-12
+    for end in (0.0, 1.0):
+        assert np.min(np.abs(b.support_points - end)) < 1e-12
     assert b.hull.vertices == (0j, 1 + 0j, 0.5 + 1j)
 
 
@@ -194,14 +192,20 @@ def test_unitary_similarity_invariance():
 
 
 def test_each_eigensolve_fills_two_angles(monkeypatch):
-    # Without flat faces every row is one angle, and one eigenproblem
-    # gives the angle theta in [0, pi) and its opposite theta + pi.
+    # Every row is one angle, and one eigenproblem gives the angle theta
+    # in [0, pi) and its opposite theta + pi, also where the extreme
+    # eigenvalue is repeated: at every angle for eye(3), on an arc for
+    # diag(1, 1, 2j), and at every angle for the direct sums I (x) B and
+    # V of I (x) T.
     batches = _count_stacked_eigh(monkeypatch)
     rng = np.random.default_rng(63)
-    for a in (rand_complex(rng, 5), build_v(rng.normal(size=(4, 4))).v):
+    blocks = (np.eye(3, dtype=complex), np.diag([1.0, 1.0, 2j]),
+              np.kron(np.eye(2), rand_complex(rng, 3)),
+              build_v(np.kron(np.eye(2), rng.normal(size=(2, 2)))).v)
+    for a in (rand_complex(rng, 5), build_v(rng.normal(size=(4, 4))).v, *blocks):
         batches.clear()
         b = nrange_boundary(a)
-        assert np.unique(b.angles).size == b.angles.size
+        assert np.all(np.diff(b.angles) > 0.0)
         assert 2 * sum(batches) == b.angles.size
         assert np.max(b.angles[:b.angles.size // 2]) < math.pi
 
@@ -270,9 +274,8 @@ def test_invalid_refine_tol_is_rejected(bad):
 def _reference_sweep(a, num_angles, refine_tol, split_counts=nrange._split_counts):
     """oracles.sweep_ref around the library's per-angle helpers."""
     return oracles.sweep_ref(
-        a, num_angles, refine_tol, nrange.DEGENERACY_GAP * frob(a), nrange._hermitian_parts,
-        nrange._rotated_hermitian_parts, nrange._degenerate_face, nrange._apex_chord_bounds,
-        nrange._curvatures, split_counts)
+        a, num_angles, refine_tol, nrange._hermitian_parts, nrange._rotated_hermitian_parts,
+        nrange._apex_chord_bounds, nrange._curvatures, split_counts)
 
 
 def _same_bits(x, y) -> bool:
@@ -316,29 +319,24 @@ def _blas_threads() -> int:
 
 def test_chunked_rounds_match_one_batch_bit_for_bit(monkeypatch):
     # A budget of three matrices splits every round into many chunks,
-    # which run on the shared pool where there is one.  eye(3) is
-    # degenerate at every angle and diag(1, 1, 2j) on an arc at the top
-    # and on the opposite arc at the bottom, so flat faces fall on both
-    # sides of chunk borders; both are real symmetric stacks, and the
-    # random matrix a complex one.
+    # which run on the shared pool where there is one.  eye(3) has a
+    # repeated top eigenvalue at every angle and diag(1, 1, 2j) on an arc
+    # at the top and on the opposite arc at the bottom, so such angles
+    # fall on both sides of chunk borders; both are real symmetric
+    # stacks, and the random matrix a complex one.
     rng = np.random.default_rng(49)
     for a in (np.eye(3, dtype=complex), np.diag([1.0, 1.0, 2j]), rand_complex(rng, 4)):
-        gap_tol = nrange.DEGENERACY_GAP * frob(a)
         part_a, part_b = nrange._hermitian_parts(a)
         thetas = np.concatenate([math.pi * np.arange(32) / 32, rng.uniform(0.0, math.pi, 37)])
-        want = nrange._faces_batch(a, part_a, part_b, thetas, gap_tol)
+        want = nrange._supports_batch(a, part_a, part_b, thetas)
         monkeypatch.setattr(nrange, "_BATCH_BYTES", 3 * part_a.nbytes)
         batches = _count_stacked_eigh(monkeypatch)
-        got = nrange._faces(a, part_a, part_b, thetas, gap_tol)
+        got = nrange._supports(a, part_a, part_b, thetas)
         assert batches and max(batches) == 3 and sum(batches) == thetas.size
-        for x, y in zip(got[:4], want[:4]):
+        assert len(got) == len(want) == 3
+        for x, y in zip(got, want):
             assert x.shape == (2, thetas.size)
             assert _same_bits(x, y)
-        # Faces are keyed by angle; a chunk lists its top faces before
-        # its bottom ones, so only the key set is order-free.
-        assert got[4].keys() == want[4].keys()
-        for k, pts in want[4].items():
-            assert _same_bits(got[4][k], pts)
         # Whole sweeps from 64 angles, unrefined (at tolerance 1) and
         # refined, against the list bookkeeping, which solves each round
         # as one stack.
@@ -450,9 +448,10 @@ def test_forked_child_sweeps_after_a_pooled_sweep(monkeypatch):
 
 
 def test_sweep_arrays_match_list_bookkeeping(monkeypatch):
-    # eye(3) is degenerate at every angle, diag(1, 1, 2j) on the arc of
-    # angles whose support face is the doubled eigenvalue 1.  Sweeps
-    # start from 64 angles, unrefined (at tolerance 1) and refined.
+    # eye(3) has a repeated top eigenvalue at every angle, diag(1, 1, 2j)
+    # on the arc of angles whose support point is the doubled eigenvalue
+    # 1.  Sweeps start from 64 angles, unrefined (at tolerance 1) and
+    # refined.
     monkeypatch.setattr(nrange, "_START_ANGLES", 64)
     rng = np.random.default_rng(50)
     for a in (np.eye(3, dtype=complex), np.diag([1.0, 1.0, 2j]), rand_complex(rng, 4),
@@ -475,13 +474,13 @@ def test_smooth_boundary_refines_in_two_rounds_with_fewer_angles(monkeypatch):
     # `srg matrix` sweeps: at most two rounds sized from the curvature,
     # and fewer angles than bisection, whose last round overshoots the
     # tolerance by up to 4x.
-    calls, faces = [], nrange._faces
+    calls, supports = [], nrange._supports
 
     def counted(*args):
         calls.append(1)
-        return faces(*args)
+        return supports(*args)
 
-    monkeypatch.setattr(nrange, "_faces", counted)
+    monkeypatch.setattr(nrange, "_supports", counted)
     a = rand_complex(np.random.default_rng(55), 6)
     for a in (a, build_v(a).v):
         calls.clear()
@@ -510,7 +509,7 @@ def test_curvature_is_h_plus_second_derivative():
     t = rand_complex(rng, 4)
     for a in (t, build_v(t.real).v):
         part_a, part_b = nrange._hermitian_parts(a)
-        rho = nrange._faces_batch(a, part_a, part_b, thetas, nrange.DEGENERACY_GAP * frob(a))[3]
+        rho = nrange._supports_batch(a, part_a, part_b, thetas)[2]
         assert rho.shape == (2, thetas.size)
         step = 1e-3
         for side, at in enumerate((thetas, thetas + math.pi)):
@@ -569,6 +568,26 @@ def test_bound_certifies_the_hull_in_every_direction():
             w = float(np.max(h_true))
             assert 0.0 < sweep.bound <= 1e-8 * max(1.0, w)
             assert float(np.max(h_true - h_hull)) <= sweep.bound + 4 * np.finfo(float).eps * w
+
+
+def test_certificate_holds_where_the_extreme_eigenvalue_repeats():
+    # A flat face, an arc of repeated top eigenvalues, and a direct sum
+    # repeated at every angle: each angle's one support point lies on its
+    # support line, so the hull still meets the target in every
+    # direction.  W(I (x) B) = W(B), so the two hulls agree within the
+    # inner gap of each.
+    rng = np.random.default_rng(64)
+    block = rand_complex(rng, 3)
+    phis = 2 * math.pi * (np.arange(4096) + 0.5 * (math.sqrt(5.0) - 1.0)) / 4096
+    for a in (np.diag([0.0, 1.0, 0.5 + 1j]), np.diag([1.0, 1.0, 2j]),
+              np.kron(np.eye(2), block)):
+        sweep, target = nrange._sweep(nrange.as_matrix(a, square=True), 1e-8)
+        h_true = oracles.support_values_ref(a, phis)
+        h_hull = oracles.hull_support_many(list(sweep.hull.vertices), phis)
+        assert float(np.max(h_true - h_hull)) <= target
+    base, base_target = nrange._sweep(nrange.as_matrix(block, square=True), 1e-8)
+    d = oracles.hausdorff_support_exact(list(sweep.hull.vertices), list(base.hull.vertices))
+    assert d <= 2 * max(target, base_target)
 
 
 def test_depth_guard_leaves_a_reported_bound_and_widens_membership(monkeypatch):
