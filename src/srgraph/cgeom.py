@@ -235,8 +235,50 @@ def _half_chain(pts: list[complex], tol: float) -> list[complex]:
     return chain
 
 
+def _ldexp(zs: np.ndarray, k: int) -> np.ndarray:
+    """zs times 2**k, each coordinate by np.ldexp: exact wherever no
+    coordinate over- or underflows.  For k = 0, zs itself."""
+    if k == 0:
+        return zs
+    out = np.empty_like(zs)
+    out.real = np.ldexp(zs.real, k)
+    out.imag = np.ldexp(zs.imag, k)
+    return out
+
+
+def _max_coordinate(zs: np.ndarray) -> float:
+    """Largest |Re z| or |Im z| over zs, 0 for none."""
+    return float(np.max(np.maximum(np.abs(zs.real), np.abs(zs.imag)), initial=0.0))
+
+
+def _convex_cycle_start(x: np.ndarray, tol: float) -> int | None:
+    """Where x, in the order given, is a strictly convex counter-clockwise
+    cycle, the index of its lexicographically smallest point; else None.
+
+    Each point must lie more than tol left of the chord joining its two
+    neighbours, by the test _half_chain prunes with, and the exterior
+    angles must sum to one turn, which rules out a star polygon such as
+    a pentagram.  A monotone chain over such points keeps every one of
+    them, in the same cyclic order.
+    """
+    if x.size < 3:
+        return None
+    e = x - np.roll(x, 1)  # b - a at each point b, a before and c after it
+    d = np.roll(x, -1) - np.roll(x, 1)  # c - a
+    if not np.all(e.real * d.imag - e.imag * d.real > tol * np.abs(d)):
+        return None
+    # Every turn lies in (0, pi), so the edge directions wrap past pi once
+    # per 2*pi of turning: one wrap is one turn.
+    phi = np.angle(e)
+    if np.count_nonzero(phi < np.roll(phi, 1)) != 1:
+        return None
+    low = np.flatnonzero(x.real == np.min(x.real))
+    return int(low[np.argmin(x.imag[low])])
+
+
 def convex_hull_2d(points: Iterable[complex]) -> ConvexPolygon:
-    """Monotone-chain convex hull of finite planar points.
+    """Convex hull of finite planar points, counter-clockwise from the
+    lexicographically smallest vertex.
 
     A vertex is pruned as collinear when its perpendicular distance to
     the chord joining its neighbours is at most COLLINEAR_TOL, scaled
@@ -244,6 +286,19 @@ def convex_hull_2d(points: Iterable[complex]) -> ConvexPolygon:
     at any magnitude.  Using a distance (not raw cross-product) test
     keeps the pruning error bounded independently of how densely the
     boundary was sampled.
+
+    Points that, in the order given, already form a strictly convex
+    counter-clockwise cycle (every point beyond the pruning tolerance
+    left of the chord of its neighbours, one turn in all) are the hull:
+    they are returned rotated to start at the smallest point, in linear
+    time.  A dense support sweep in angle order is such a cycle.  Any
+    other input, such as a reordering near a corner, a duplicate, a
+    collinear triple or clockwise order, takes a sort and a monotone
+    chain, which would keep exactly that cycle too.  Every test runs on
+    the coordinates divided by the largest power of two up to
+    max(1, largest coordinate), which is exact, so cross products do
+    not overflow above about 1e154; the vertices are input points, bit
+    for bit.
     """
     arr = np.asarray(points if isinstance(points, np.ndarray) else list(points),
                      dtype=np.complex128).ravel()
@@ -252,23 +307,26 @@ def convex_hull_2d(points: Iterable[complex]) -> ConvexPolygon:
     finite = np.isfinite(arr.real) & np.isfinite(arr.imag)
     if not finite.all():
         as_finite_complex(arr[np.argmin(finite)])  # raises InputError
+    scale = max(1.0, _max_coordinate(arr))
+    k = math.frexp(scale)[1] - 1
+    x = _ldexp(arr, -k)
+    tol = math.ldexp(COLLINEAR_TOL * scale, -k)
+    start = _convex_cycle_start(x, tol)
+    if start is not None:
+        return ConvexPolygon(tuple(np.roll(arr, -start).tolist()))
     # Stable lexicographic sort; equal points keep their first occurrence.
-    arr = arr[np.lexsort((arr.imag, arr.real))]
-    distinct = np.ones(arr.size, dtype=bool)
-    distinct[1:] = arr[1:] != arr[:-1]
-    arr = arr[distinct]
-    pts = arr.tolist()
-    if len(pts) == 1:
-        return ConvexPolygon((pts[0],))
-    scale = max(1.0, float(np.max(np.maximum(np.abs(arr.real), np.abs(arr.imag)))))
-    tol = COLLINEAR_TOL * scale
-    lower = _half_chain(pts, tol)
-    upper = _half_chain(pts[::-1], tol)
-    verts = lower[:-1] + upper[:-1]
-    if len(verts) < 2:
-        # All points coincide up to the pruning tolerance.
-        return ConvexPolygon((pts[0], pts[-1]) if pts[0] != pts[-1] else (pts[0],))
-    return ConvexPolygon(tuple(verts))
+    order = np.lexsort((x.imag, x.real))
+    x = x[order]
+    distinct = np.ones(x.size, dtype=bool)
+    distinct[1:] = x[1:] != x[:-1]
+    order, x = order[distinct], x[distinct]
+    if x.size == 1:
+        return ConvexPolygon((complex(arr[order[0]]),))
+    pts = x.tolist()
+    verts = _half_chain(pts, tol)[:-1] + _half_chain(pts[::-1], tol)[:-1]
+    # Fewer than 2 means all points coincide up to the pruning tolerance.
+    at = np.searchsorted(x, verts) if len(verts) >= 2 else [0, -1]
+    return ConvexPolygon(tuple(arr[order[at]].tolist()))
 
 
 def polygon_area(poly: ConvexPolygon) -> float:
@@ -291,10 +349,15 @@ def _signed_distances(vertices, ws) -> np.ndarray:
     and the plain distance for a point or a segment.  Zero-length edges
     are skipped.  Points are processed in chunks of at most
     _KERNEL_PAIRS point-edge pairs, so memory stays bounded for
-    polygons with tens of thousands of vertices.
+    polygons with tens of thousands of vertices.  The arithmetic runs on
+    all coordinates divided by a power of two near the largest, which is
+    exact, so products neither overflow above about 1e154 nor vanish
+    below about 1e-154; the distances are scaled back.
     """
     v = np.asarray(vertices, dtype=np.complex128)
     ws = np.asarray(ws, dtype=np.complex128).ravel()
+    k = math.frexp(max(_max_coordinate(v), _max_coordinate(ws)))[1]
+    v, ws = _ldexp(v, -k), _ldexp(ws, -k)
     closed = len(v) > 2
     a = v if closed else v[:1]
     e = (np.roll(v, -1) if closed else v[-1:]) - a
@@ -302,7 +365,7 @@ def _signed_distances(vertices, ws) -> np.ndarray:
     keep = ln > 0.0
     a, e, ln = a[keep], e[keep], ln[keep]
     if a.size == 0:
-        return np.abs(ws - v[0])
+        return np.ldexp(np.abs(ws - v[0]), k)
     out = np.empty(ws.shape, dtype=np.float64)
     step = max(1, _KERNEL_PAIRS // a.size)
     for lo in range(0, ws.size, step):
@@ -318,7 +381,7 @@ def _signed_distances(vertices, ws) -> np.ndarray:
         t = np.clip((r.real * e.real + r.imag * e.imag) / ln**2, 0.0, 1.0)
         d[far] = np.min(np.abs(r - t * e), axis=1)
         out[lo:lo + step] = d
-    return out
+    return np.ldexp(out, k)
 
 
 def polygon_signed_distance(poly: ConvexPolygon, w) -> float:

@@ -149,6 +149,17 @@ def _region_columns(region: cgeom.SrgRegion):
             _columns("srg", theta, region.lower_branch, "lower")]
 
 
+def _codes(col: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted distinct values of a string column and each row's code,
+    whose order is their sort order.  Columns are long runs of one
+    value, so the values come from the heads of the runs alone."""
+    head = np.ones(col.size, dtype=bool)
+    head[1:] = col[1:] != col[:-1]
+    runs = col[head]
+    values = np.array(sorted(set(runs.tolist())), dtype=col.dtype)
+    return values, np.searchsorted(values, runs)[np.cumsum(head) - 1]
+
+
 def _csv_text(kind, theta, re, im, branch, infinite) -> str:
     """Render CSV rows given as columns, sorted by theta, branch, kind, re,
     then im (stable, so exact ties keep their input order).  Rows under
@@ -158,9 +169,8 @@ def _csv_text(kind, theta, re, im, branch, infinite) -> str:
     kind = np.where(infinite, "infinity", kind)
     re = np.where(infinite, math.inf, re)
     im = np.where(infinite, math.inf, im)
-    # String columns become codes whose order is their sort order.
-    kinds, kind_code = np.unique(kind, return_inverse=True)
-    branches, branch_code = np.unique(branch, return_inverse=True)
+    kinds, kind_code = _codes(kind)
+    branches, branch_code = _codes(branch)
     order = np.lexsort((im, re, kind_code, branch_code, theta))
     theta, re, im, finite = (col[order] for col in (theta, re, im, ~infinite))
     # A region's conjugate rows end up next to each other and share theta,

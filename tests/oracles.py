@@ -124,6 +124,34 @@ def hull_support(vertices: list[complex], theta: float) -> float:
     return max(v.real * math.cos(theta) + v.imag * math.sin(theta) for v in vertices)
 
 
+def hull_chain_ref(points) -> tuple:
+    """Convex hull by a stable lexicographic sort and Andrew's monotone
+    chain, one point at a time: counter-clockwise from the smallest
+    point, equal points kept once, and a vertex pruned when it lies
+    within 1e-12*max(1, largest coordinate) of the chord from the
+    vertex before it to the next point.  No overflow guard: for points
+    below about 1e154."""
+    pts = sorted((complex(p) for p in points), key=lambda p: (p.real, p.imag))
+    tol = 1e-12 * max(1.0, max(max(abs(p.real), abs(p.imag)) for p in pts))
+    pts = pts[:1] + [q for p, q in zip(pts, pts[1:]) if q != p]
+
+    def chain(seq):
+        out = []
+        for p in seq:
+            while len(out) >= 2:
+                e, d = out[-1] - out[-2], p - out[-2]
+                if e.real * d.imag - e.imag * d.real > tol * abs(d):
+                    break
+                out.pop()
+            out.append(p)
+        return out
+
+    if len(pts) == 1:
+        return (pts[0],)
+    verts = chain(pts)[:-1] + chain(pts[::-1])[:-1]
+    return tuple(verts) if len(verts) >= 2 else (pts[0], pts[-1])
+
+
 def hausdorff_ref(va: list[complex], vb: list[complex]) -> float:
     """Hausdorff distance between convex polygons via vertex distances."""
     d1 = max(polygon_distance_ref(vb, v) for v in va)

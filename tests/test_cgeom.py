@@ -15,11 +15,13 @@ from srgraph import (
     PolygonLocator,
     bk_forward,
     bk_inverse,
+    build_v,
     clamp_disk,
     convex_hull_2d,
     ext_conjugate,
     hull_bk,
     is_infinity,
+    nrange_boundary,
     polygon_area,
     polygon_boundary_points,
     polygon_distance,
@@ -28,6 +30,7 @@ from srgraph import (
     region_contains,
     region_signed_distance,
 )
+from srgraph import cgeom
 from srgraph.cgeom import _clamp_disk_array, bk_forward_array, region_from_disk_hull
 
 
@@ -201,13 +204,70 @@ def test_hull_degenerate_cases():
         convex_hull_2d([])
 
 
-def test_hull_is_ccw_and_idempotent():
+def _count_chains(monkeypatch) -> list:
+    """Record the length of every monotone-chain pass from now on."""
+    calls, chain = [], cgeom._half_chain
+
+    def counted(pts, tol):
+        calls.append(len(pts))
+        return chain(pts, tol)
+
+    monkeypatch.setattr(cgeom, "_half_chain", counted)
+    return calls
+
+
+def test_hull_is_ccw_and_idempotent(monkeypatch):
     rng = np.random.default_rng(16)
     pts = [complex(x, y) for x, y in rng.normal(size=(60, 2))]
     poly = convex_hull_2d(pts)
     assert polygon_area(poly) > 0.0
-    again = convex_hull_2d(list(poly.vertices))
-    assert again.vertices == poly.vertices
+    assert poly.vertices == oracles.hull_chain_ref(pts)
+    # A hull's vertices are a convex cycle from any start: no chain.
+    calls = _count_chains(monkeypatch)
+    for shift in range(len(poly.vertices)):
+        again = convex_hull_2d(np.roll(poly.vertices, shift))
+        assert again.vertices == poly.vertices
+    assert calls == []
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_sweep_hull_from_any_start_is_the_chain_hull(field, monkeypatch):
+    # Support points in angle order are a convex cycle, so every start
+    # gives the sort-and-chain hull without a chain pass.
+    rng = np.random.default_rng(62)
+    calls = _count_chains(monkeypatch)
+    for n in range(2, 9):
+        t = rng.normal(size=(n, n))
+        if field == "complex":
+            t = t + 1j * rng.normal(size=(n, n))
+        pts = nrange_boundary(build_v(t).v).support_points
+        want = oracles.hull_chain_ref(pts)
+        assert len(want) == pts.size
+        for shift in (0, 1, pts.size // 3, pts.size - 1):
+            assert convex_hull_2d(np.roll(pts, shift)).vertices == want
+    assert calls == []
+
+
+def test_hull_of_points_not_in_convex_order_takes_the_chain(monkeypatch):
+    pentagon = np.exp(2j * math.pi * np.arange(5) / 5)
+    circle = np.exp(2j * math.pi * np.arange(50) / 50)
+    swapped = circle.copy()
+    swapped[[10, 11]] = swapped[[11, 10]]
+    # Sweep noise reorders these support points near a corner.
+    upper = nrange_boundary(build_v(np.array([[1e8, 1.0], [0.0, 1.0]])).v).support_points
+    inputs = {
+        "pentagram": pentagon[[0, 2, 4, 1, 3]],  # all left turns, winding number 2
+        "clockwise": circle[::-1],
+        "swapped_pair": swapped,
+        "duplicate": np.insert(circle, 7, circle[7]),
+        "collinear_triple": np.array([0j, 0.5, 1.0, 1 + 1j, 1j]),
+        "gain_1e8_upper": upper,
+    }
+    calls = _count_chains(monkeypatch)
+    for name, pts in inputs.items():
+        calls.clear()
+        assert convex_hull_2d(pts).vertices == oracles.hull_chain_ref(pts), name
+        assert calls, name
 
 
 def test_hull_area_of_uniform_square_samples():
@@ -228,6 +288,11 @@ def test_polygon_distances():
     moved = convex_hull_2d([v + 0.25 for v in square.vertices])
     assert polygon_hausdorff(square, moved) == pytest.approx(0.25)
     assert polygon_hausdorff(square, square) == 0.0
+    # Cross products of these coordinates overflow; the distances do not.
+    huge = convex_hull_2d([v * 1e300 for v in square.vertices])
+    assert huge.vertices == tuple(v * 1e300 for v in square.vertices)
+    assert polygon_signed_distance(huge, 0.5e300 + 0.5e300j) == pytest.approx(-0.5e300)
+    assert polygon_signed_distance(huge, 2e300 + 2e300j) == pytest.approx(math.sqrt(2.0) * 1e300)
 
 
 def test_polygon_signed_distance_matches_reference():

@@ -49,7 +49,11 @@ def test_nilpotent_boundary_is_half_disk_radius():
     assert np.max(np.abs(radii - 0.5)) <= 1e-9
 
 
-def test_boundary_fields_are_consistent():
+def test_boundary_fields_are_consistent(monkeypatch):
+    def chain(pts, tol):
+        raise AssertionError("a smooth sweep needs no monotone chain")
+
+    monkeypatch.setattr(cgeom, "_half_chain", chain)
     rng = np.random.default_rng(40)
     a = rand_complex(rng, 4)
     b = nrange_boundary(a, refine_tol=1e-6)
@@ -60,13 +64,30 @@ def test_boundary_fields_are_consistent():
     tol = 1e-9 * max(1.0, frob(a))
     attained = b.support_points.real * np.cos(b.angles) + b.support_points.imag * np.sin(b.angles)
     assert np.max(np.abs(attained - b.support_values)) <= tol
-    # The hull is exactly the hull of the support points.
+    # The hull is exactly the hull of the support points: all of them,
+    # in sweep order, from the smallest.
     assert b.hull.vertices == convex_hull_2d(b.support_points).vertices
+    start = b.support_points.tolist().index(b.hull.vertices[0])
+    assert b.hull.vertices == tuple(np.roll(b.support_points, -start).tolist())
     # Convexity: pruning never strands a support point outside the hull.
     outside = oracles.polygon_distance_many(
         list(b.hull.vertices), np.array(b.support_points, dtype=complex)
     )
     assert float(np.max(outside)) <= 1e-9
+
+
+def test_sweep_above_1e154_matches_the_scaled_sweep():
+    # Cross products of these support points overflow: the hull and the
+    # distance kernel decide on coordinates scaled to unit size.
+    a = np.array([[1e200, 1e200 + 3e199j], [0.0, 1.0]])
+    scale = 2.0 ** 664
+    big, unit = nrange_boundary(a), nrange_boundary(a / scale)
+    assert len(big.hull.vertices) == len(unit.hull.vertices)
+    gap = oracles.hausdorff_support_exact(np.array(big.hull.vertices) / scale,
+                                          list(unit.hull.vertices))
+    assert gap <= 1e-14 * np.max(np.abs(unit.hull.vertices))
+    assert nrange_contains(a, np.mean(big.support_points))
+    assert not nrange_contains(a, 3.0 * np.mean(big.support_points))
 
 
 def test_support_points_lie_inside_every_halfplane():
