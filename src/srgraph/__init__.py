@@ -23,19 +23,13 @@ from .cgeom import (
     PolygonLocator,
     SrgRegion,
     bk_forward,
-    bk_inverse,
-    clamp_disk,
     convex_hull_2d,
-    ext_conjugate,
     hull_bk,
     is_infinity,
     polygon_area,
-    polygon_boundary_points,
     polygon_distance,
     polygon_hausdorff,
     polygon_signed_distance,
-    region_contains,
-    region_signed_distance,
 )
 from .errors import (
     FactorizationDegenerateError,
@@ -47,7 +41,6 @@ from .errors import (
 )
 from .linalg import (
     as_matrix,
-    frob,
     general_eig,
     poly_roots,
 )
@@ -88,19 +81,13 @@ __all__ = [
     "PolygonLocator",
     "SrgRegion",
     "bk_forward",
-    "bk_inverse",
-    "clamp_disk",
     "convex_hull_2d",
-    "ext_conjugate",
     "hull_bk",
     "is_infinity",
     "polygon_area",
-    "polygon_boundary_points",
     "polygon_distance",
     "polygon_hausdorff",
     "polygon_signed_distance",
-    "region_contains",
-    "region_signed_distance",
     "FactorizationDegenerateError",
     "IllConditionedError",
     "InputError",
@@ -108,7 +95,6 @@ __all__ = [
     "OutOfDiskError",
     "SrgError",
     "as_matrix",
-    "frob",
     "general_eig",
     "poly_roots",
     "NRangeBoundary",

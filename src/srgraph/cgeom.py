@@ -70,15 +70,9 @@ def as_finite_complex(z) -> complex:
     return w
 
 
-def ext_conjugate(z: ExtComplex) -> ExtComplex:
-    """Complex conjugate on the extended plane; infinity is self-conjugate."""
-    if is_infinity(z):
-        return INFINITY
-    return complex(z).conjugate()
-
-
 def _clamp_disk_array(ws, eps: float = EPS_DISK) -> np.ndarray:
-    """Array kernel of clamp_disk; returns a clamped copy.
+    """Clamp nominal disk points so |w| <= 1, rejecting |w| > 1 + eps;
+    returns a clamped copy.
 
     Points with |w| > 1 are divided by |w| as CPython divides a complex
     by a real, written out, so values match scalar complex arithmetic
@@ -100,11 +94,6 @@ def _clamp_disk_array(ws, eps: float = EPS_DISK) -> np.ndarray:
         ws.real[big] = (wr + wi * 0.0) / rb
         ws.imag[big] = (wi - wr * 0.0) / rb
     return ws
-
-
-def clamp_disk(w, eps: float = EPS_DISK) -> complex:
-    """Clamp a nominal disk point so |w| <= 1, rejecting |w| > 1 + eps."""
-    return complex(_clamp_disk_array([complex(w)], eps)[0])
 
 
 def split_infinity(points) -> tuple[np.ndarray, np.ndarray]:
@@ -129,8 +118,8 @@ def bk_forward_array(points) -> np.ndarray:
 
     The components are 1 - 2/d and -2*Re z/d with d = 1 + |z|^2, so
     conjugate points collapse bit for bit; round-off excursions past
-    |w| = 1 go through the radial clamp of clamp_disk.  A NaN or float
-    infinity raises InputError.
+    |w| = 1 go through the radial clamp of _clamp_disk_array.  A NaN or
+    float infinity raises InputError.
     """
     zs, at_infinity = split_infinity(points)
     finite = np.isfinite(zs)
@@ -159,10 +148,13 @@ def bk_forward(z: ExtComplex) -> complex:
 
 
 def _bk_inverse_upper(ws) -> tuple[np.ndarray, np.ndarray]:
-    """Array kernel of bk_inverse: upper preimages and the mask of g(w) = {infinity}.
+    """The inverse map g: upper preimages, the non-negative-imaginary
+    representative of each conjugate pair, and the mask of g(w) =
+    {infinity}.
 
-    Values under the mask are meaningless.  The points first go through
-    the radial clamp of clamp_disk, whose InputError or OutOfDiskError
+    Values under the mask are meaningless; 1 - |w|^2 is clamped to
+    [0, inf) before the square root.  The points first go through the
+    radial clamp of _clamp_disk_array, whose InputError or OutOfDiskError
     the first non-finite or outside point raises.  Then the first point
     where 1 - Re w rounds to 0 off the INF_TOL ball around w = 1 (a plane
     point too large for the model) raises NumericalError.
@@ -185,20 +177,6 @@ def _bk_inverse_upper(ws) -> tuple[np.ndarray, np.ndarray]:
             f"disk point {w!r} has no finite preimage: 1 - Re w rounds to 0 "
             f"outside the {INF_TOL:g} ball around w = 1")
     return upper, at_infinity
-
-
-def bk_inverse(w) -> tuple[ExtComplex, ExtComplex]:
-    """Return the conjugate pair of preimages (upper, lower) of a disk point.
-
-    The first element carries the non-negative-imaginary representative;
-    the second is its conjugate.  g(1) = {infinity}, returned as the
-    pair (INFINITY, INFINITY).  1 - |w|^2 is clamped to [0, inf) before
-    the square root.
-    """
-    upper, at_infinity = _bk_inverse_upper([complex(w)])
-    if at_infinity[0]:
-        return (INFINITY, INFINITY)
-    return (complex(upper[0]), complex(upper[0]).conjugate())
 
 
 # ---------------------------------------------------------------------------
@@ -421,7 +399,10 @@ class PolygonLocator:
     bounds; the rare queries whose bounds straddle a caller's
     tolerance can be resolved with the exact O(V) computation.
     Polygons where the sector structure cannot be validated fall back
-    to exact answers for every query.
+    to exact answers for every query.  As in _signed_distances, the
+    arithmetic runs on coordinates divided by a power of two near the
+    largest, which is exact, so products do not overflow above about
+    1e154; the distances are scaled back.
     """
 
     def __init__(self, poly: ConvexPolygon):
@@ -431,7 +412,10 @@ class PolygonLocator:
         self._direct = True
         if len(v) < 3:
             return
-        c = complex(v.mean())
+        self._size = _max_coordinate(v)
+        self._k = math.frexp(self._size)[1]
+        v = _ldexp(v, -self._k)
+        c = v.mean(keepdims=True)
         ang = np.angle(v - c)
         order = np.argsort(ang, kind="stable")
         count = len(v)
@@ -471,12 +455,15 @@ class PolygonLocator:
         if self._direct:
             d = self.exact(ws)
             return d, d.copy(), np.abs(d)
-        rel = ws - self._c
+        k = math.frexp(max(self._size, _max_coordinate(ws)))[1]
+        ws = _ldexp(ws, -k)
+        c, oa, ob = (_ldexp(x, self._k - k) for x in (self._c, self._oa, self._ob))
+        rel = ws - c
         beta = np.angle(rel)
         idx = np.searchsorted(self._oang, beta, side="right") - 1
         idx[idx < 0] = len(self._oang) - 1
-        a = self._oa[idx]
-        b = self._ob[idx]
+        a = oa[idx]
+        b = ob[idx]
         n = self._n[idx]
         # Support gap in the located edge's normal direction: its sign
         # is the exact in/out decision, its value a signed lower bound.
@@ -490,12 +477,12 @@ class PolygonLocator:
         safe = np.where(rho > 0.0, rho, 1.0)
         u = np.where(rho > 0.0, rel / safe, 1.0 + 0.0j)
         un = np.real(np.conj(n) * u)
-        texit = np.real(np.conj(n) * (a - self._c)) / np.maximum(un, 1e-300)
+        texit = np.real(np.conj(n) * (a - c)) / np.maximum(un, 1e-300)
         ray = np.abs(rho - texit)
         boundary_ub = np.minimum(seg, ray)
         signed_lb = np.maximum(dot, -boundary_ub)
         signed_ub = np.where(dot > 0.0, boundary_ub, 0.0)
-        return signed_lb, signed_ub, boundary_ub
+        return tuple(np.ldexp(d, k) for d in (signed_lb, signed_ub, boundary_ub))
 
     def exact(self, ws) -> np.ndarray:
         """Exact signed distances (negative inside), O(V) per point."""
@@ -587,25 +574,3 @@ def hull_bk(points: Sequence[ExtComplex]) -> SrgRegion:
     # None lets region_from_disk_hull derive the flag from the hull.
     flag = True if INFINITY in pts else None
     return region_from_disk_hull(hull, contains_infinity=flag)
-
-
-def region_signed_distance(region: SrgRegion, z: ExtComplex) -> float:
-    """Disk-side signed distance of f(z) to the region's hull.
-
-    Negative means strictly inside.  For boundary-only regions the
-    result is the absolute distance to the hull boundary, so small
-    values mean "on the curve".
-    """
-    d = polygon_signed_distance(region.disk_hull, bk_forward(z))
-    if region.boundary_only:
-        return abs(d)
-    return d
-
-
-def region_contains(region: SrgRegion, z: ExtComplex, tol: float = 1e-9) -> bool:
-    """True iff f(z) lies inside or within tol of the region's disk hull.
-
-    Infinity is handled through its image f(infinity) = 1.  For
-    boundary-only regions this tests distance to the boundary curve.
-    """
-    return region_signed_distance(region, z) <= tol

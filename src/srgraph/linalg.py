@@ -34,19 +34,6 @@ def require_positive_finite(value, name: str) -> None:
         raise InputError(f"{name} must be a finite positive number, got {value!r}")
 
 
-def frob(a) -> float:
-    """Frobenius norm, taken of the entries divided by a power of two
-    near the largest modulus, so that their squares neither overflow
-    (entries above about 1e154) nor all vanish (below about 1e-154).
-    The division is exact, so where the plain norm stays in range the
-    result is the same float.
-    """
-    a = np.asarray(a)
-    exponent = math.frexp(float(np.max(np.abs(a), initial=0.0)))[1]
-    scale = 2.0 ** min(max(exponent, -1000), 1000)
-    return float(np.linalg.norm(a / scale, "fro")) * scale
-
-
 def general_eig(a) -> np.ndarray:
     """All eigenvalues of a square matrix, sorted by (re, im).
 

@@ -1,40 +1,45 @@
 """Numerical-range boundary tracing by the support-function rotation method.
 
 With A = (M + M*)/2 and B = i(M - M*)/2, both Hermitian, the Hermitian
-part of e^{-i*theta}M is H(theta) = cos(theta) A - sin(theta) B.  Its
-top eigenvector x gives a boundary support point p = <Mx, x> and the
-support value h(theta) = lambda_max.  Since H(theta + pi) = -H(theta),
-the same eigendecomposition gives the opposite side too: h(theta + pi)
-= -lambda_min, with the bottom eigenvector as its support point, as in
-Johnson's sweep (SIAM J. Numer. Anal. 15, 1978).  So every eigensolve
-is at an angle in [0, pi) and fills two rows of the sweep.  When
-M = M^T, as V of a real T is, A and B are real symmetric and the
-stacks are float64, so LAPACK runs its real routine; otherwise they
-are complex.  The dtype alone picks the routine.
+part of e^{-i*theta}M is H(theta) = cos(theta) A - sin(theta) B.  The
+support value of W(M) at theta is h(theta) = lambda_max(H(theta)), and
+a unit vector x on its support line, x*H(theta)x = h(theta), gives a
+boundary support point p = <Mx, x>.  Since H(theta + pi) = -H(theta),
+the same eigenvalues give the opposite side too: h(theta + pi) =
+-lambda_min, as in Johnson's sweep (SIAM J. Numer. Anal. 15, 1978).  So
+every angle solved is in [0, pi) and fills two rows of the sweep.  When
+M = M^T, as V of a real T is, A and B are real symmetric and the stacks
+are float64, so LAPACK runs its real routines; otherwise they are
+complex.  The dtype alone picks the routine.
 
-A repeated extreme eigenvalue needs no special case: any unit vector x
-of the top eigenspace lies on the support line, Re(e^{-i*theta}<Mx, x>)
-= x*H(theta)x = lambda_max, so each angle gives one support point, and
-a flat face's endpoints come from the angles beside its normal.  The
-same eigendecomposition gives the boundary's radius of curvature
-rho = h + h'' = 2 sum_j |x_j* H'(theta) x|^2 / |lambda_j - lambda| over
-the other eigenpairs (Loisel and Maxwell, SIMAX 39(4), 2018), at theta
-and at theta + pi alike.
+Each angle costs the eigenvalues of H(theta) and, per side, one step
+of shifted inverse iteration (Ipsen, SIAM Review 39, 1997): one LU
+solve with the top eigenvalue, shifted just above it, gives x.  Any
+unit x puts p in W(M), so the inner polygon holds whatever x is; the
+outer one needs p on its support line, so each row's depth below that
+line is checked at rounding level, and a row above it takes its vector
+from the full eigendecomposition instead.  A repeated extreme
+eigenvalue needs no special case: any unit vector of the top eigenspace
+lies on the support line, so each angle gives one support point, and a
+flat face's endpoints come from the angles beside its normal.
 
-Angle batches are solved as stacked eigenproblems of at most
-_BATCH_BYTES each, so memory stays bounded however many angles a round
-holds; a round of several such chunks runs on a process-wide thread
-pool with the BLAS held at one thread.  Adaptive refinement splits
-sweep wedges, breadth-first in batches, until the exact outer bound -
-the distance from the support-line apex to the chord of adjacent
-support points - drops below a target, which certifies W(M) within
-that distance of the assembled polygon.  The table of angles stays
-symmetric under theta -> theta + pi, so a wedge and its opposite split
-together, into as many equal parts as the needier of the two asks for
-from the curvature at its ends (the bound is about rho*width^2/4 on a
-smooth arc) while that agrees with the bound, which shrinks with the
-square of the width; so a smooth wedge meets the target in one round,
-and a wedge across a corner or a flat face (rho near 0) is bisected.
+Angle batches are solved as stacks of at most _BATCH_BYTES each, so
+memory stays bounded however many angles a round holds; a round of
+several such chunks runs on a process-wide thread pool with the BLAS
+held at one thread.  Adaptive refinement splits sweep wedges,
+breadth-first in batches, until the exact outer bound - the distance
+from the support-line apex to the chord of adjacent support points -
+drops below a target, which certifies W(M) within that distance of the
+assembled polygon.  The table of angles stays symmetric under theta ->
+theta + pi, so a wedge and its opposite split together, into as many
+equal parts as the needier of the two asks for from the radius of
+curvature rho = h + h'' at its ends (the bound is about rho*width^2/4
+on a smooth arc) while that agrees with the bound, which shrinks with
+the square of the width; so a smooth wedge meets the target in one
+round, and a wedge across a corner or a flat face (rho near 0) is
+bisected.  rho needs the full eigendecomposition (Loisel and Maxwell,
+SIMAX 39(4), 2018), so it is measured only at the ends of wedges that
+are still to be split.
 
 The support points span Johnson's inner polygon and their support
 lines his outer one; the apex-chord bound is the gap between them.
@@ -70,8 +75,13 @@ _START_ANGLES = 720
 # except a bisection).
 REFINE_MAX_DEPTH = 48
 REFINE_MIN_WEDGE = 1e-9
-# Bytes of stacked n-by-n matrices one eigensolver call takes.
+# Bytes of stacked n-by-n matrices one eigensolver or solver call takes.
 _BATCH_BYTES = 1 << 18
+# numpy holds the GIL through an eigvalsh call whose output has at most
+# 500 entries, which would run the pool's chunks one at a time; so a
+# chunk of the sweep holds at least this many entries' worth of n-by-n
+# matrices, even where that is more than _BATCH_BYTES.
+_GIL_FREE_VALUES = 501
 
 # One parallel section at a time, so that sweeps from several user
 # threads queue instead of fighting over the BLAS thread count.
@@ -144,17 +154,17 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_reset_after_fork)
 
 
-def _map_chunks(fn, a: np.ndarray, thetas: np.ndarray) -> list:
+def _map_chunks(fn, a: np.ndarray, thetas: np.ndarray, least: int = 1) -> list:
     """fn over consecutive chunks of thetas, each stacking at most
-    _BATCH_BYTES of matrices of a's shape and dtype, results in chunk
-    order.
+    _BATCH_BYTES of matrices of a's shape and dtype, but at least
+    least of them, results in chunk order.
 
     Several chunks run on the shared pool with the BLAS at one thread;
     one chunk, or no pool, runs in the calling thread.  Each matrix
     gets the same LAPACK call either way, so results do not depend on
     the split.
     """
-    size = max(1, _BATCH_BYTES // a.nbytes)
+    size = max(least, _BATCH_BYTES // a.nbytes)
     chunks = [thetas[i:i + size] for i in range(0, thetas.size, size)]
     if len(chunks) > 1:
         with _LOCK:
@@ -219,28 +229,87 @@ def _top_support(m, a, b, thetas, w, v):
     return w[:, -1], p, _curvatures(a, b, thetas, w, v)
 
 
-def _supports_batch(m: np.ndarray, a: np.ndarray, b: np.ndarray, thetas: np.ndarray):
-    """Support data for a batch of angles in [0, pi) and their opposites:
-    (h, p, rho), with (A, B) = _hermitian_parts(M).
+def _eigh_supports(m: np.ndarray, a: np.ndarray, b: np.ndarray, thetas: np.ndarray):
+    """(h, p, rho) as in _supports_batch, all from the full
+    eigendecomposition of each H(theta), rho included.
 
-    One eigendecomposition of H(theta) serves theta, row 0 of each
-    column, and theta + pi, row 1: H(theta + pi) = -H(theta), whose
-    top eigenpair is the bottom one of H(theta) with the eigenvalue
-    negated.  h holds the support values, p the support points and rho
-    the radius of curvature.
+    H(theta + pi) = -H(theta), so its top eigenpair is the bottom one of
+    H(theta) with the eigenvalue negated.
     """
-    thetas = np.asarray(thetas, dtype=np.float64)
     w, v = np.linalg.eigh(_rotated_hermitian_parts(a, b, thetas))
     top, bottom = (_top_support(m, a, b, *side) for side in
                    ((thetas, w, v), (thetas + math.pi, -w[:, ::-1], v[:, :, ::-1])))
     return tuple(map(np.stack, zip(top, bottom)))
 
 
+def _supports_batch(m: np.ndarray, a: np.ndarray, b: np.ndarray, thetas: np.ndarray):
+    """Support data for a batch of angles in [0, pi) and their opposites:
+    (h, p, rho), with (A, B) = _hermitian_parts(M), row 0 of each column
+    at theta and row 1 at theta + pi.
+
+    h comes from the eigenvalues of H(theta) alone: its top one and
+    minus its bottom one.  For each side s = +1, -1, with lambda the top
+    eigenvalue of sH, one step of shifted inverse iteration solves
+    ((lambda + delta) I - sH) x = e_k, with delta = 2^-48 max|eigenvalue|
+    (1 where H = 0) and e_k the unit vector at the largest diagonal
+    entry of sH, which keeps a diagonal H exact.  The shifted stack is
+    divided by a power of two near the largest eigenvalue modulus, which
+    is exact, and x by its largest entry, so nothing overflows; then
+    p = <Mx, x> for the unit x.  Any unit x puts p in W(M).  Where its
+    depth lambda - x*(sH)x below the support line is above 2^-46
+    max|eigenvalue|, or a solve fails, the row takes p from
+    _eigh_supports instead, which also measures rho for both rows of
+    its angle; rho is NaN on every other row.
+    """
+    thetas = np.asarray(thetas, dtype=np.float64)
+    hs = _rotated_hermitian_parts(a, b, thetas)
+    w = np.linalg.eigvalsh(hs)
+    h = np.stack([w[:, -1], -w[:, 0]])
+    scale = np.maximum(np.abs(w[:, -1]), np.abs(w[:, 0]))
+    unit = np.ldexp(1.0, -np.clip(np.frexp(scale)[1], -1000, 1000))
+    shift = (h + np.where(scale > 0.0, np.ldexp(scale, -48), 1.0)) * unit
+    n = hs.shape[-1]
+    diagonal = np.einsum("kii->ki", hs).real
+    sign = np.array([[1.0], [-1.0]])
+    x = np.empty((2,) + hs.shape[:-1], dtype=hs.dtype)
+    for side, s in enumerate(sign[:, 0]):
+        shifted = hs * (-s * unit)[:, None, None]
+        # Basic slicing, not an index array, which would hold the GIL.
+        shifted.reshape(-1, n * n)[:, ::n + 1] += shift[side, :, None]
+        start = np.argmax(s * diagonal, axis=1)
+        rhs = (np.arange(n) == start[:, None]).astype(hs.dtype)[..., None]
+        try:
+            x[side] = np.linalg.solve(shifted, rhs)[..., 0]
+        except np.linalg.LinAlgError:
+            x[side] = np.nan
+    x /= np.max(np.abs(x), axis=-1, keepdims=True)
+    x /= np.linalg.norm(x, axis=-1, keepdims=True)
+    xh = np.conj(x)
+    depth = h - sign * np.einsum("ski,ski->sk", xh, (hs @ x[..., None])[..., 0]).real
+    p = np.einsum("ski,ski->sk", xh, x @ m.T)
+    rho = np.full(h.shape, np.nan)
+    off = ~(depth <= np.ldexp(scale, -46))
+    redo = off.any(axis=0)
+    if redo.any():
+        _, p_eigh, rho_eigh = _eigh_supports(m, a, b, thetas[redo])
+        p[:, redo] = np.where(off[:, redo], p_eigh, p[:, redo])
+        rho[:, redo] = rho_eigh
+    return h, p, rho
+
+
 def _supports(m: np.ndarray, a: np.ndarray, b: np.ndarray, thetas):
     """_supports_batch over any number of angles, chunk by chunk."""
     thetas = np.asarray(thetas, dtype=np.float64)
-    parts = _map_chunks(lambda t: _supports_batch(m, a, b, t), a, thetas)
+    least = -(-_GIL_FREE_VALUES // a.shape[0])
+    parts = _map_chunks(lambda t: _supports_batch(m, a, b, t), a, thetas, least)
     return tuple(np.concatenate(col, axis=1) for col in zip(*parts))
+
+
+def _curvatures_at(m: np.ndarray, a: np.ndarray, b: np.ndarray, thetas: np.ndarray) -> np.ndarray:
+    """rho at each angle theta in [0, pi) (row 0) and at theta + pi (row
+    1), from _eigh_supports, chunk by chunk."""
+    parts = _map_chunks(lambda t: _eigh_supports(m, a, b, t)[2], a, thetas)
+    return np.concatenate(parts, axis=1)
 
 
 def _apex_chord_bounds(ta, ha, pa, tb, hb, pb) -> np.ndarray:
@@ -277,7 +346,10 @@ def _split_counts(ta, tb, bounds, ra, rb, refine_tol: float) -> np.ndarray:
     wedge (a corner or a closing eigengap inside, or an infinite rho at
     a degenerate end) and the bound's count is taken.  A wedge across a
     corner or a flat face has rho near 0 and is bisected.  No split
-    beyond two makes a child narrower than REFINE_MIN_WEDGE.
+    beyond two makes a child narrower than REFINE_MIN_WEDGE.  The
+    sweep's support values come from eigenvalues and its support points
+    from one shifted solve per side, so it measures rho, from the full
+    eigendecomposition, only at the ends of the wedges passed here.
     """
     width = tb - ta
     root_tol = math.sqrt(refine_tol)
@@ -297,9 +369,10 @@ def _sweep(m: np.ndarray, refine_tol: float) -> tuple[NRangeBoundary, float]:
     thetas = math.pi * np.arange(half) / half
     columns = _supports(m, a, b, thetas)
     target = refine_tol * max(1.0, float(np.max(columns[0])))
-    # Every eigensolved angle theta, ascending in [0, pi) from 0, and
-    # the columns h, p and rho, each with row 0 at theta and row 1 at
-    # theta + pi; read row by row, one table ascending over [0, 2*pi).
+    # Every solved angle theta, ascending in [0, pi) from 0, and the
+    # columns h, p and rho (NaN where not yet measured), each with row 0
+    # at theta and row 1 at theta + pi; read row by row, one table
+    # ascending over [0, 2*pi).
     table = [thetas, *columns]
     for depth in range(REFINE_MAX_DEPTH + 1):
         t, h, p, rho = table
@@ -308,13 +381,22 @@ def _sweep(m: np.ndarray, refine_tol: float) -> tuple[NRangeBoundary, float]:
         # Wedges i and i + t.size are opposite, and split as a pair.
         ta = np.concatenate([t, t + math.pi])
         tb = np.append(ta[1:], 2.0 * math.pi)
-        ha, pa, ra = h.ravel(), p.ravel(), rho.ravel()
-        hb, pb, rb = (np.roll(col, -1) for col in (ha, pa, ra))
+        ha, pa = h.ravel(), p.ravel()
+        hb, pb = np.roll(ha, -1), np.roll(pa, -1)
         bounds = _apex_chord_bounds(ta, ha, pa, tb, hb, pb)
         needy = ((tb - ta > REFINE_MIN_WEDGE) & (bounds > target)).reshape(2, -1).any(axis=0)
         if depth == REFINE_MAX_DEPTH or not needy.any():
             break
         both = np.tile(needy, 2)
+        # rho is measured at the ends of the needy wedges only, where
+        # still unknown; one eigendecomposition gives both rows of a
+        # column.
+        unknown = (both | np.roll(both, 1)) & np.isnan(rho).ravel()
+        cols = np.unique(np.flatnonzero(unknown) % t.size)
+        if cols.size:
+            rho[:, cols] = _curvatures_at(m, a, b, t[cols])
+        ra = rho.ravel()
+        rb = np.roll(ra, -1)
         k = _split_counts(ta[both], tb[both], bounds[both], ra[both], rb[both], target)
         k = k.reshape(2, -1).max(axis=0)
         ta, tb = ta[:t.size][needy], tb[:t.size][needy]
@@ -342,7 +424,7 @@ def nrange_boundary(a, refine_tol: float = DEFAULT_REFINE_TOL) -> NRangeBoundary
     """Trace the boundary of W(A) by a refined support-line sweep.
 
     The sweep starts on _START_ANGLES equally spaced angles, from half
-    as many eigensolves on [0, pi), each at theta and theta + pi.  Each
+    as many solved on [0, pi), each at theta and theta + pi.  Each
     round splits every pair of opposite wedges where either
     apex-to-chord bound is above the target refine_tol*max(1, w), w the
     largest support value on the start grid, into k equal parts, k the

@@ -405,35 +405,57 @@ def bisect_counts(ta, tb, bounds, ra, rb, refine_tol) -> np.ndarray:
     return np.full(np.shape(ta), 2, dtype=np.int64)
 
 
-def sweep_ref(a, num_angles: int, refine_tol: float, hermitian_parts, rotated_parts,
-              apex_chord_bounds, curvatures, split_counts):
+def eigh_supports_ref(a, part_a, part_b, rotated_parts, curvatures):
+    """Support data from one full eigendecomposition per angle: the
+    reference for the sweep's kernel of eigenvalues and shifted solves.
+
+    Returns a function of angles theta in [0, pi) that gives (h, p, rho),
+    each with row 0 at theta, from the top eigenpair of H(theta), and
+    row 1 at theta + pi, from the bottom one with the eigenvalue negated.
+    """
+    def supports(thetas):
+        w, v = np.linalg.eigh(rotated_parts(part_a, part_b, thetas))
+        rows = []
+        for angles, ws, vs in ((thetas, w, v), (thetas + math.pi, -w[:, ::-1], v[:, :, ::-1])):
+            top = vs[:, :, -1]
+            rows.append((ws[:, -1], np.einsum("ki,ij,kj->k", np.conj(top), a, top),
+                         curvatures(part_a, part_b, angles, ws, vs)))
+        return tuple(np.stack(col) for col in zip(*rows))
+
+    return supports
+
+
+def sweep_ref(num_angles: int, refine_tol: float, supports, curvatures, apex_chord_bounds,
+              split_counts):
     """Paired angle-sweep bookkeeping with Python lists of (theta, h, p).
 
     The per-angle helpers and the split rule are passed in; this checks
-    the pairing, ordering and refinement around them.  Each eigensolve
-    at an angle theta in [0, pi) gives the support at theta from the top
-    of H(theta) and at theta + pi from the top of -H(theta) = H(theta +
-    pi), one support point each.  The sweep starts on num_angles // 2
-    angles in [0, pi), and wedges are refined to refine_tol*max(1,
-    largest support value on those num_angles directions).  A wedge and
-    its opposite split together, into the larger of their
-    split_counts(ta, tb, bounds, ra, rb, target) (bisect_counts for
-    plain bisection), whenever either is above the target.  Returns
+    the pairing, ordering, refinement and curvature bookkeeping around
+    them.  supports(thetas), for angles theta in [0, pi), gives (h, p,
+    rho), each with row 0 at theta and row 1 at theta + pi, and rho NaN
+    where not measured; curvatures(thetas) gives rho alone, both rows.
+    The sweep starts on num_angles // 2 angles in [0, pi), and wedges
+    are refined to refine_tol*max(1, largest support value on those
+    num_angles directions).  A wedge and its opposite split together,
+    into the larger of their split_counts(ta, tb, bounds, ra, rb, target)
+    (bisect_counts for plain bisection), whenever either is above the
+    target.  Before that, every end of such a pair of wedges whose rho is
+    NaN gets it from curvatures, both rows of its angle at once.  Returns
     (angles, support_points, support_values) as arrays.
     """
-    part_a, part_b = hermitian_parts(a)
+    rho = {}
 
     def ends(thetas):
-        # Per angle, the ends (angle, h, p, rho) at theta and at theta + pi.
-        w, v = np.linalg.eigh(rotated_parts(part_a, part_b, thetas))
+        # Per angle, the ends (angle, h, p, key) at theta and at theta +
+        # pi; rho[key] is the end's radius of curvature.
+        h, p, r = (col.tolist() for col in supports(thetas))
         out = []
-        for angles, ws, vs in ((thetas, w, v), (thetas + math.pi, -w[:, ::-1], v[:, :, ::-1])):
-            top = vs[:, :, -1]
-            points = np.einsum("ki,ij,kj->k", np.conj(top), a, top)
-            rho = curvatures(part_a, part_b, angles, ws, vs)
-            out.append(list(zip(angles.tolist(), ws[:, -1].tolist(), points.tolist(),
-                                rho.tolist())))
-        return list(zip(*out))
+        for i, theta in enumerate(thetas.tolist()):
+            for side in (0, 1):
+                rho[theta, side] = r[side][i]
+            out.append(tuple((theta + side * math.pi, h[side][i], p[side][i], (theta, side))
+                             for side in (0, 1)))
+        return out
 
     half = num_angles // 2
     initial = ends(math.pi * np.arange(half) / half)
@@ -457,12 +479,18 @@ def sweep_ref(a, num_angles: int, refine_tol: float, hermitian_parts, rotated_pa
         if not needy:
             break
         halves = [(wedges[j], bounds[j]) for i in needy for j in (2 * i, 2 * i + 1)]
+        missing = sorted({end[3][0] for wedge, _ in halves for end in wedge
+                          if math.isnan(rho[end[3]])})
+        if missing:
+            measured = curvatures(np.array(missing)).tolist()
+            for i, theta in enumerate(missing):
+                rho[theta, 0], rho[theta, 1] = measured[0][i], measured[1][i]
         counts = split_counts(
             np.array([lo[0] for (lo, _), _ in halves]),
             np.array([hi[0] for (_, hi), _ in halves]),
             np.array([b for _, b in halves]),
-            np.array([lo[3] for (lo, _), _ in halves]),
-            np.array([hi[3] for (_, hi), _ in halves]), target).tolist()
+            np.array([rho[lo[3]] for (lo, _), _ in halves]),
+            np.array([rho[hi[3]] for (_, hi), _ in halves]), target).tolist()
         split = [(pairs[i], max(counts[2 * j], counts[2 * j + 1])) for j, i in enumerate(needy)]
         inner = [lo[0] + (hi[0] - lo[0]) * j / k
                  for ((lo, hi), _), k in split for j in range(1, k)]
@@ -480,6 +508,19 @@ def sweep_ref(a, num_angles: int, refine_tol: float, hermitian_parts, rotated_pa
             np.array([h for _, h, _ in entries], dtype=np.float64))
 
 
+def frob(a) -> float:
+    """Frobenius norm, taken of the entries divided by a power of two
+    near the largest modulus, so that their squares neither overflow
+    (entries above about 1e154) nor all vanish (below about 1e-154).
+    The division is exact, so where the plain norm stays in range the
+    result is the same float.
+    """
+    a = np.asarray(a)
+    exponent = math.frexp(float(np.max(np.abs(a), initial=0.0)))[1]
+    scale = 2.0 ** min(max(exponent, -1000), 1000)
+    return float(np.linalg.norm(a / scale, "fro")) * scale
+
+
 def clamp_disk_ref(w, eps: float = 1e-9) -> complex:
     """The scalar radial clamp; raises ValueError with the package's messages."""
     w = complex(w)
@@ -491,6 +532,20 @@ def clamp_disk_ref(w, eps: float = 1e-9) -> complex:
     if r > 1.0:
         return w / r
     return w
+
+
+def bk_inverse_ref(w) -> tuple:
+    """The scalar inverse map: the preimages (upper, lower) of a disk
+    point after the radial clamp, or (INFINITY, INFINITY) within 1e-12
+    of w = 1; 1 - |w|^2 is clamped to [0, inf) before the square root."""
+    w = clamp_disk_ref(w)
+    if math.hypot(w.real - 1.0, w.imag) <= 1e-12:
+        return INFINITY, INFINITY
+    denom = 1.0 - w.real
+    rad = 1.0 - (w.real * w.real + w.imag * w.imag)
+    rad = 0.0 if rad < 0.0 else rad
+    upper = complex(-w.imag / denom, math.sqrt(rad) / denom)
+    return upper, upper.conjugate()
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,26 +13,27 @@ from srgraph import (
     InputError,
     NumericalError,
     OutOfDiskError,
+    Infinity,
     PolygonLocator,
     bk_forward,
-    bk_inverse,
     build_v,
-    clamp_disk,
     convex_hull_2d,
-    ext_conjugate,
     hull_bk,
     is_infinity,
     nrange_boundary,
     polygon_area,
-    polygon_boundary_points,
     polygon_distance,
     polygon_hausdorff,
     polygon_signed_distance,
-    region_contains,
-    region_signed_distance,
 )
 from srgraph import cgeom
-from srgraph.cgeom import _clamp_disk_array, bk_forward_array, region_from_disk_hull
+from srgraph.cgeom import (
+    _bk_inverse_upper,
+    _clamp_disk_array,
+    bk_forward_array,
+    polygon_boundary_points,
+    region_from_disk_hull,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -39,9 +41,13 @@ from srgraph.cgeom import _clamp_disk_array, bk_forward_array, region_from_disk_
 # ---------------------------------------------------------------------------
 
 def test_infinity_is_singleton_and_self_conjugate():
-    assert is_infinity(INFINITY)
-    assert ext_conjugate(INFINITY) is INFINITY
+    assert is_infinity(INFINITY) and Infinity() is INFINITY
     assert not is_infinity(1e300 + 0j)
+    # Both conjugate branches of an unbounded region hold it in the
+    # same places.
+    region = hull_bk([INFINITY, 0.0, 1j])
+    marks = [is_infinity(z) for z in region.upper_branch]
+    assert any(marks) and marks == [is_infinity(z) for z in region.lower_branch]
 
 
 def test_bk_forward_reference_points():
@@ -109,41 +115,32 @@ def test_circles_centered_on_real_axis_map_to_chords():
 # ---------------------------------------------------------------------------
 
 def test_bk_inverse_reference_points():
-    up, lo = bk_inverse(1.0 + 0j)
-    assert is_infinity(up) and is_infinity(lo)
-    up, lo = bk_inverse(-1.0 + 0j)
-    assert up == 0.0 and lo == 0.0
-    up, lo = bk_inverse(bk_forward(2 + 1j))
-    assert abs(up - (2 + 1j)) < 1e-12
-    assert abs(lo - (2 - 1j)) < 1e-12
+    up, at_infinity = _bk_inverse_upper([1.0, -1.0, bk_forward(2 + 1j)])
+    assert at_infinity.tolist() == [True, False, False]
+    assert up[1] == 0.0
+    assert abs(up[2] - (2 + 1j)) < 1e-12
 
 
 def test_bk_inverse_upper_branch_has_nonnegative_imag():
     rng = np.random.default_rng(14)
-    ws = rng.uniform(-0.99, 0.99, size=(200, 2))
-    for wr, wi in ws:
-        w = complex(wr, wi)
-        if abs(w) >= 1.0:
-            continue
-        up, lo = bk_inverse(w)
-        assert up.imag >= 0.0
-        assert lo == up.conjugate()
+    ws = rng.uniform(-0.99, 0.99, size=200) + 1j * rng.uniform(-0.99, 0.99, size=200)
+    ws = ws[np.abs(ws) < 1.0]
+    up, at_infinity = _bk_inverse_upper(ws)
+    assert not at_infinity.any()
+    assert np.all(up.imag >= 0.0)
 
 
 def test_bk_roundtrip_on_random_points():
     rng = np.random.default_rng(15)
     zs = rng.normal(scale=2.0, size=1000) + 1j * rng.normal(scale=2.0, size=1000)
-    for z in zs:
-        z = complex(z)
-        up, lo = bk_inverse(bk_forward(z))
-        expect_up = z if z.imag >= 0 else z.conjugate()
-        assert abs(up - expect_up) < 1e-12
-        assert abs(lo - expect_up.conjugate()) < 1e-12
+    up, _ = _bk_inverse_upper(bk_forward_array(zs))
+    expect_up = np.where(zs.imag >= 0, zs, np.conj(zs))
+    assert np.max(np.abs(up - expect_up)) < 1e-12
 
 
 def test_bk_inverse_rejects_points_outside_disk():
     with pytest.raises(OutOfDiskError):
-        bk_inverse(1.1 + 0j)
+        _bk_inverse_upper([1.1 + 0j])
 
 
 def test_bk_inverse_overflow_near_one_is_a_numerical_error():
@@ -151,20 +148,20 @@ def test_bk_inverse_overflow_near_one_is_a_numerical_error():
     # INF_TOL ball: the preimage has no finite double value.
     w = 1.0 - 2e-9j
     with pytest.raises(NumericalError, match="1-2e-09j"):
-        bk_inverse(w)
+        _bk_inverse_upper([w])
     with pytest.raises(NumericalError):
         hull_bk([1e9])
-    assert bk_inverse(1.0 - 1e-13j) == (INFINITY, INFINITY)
+    assert _bk_inverse_upper([1.0 - 1e-13j])[1].tolist() == [True]
 
 
 def test_clamp_disk_behavior():
-    assert clamp_disk(0.5 + 0.5j) == 0.5 + 0.5j
-    w = clamp_disk((1.0 + 5e-10) * 1j)
+    assert _clamp_disk_array([0.5 + 0.5j])[0] == 0.5 + 0.5j
+    w = _clamp_disk_array([(1.0 + 5e-10) * 1j])[0]
     assert abs(abs(w) - 1.0) < 1e-15
     with pytest.raises(OutOfDiskError):
-        clamp_disk(1.0 + 1e-8 + 0j)
+        _clamp_disk_array([1.0 + 1e-8 + 0j])
     with pytest.raises(InputError):
-        clamp_disk(float("nan"))
+        _clamp_disk_array([float("nan")])
 
 
 def test_clamp_disk_array_is_the_scalar_clamp_bit_for_bit():
@@ -174,7 +171,6 @@ def test_clamp_disk_array_is_the_scalar_clamp_bit_for_bit():
     ws += [0j, complex(-0.0, -0.0), 1.0 + 0j, complex(-1.0, -0.0), complex(-0.0, 1.0 + 5e-10)]
     want = [repr(oracles.clamp_disk_ref(w)) for w in ws]
     assert [repr(w) for w in _clamp_disk_array(ws).tolist()] == want
-    assert [repr(clamp_disk(w)) for w in ws] == want
     # The first faulty point raises, with the scalar clamp's message.
     nan = complex(math.nan, 0.0)
     for points, bad, kind in (([0.5, 2.0, nan], 2.0, OutOfDiskError),
@@ -350,7 +346,12 @@ def test_hull_bk_conjugate_pair_same_region():
 def test_hull_bk_with_infinity_flags_infinity():
     region = hull_bk([INFINITY, 0.0])
     assert region.contains_infinity
-    assert region_contains(region, 5j, 1e-9)
+    assert polygon_signed_distance(region.disk_hull, bk_forward(5j)) <= 1e-9
+
+
+def _disk_distance(region, z) -> float:
+    """Signed distance of f(z) to the region's disk hull."""
+    return polygon_signed_distance(region.disk_hull, bk_forward(z))
 
 
 def test_region_contains_chord_examples():
@@ -358,15 +359,13 @@ def test_region_contains_chord_examples():
     # The disk hull is the segment from f(0) = -1 to f(2) = 0.6-0.8i.
     assert set(region.disk_hull.vertices) == {-1 + 0j, bk_forward(2.0)}
     # f(1) = -i sits 0.4472... away from that segment, so 1 is outside.
-    assert not region_contains(region, 1.0, 1e-9)
     want = oracles.point_segment_distance(-1j, -1 + 0j, 0.6 - 0.8j)
-    assert region_signed_distance(region, 1.0) == pytest.approx(want, abs=1e-12)
+    assert _disk_distance(region, 1.0) == pytest.approx(want, abs=1e-12)
     # A genuine chord point is inside: the preimage of the midpoint region.
-    up, _ = bk_inverse(-0.2 - 0.4j)
-    assert region_contains(region, up, 1e-9)
-    assert region_contains(region, 0.0, 1e-9)
-    assert region_contains(region, 2.0, 1e-9)
-    assert not region_contains(hull_bk([1.0]), 2.0, 1e-9)
+    up = complex(_bk_inverse_upper([-0.2 - 0.4j])[0][0])
+    for z in (up, 0.0, 2.0):
+        assert _disk_distance(region, z) <= 1e-9
+    assert _disk_distance(hull_bk([1.0]), 2.0) > 1e-9
 
 
 def test_region_branches_are_conjugate():
@@ -407,19 +406,10 @@ def test_region_branches_are_pointwise_bk_inverse_of_the_walk():
         hulls.append(convex_hull_2d(pts / (1.0 + 1e-10) / np.max(np.abs(pts))))
     for hull in hulls:
         region = region_from_disk_hull(hull)
-        pairs = [bk_inverse(w) for w in polygon_boundary_points(hull)]
+        pairs = [oracles.bk_inverse_ref(w) for w in polygon_boundary_points(hull)]
         assert repr(region.upper_branch) == repr(tuple(up for up, _ in pairs))
         assert repr(region.lower_branch) == repr(tuple(lo for _, lo in pairs))
     assert INFINITY in region_from_disk_hull(hulls[0]).upper_branch
-
-
-def test_region_signed_distance_boundary_only_uses_distance_to_curve():
-    hull = convex_hull_2d([0.5 + 0j, -0.5 + 0.2j, -0.2 - 0.4j])
-    filled = region_from_disk_hull(hull)
-    curve = region_from_disk_hull(hull, boundary_only=True)
-    interior = bk_inverse(0.0 - 0.1j)[0]
-    assert region_signed_distance(filled, interior) < 0.0
-    assert region_signed_distance(curve, interior) > 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -460,3 +450,25 @@ def test_locator_handles_degenerate_polygons_exactly():
         want = [oracles.polygon_distance_ref(verts if len(verts) > 1 else verts,
                                              complex(w)) for w in ws]
         assert np.allclose(exact, want, atol=1e-12)
+
+
+def test_locator_holds_above_1e154():
+    # Products of raw coordinates of this square overflow; the locator
+    # decides on coordinates divided by a power of two and scales the
+    # bounds back.
+    side = 1e300
+    loc = PolygonLocator(convex_hull_2d([0j, side, side + side * 1j, side * 1j]))
+    ws = side * np.array([0.5 + 0.5j, 0.9 + 0.5j, 1.5 + 0.5j, -0.2 - 0.1j, 0.5 + 2.0j])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        lb, ub, bd = loc.query(ws)
+        exact = loc.exact(ws)
+    assert np.all(np.isfinite(lb) & np.isfinite(ub) & np.isfinite(bd))
+    assert np.all(lb <= exact + 1e-15 * side)
+    assert np.all(exact <= ub + 1e-15 * side)
+    assert np.all(bd >= np.abs(exact) - 1e-15 * side)
+    assert np.array_equal(np.sign(lb), np.sign(exact))
+    # The bounds at any scale are the unit-scale bounds, scaled back.
+    unit = PolygonLocator(convex_hull_2d([0j, 1.0, 1.0 + 1j, 1j]))
+    for got, want in zip((lb, ub, bd), unit.query(ws / side)):
+        assert np.allclose(got / side, want, rtol=1e-15, atol=0.0)

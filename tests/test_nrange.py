@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import contextlib
+import functools
 import math
 import multiprocessing
 import queue
@@ -19,7 +20,6 @@ from srgraph import (
     bk_forward,
     build_v,
     convex_hull_2d,
-    frob,
     general_eig,
     nrange_boundary,
     nrange_contains,
@@ -61,7 +61,7 @@ def test_boundary_fields_are_consistent(monkeypatch):
     assert all(0.0 <= t < 2 * math.pi for t in b.angles)
     assert list(b.angles) == sorted(b.angles)
     # Support condition: each point attains its support value.
-    tol = 1e-9 * max(1.0, frob(a))
+    tol = 1e-9 * max(1.0, oracles.frob(a))
     attained = b.support_points.real * np.cos(b.angles) + b.support_points.imag * np.sin(b.angles)
     assert np.max(np.abs(attained - b.support_values)) <= tol
     # The hull is exactly the hull of the support points: all of them,
@@ -213,21 +213,24 @@ def test_unitary_similarity_invariance():
 
 
 def test_each_eigensolve_fills_two_angles(monkeypatch):
-    # Every row is one angle, and one eigenproblem gives the angle theta
-    # in [0, pi) and its opposite theta + pi, also where the extreme
-    # eigenvalue is repeated: at every angle for eye(3), on an arc for
-    # diag(1, 1, 2j), and at every angle for the direct sums I (x) B and
-    # V of I (x) T.
-    batches = _count_stacked_eigh(monkeypatch)
+    # Every row is one angle, and one eigenvalue problem gives the angle
+    # theta in [0, pi) and its opposite theta + pi, each with one shifted
+    # solve, also where the extreme eigenvalue is repeated: at every
+    # angle for eye(3), on an arc for diag(1, 1, 2j), and at every angle
+    # for the direct sums I (x) B and V of I (x) T.
+    batches = _count_stacked(monkeypatch, "eigvalsh")
+    solves = _count_stacked(monkeypatch, "solve")
     rng = np.random.default_rng(63)
     blocks = (np.eye(3, dtype=complex), np.diag([1.0, 1.0, 2j]),
               np.kron(np.eye(2), rand_complex(rng, 3)),
               build_v(np.kron(np.eye(2), rng.normal(size=(2, 2)))).v)
     for a in (rand_complex(rng, 5), build_v(rng.normal(size=(4, 4))).v, *blocks):
         batches.clear()
+        solves.clear()
         b = nrange_boundary(a)
         assert np.all(np.diff(b.angles) > 0.0)
         assert 2 * sum(batches) == b.angles.size
+        assert sorted(solves) == sorted(2 * batches)
         assert np.max(b.angles[:b.angles.size // 2]) < math.pi
 
 
@@ -292,11 +295,21 @@ def test_invalid_refine_tol_is_rejected(bad):
         nrange_boundary(np.array([[0, 1], [0, 0]], dtype=complex), refine_tol=bad)
 
 
-def _reference_sweep(a, num_angles, refine_tol, split_counts=nrange._split_counts):
-    """oracles.sweep_ref around the library's per-angle helpers."""
-    return oracles.sweep_ref(
-        a, num_angles, refine_tol, nrange._hermitian_parts, nrange._rotated_hermitian_parts,
-        nrange._apex_chord_bounds, nrange._curvatures, split_counts)
+def _reference_sweep(a, num_angles, refine_tol, split_counts=nrange._split_counts,
+                     eigh_only=False):
+    """oracles.sweep_ref around the library's per-angle helpers, or with
+    eigh_only around oracles.eigh_supports_ref, which takes every (h, p,
+    rho) from the full eigendecomposition."""
+    m = nrange.as_matrix(a, square=True)
+    part_a, part_b = nrange._hermitian_parts(m)
+    if eigh_only:
+        supports = oracles.eigh_supports_ref(m, part_a, part_b, nrange._rotated_hermitian_parts,
+                                             nrange._curvatures)
+    else:
+        supports = functools.partial(nrange._supports_batch, m, part_a, part_b)
+    curvatures = functools.partial(nrange._curvatures_at, m, part_a, part_b)
+    return oracles.sweep_ref(num_angles, refine_tol, supports, curvatures,
+                             nrange._apex_chord_bounds, split_counts)
 
 
 def _same_bits(x, y) -> bool:
@@ -304,16 +317,16 @@ def _same_bits(x, y) -> bool:
     return x.dtype == y.dtype and np.array_equal(x.view(np.int64), y.view(np.int64))
 
 
-def _count_stacked_eigh(monkeypatch) -> list:
-    """Patch np.linalg.eigh to record the batch length of each stacked call."""
-    batches, eigh = [], np.linalg.eigh
+def _count_stacked(monkeypatch, name: str) -> list:
+    """Patch np.linalg.<name> to record the batch length of each stacked call."""
+    batches, solver = [], getattr(np.linalg, name)
 
     def counted(x, *args, **kwargs):
         if np.ndim(x) == 3:
             batches.append(len(x))
-        return eigh(x, *args, **kwargs)
+        return solver(x, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "eigh", counted)
+    monkeypatch.setattr(np.linalg, name, counted)
     return batches
 
 
@@ -339,25 +352,35 @@ def _blas_threads() -> int:
 
 
 def test_chunked_rounds_match_one_batch_bit_for_bit(monkeypatch):
-    # A budget of three matrices splits every round into many chunks,
-    # which run on the shared pool where there is one.  eye(3) has a
-    # repeated top eigenvalue at every angle and diag(1, 1, 2j) on an arc
-    # at the top and on the opposite arc at the bottom, so such angles
-    # fall on both sides of chunk borders; both are real symmetric
-    # stacks, and the random matrix a complex one.
+    # A budget of three matrices, with no floor on the chunk length,
+    # splits every round into many chunks, which run on the shared pool
+    # where there is one; the curvature path is chunked the same way.
+    # eye(3) has a repeated top eigenvalue at every angle and diag(1, 1,
+    # 2j) on an arc at the top and on the opposite arc at the bottom, so
+    # such angles fall on both sides of chunk borders; both are real
+    # symmetric stacks, and the random matrix a complex one.
     rng = np.random.default_rng(49)
     for a in (np.eye(3, dtype=complex), np.diag([1.0, 1.0, 2j]), rand_complex(rng, 4)):
         part_a, part_b = nrange._hermitian_parts(a)
         thetas = np.concatenate([math.pi * np.arange(32) / 32, rng.uniform(0.0, math.pi, 37)])
         want = nrange._supports_batch(a, part_a, part_b, thetas)
+        want_rho = nrange._eigh_supports(a, part_a, part_b, thetas)[2]
         monkeypatch.setattr(nrange, "_BATCH_BYTES", 3 * part_a.nbytes)
-        batches = _count_stacked_eigh(monkeypatch)
+        monkeypatch.setattr(nrange, "_GIL_FREE_VALUES", 1)
+        batches = _count_stacked(monkeypatch, "eigvalsh")
+        solves = _count_stacked(monkeypatch, "solve")
+        eighs = _count_stacked(monkeypatch, "eigh")
         got = nrange._supports(a, part_a, part_b, thetas)
         assert batches and max(batches) == 3 and sum(batches) == thetas.size
+        assert sorted(solves) == sorted(2 * batches)
         assert len(got) == len(want) == 3
         for x, y in zip(got, want):
             assert x.shape == (2, thetas.size)
             assert _same_bits(x, y)
+        eighs.clear()
+        rho = nrange._curvatures_at(a, part_a, part_b, thetas)
+        assert max(eighs) == 3 and sum(eighs) == thetas.size
+        assert _same_bits(rho, want_rho)
         # Whole sweeps from 64 angles, unrefined (at tolerance 1) and
         # refined, against the list bookkeeping, which solves each round
         # as one stack.
@@ -373,29 +396,51 @@ def test_chunked_rounds_match_one_batch_bit_for_bit(monkeypatch):
 def test_eigensolver_inputs_stay_within_the_byte_budget(monkeypatch):
     # A complex 24x24 matrix, and V of a real one, whose stacks are
     # real: chunks are sized by the stack's itemsize, so a real chunk
-    # holds twice the matrices of a complex one in the same bytes.
-    stacks, eigh = [], np.linalg.eigh
+    # holds twice the matrices of a complex one in the same bytes.  The
+    # eigenvalue stacks, the shifted stacks of the solves, one per side,
+    # and the curvature's eigendecompositions each keep to the budget.
+    stacks = {}
 
-    def recorded(x, *args, **kwargs):
-        x = np.asarray(x)
-        if x.ndim == 3:
-            stacks.append((x.dtype, len(x), x.nbytes))
-        return eigh(x, *args, **kwargs)
+    def record(name):
+        solver = getattr(np.linalg, name)
 
-    monkeypatch.setattr(np.linalg, "eigh", recorded)
+        def recorded(x, *args, **kwargs):
+            x = np.asarray(x)
+            if x.ndim == 3:
+                stacks[name].append((x.dtype, len(x), x.nbytes))
+            return solver(x, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, recorded)
+
+    names = ("eigvalsh", "solve", "eigh")
+    for name in names:
+        record(name)
     rng = np.random.default_rng(51)
     n = 24
     for a, dtype in ((rand_complex(rng, n), np.complex128),
                      (build_v(rng.normal(size=(n, n))).v, np.float64)):
-        stacks.clear()
+        stacks.update((name, []) for name in names)
         with _blas_threads_at(2) as before:
             sweep = nrange_boundary(a, refine_tol=1e-6)
             assert before is None or _blas_threads() == before
         assert sweep.angles.size > 720
-        assert stacks and {d for d, _, _ in stacks} == {np.dtype(dtype)}
-        assert max(b for _, _, b in stacks) <= nrange._BATCH_BYTES
         per_chunk = nrange._BATCH_BYTES // (np.dtype(dtype).itemsize * n * n)
-        assert max(k for _, k, _ in stacks) == per_chunk
+        for name in names:
+            assert stacks[name] and {d for d, _, _ in stacks[name]} == {np.dtype(dtype)}
+            assert max(b for _, _, b in stacks[name]) <= nrange._BATCH_BYTES
+            assert max(k for _, k, _ in stacks[name]) == per_chunk
+
+
+def test_chunks_of_large_matrices_keep_enough_for_the_pool(monkeypatch):
+    # At n = 40 the budget holds 10 complex matrices, whose 400
+    # eigenvalues are too few for numpy to release the GIL; a chunk
+    # holds 13 instead, 520 eigenvalues.
+    batches = _count_stacked(monkeypatch, "eigvalsh")
+    a = rand_complex(np.random.default_rng(67), 40)
+    part_a, part_b = nrange._hermitian_parts(a)
+    assert nrange._BATCH_BYTES // part_a.nbytes == 10
+    nrange._supports(a, part_a, part_b, np.linspace(0.0, math.pi, 30, endpoint=False))
+    assert sorted(batches) == [4, 13, 13]
 
 
 def test_concurrent_sweeps_agree_and_restore_blas_threads(monkeypatch):
@@ -405,6 +450,7 @@ def test_concurrent_sweeps_agree_and_restore_blas_threads(monkeypatch):
     rng = np.random.default_rng(52)
     a = rand_complex(rng, 6)
     monkeypatch.setattr(nrange, "_BATCH_BYTES", 5 * 16 * 36)
+    monkeypatch.setattr(nrange, "_GIL_FREE_VALUES", 1)
     monkeypatch.setattr(nrange, "_START_ANGLES", 64)
     want = nrange_boundary(a, refine_tol=1e-6)
     results, errors = [None] * 4, []
@@ -443,8 +489,9 @@ def test_forked_child_sweeps_after_a_pooled_sweep(monkeypatch):
     rng = np.random.default_rng(53)
     a = rand_complex(rng, 5)
     monkeypatch.setattr(nrange, "_BATCH_BYTES", 7 * 16 * 25)
+    monkeypatch.setattr(nrange, "_GIL_FREE_VALUES", 1)
     monkeypatch.setattr(nrange, "_START_ANGLES", 128)
-    batches = _count_stacked_eigh(monkeypatch)
+    batches = _count_stacked(monkeypatch, "eigvalsh")
     want = nrange_boundary(a, refine_tol=1e-6).hull.vertices
     assert len(batches) > 1
     ctx = multiprocessing.get_context("fork")
@@ -493,20 +540,28 @@ def _bisecting_sweep(a, refine_tol):
 def test_smooth_boundary_refines_in_two_rounds_with_fewer_angles(monkeypatch):
     # A random 6x6 and its graph compression V, the operator that
     # `srg matrix` sweeps: at most two rounds sized from the curvature,
-    # and fewer angles than bisection, whose last round overshoots the
-    # tolerance by up to 4x.
-    calls, supports = [], nrange._supports
+    # each measured once before its round, and fewer angles than
+    # bisection, whose last round overshoots the tolerance by up to 4x.
+    calls = {"_supports": [], "_curvatures_at": []}
 
-    def counted(*args):
-        calls.append(1)
-        return supports(*args)
+    def count(name):
+        fn = getattr(nrange, name)
 
-    monkeypatch.setattr(nrange, "_supports", counted)
+        def counted(*args):
+            calls[name].append(1)
+            return fn(*args)
+
+        monkeypatch.setattr(nrange, name, counted)
+
+    for name in calls:
+        count(name)
     a = rand_complex(np.random.default_rng(55), 6)
     for a in (a, build_v(a).v):
-        calls.clear()
+        for made in calls.values():
+            made.clear()
         sweep = nrange_boundary(a, refine_tol=1e-8)
-        assert len(calls) <= 3
+        assert len(calls["_supports"]) <= 3
+        assert len(calls["_curvatures_at"]) == len(calls["_supports"]) - 1
         assert sweep.angles.size <= 0.8 * _bisecting_sweep(a, 1e-8)[0].size
 
 
@@ -530,7 +585,7 @@ def test_curvature_is_h_plus_second_derivative():
     t = rand_complex(rng, 4)
     for a in (t, build_v(t.real).v):
         part_a, part_b = nrange._hermitian_parts(a)
-        rho = nrange._supports_batch(a, part_a, part_b, thetas)[2]
+        rho = nrange._curvatures_at(a, part_a, part_b, thetas)
         assert rho.shape == (2, thetas.size)
         step = 1e-3
         for side, at in enumerate((thetas, thetas + math.pi)):
@@ -643,3 +698,74 @@ def test_sweep_cost_and_hull_are_scale_equivariant():
         scaled = [c * v for v in base.hull.vertices]
         d = oracles.hausdorff_support_exact(list(sweep.hull.vertices), scaled)
         assert d <= 1e-8 * max(1.0, c)
+
+
+def _kernel_cases():
+    """Seeded real and complex matrices of every size 1 to 24, and inputs
+    whose extreme eigenvalue repeats: everywhere for eye(3) and I (x) B,
+    on an arc for diag(1, 1, 2j), and V of a real T, whose stacks are
+    real."""
+    rng = np.random.default_rng(65)
+    for n in range(1, 25):
+        yield rng.normal(size=(n, n))
+        yield rand_complex(rng, n)
+    yield np.eye(3)
+    yield np.diag([1.0, 1.0, 2j])
+    yield np.kron(np.eye(2), rand_complex(rng, 3))
+    yield build_v(rng.normal(size=(5, 5))).v
+
+
+def test_shifted_solve_rows_match_the_eigh_sweep(monkeypatch):
+    # Each row's support point lies on its support line up to rounding,
+    # and the sweep takes the angles of one that gets every (h, p, rho)
+    # from the full eigendecomposition, with the same hull up to
+    # rounding.
+    monkeypatch.setattr(nrange, "_START_ANGLES", 64)
+    for a in _kernel_cases():
+        sweep = nrange_boundary(a, refine_tol=1e-5)
+        h = sweep.support_values
+        attained = (sweep.support_points * np.exp(-1j * sweep.angles)).real
+        assert np.all(h - attained <= 2.0**-46 * np.maximum(1.0, np.abs(h)))
+        angles, points, _ = _reference_sweep(a, 64, 1e-5, eigh_only=True)
+        assert _same_bits(sweep.angles, angles)
+        gap = oracles.hausdorff_support_exact(list(sweep.hull.vertices),
+                                              list(convex_hull_2d(points).vertices))
+        assert gap <= 1e-13
+
+
+def test_rows_off_their_support_line_take_the_eigh_vector(monkeypatch):
+    # The diagonal of this Hermitian direct sum is 0, so the shifted
+    # solve starts from a vector in the kernel of H(theta), which it
+    # never leaves: depth |cos(theta)| at every angle.  Those rows take
+    # their vector from the full eigendecomposition, and W is the
+    # segment [-1, 1], up to the rounding of its eigenvectors' entries.
+    a = np.kron(np.eye(2), [[0.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
+    m = nrange.as_matrix(a, square=True)
+    part_a, part_b = nrange._hermitian_parts(m)
+    calls, eigh_supports = [], nrange._eigh_supports
+
+    def counted(*args):
+        calls.append(args[-1].size)
+        return eigh_supports(*args)
+
+    monkeypatch.setattr(nrange, "_eigh_supports", counted)
+    thetas = math.pi * np.arange(8) / 8 + 0.1
+    h, p, rho = nrange._supports_batch(m, part_a, part_b, thetas)
+    assert calls == [thetas.size]
+    assert not np.isnan(rho).any()
+    assert np.all(np.abs((p * np.exp(-1j * np.stack([thetas, thetas + math.pi]))).real - h)
+                  <= 4 * np.finfo(float).eps)
+    sweep = nrange_boundary(a)
+    assert len(sweep.hull.vertices) == 2
+    assert np.all(sweep.support_points.imag == 0.0)
+    assert np.max(np.abs(np.abs(sweep.hull.vertices) - 1.0)) <= 2 * np.finfo(float).eps
+
+
+def test_curvature_eigendecompositions_are_few(monkeypatch):
+    # Curvature is measured only at the ends of wedges that are split:
+    # on a random V, at most 5% of the matrices the eigenvalue solver
+    # takes also go through the full eigendecomposition.
+    values = _count_stacked(monkeypatch, "eigvalsh")
+    full = _count_stacked(monkeypatch, "eigh")
+    nrange_boundary(build_v(rand_complex(np.random.default_rng(66), 6)).v)
+    assert 0 < sum(full) <= 0.05 * sum(values)
