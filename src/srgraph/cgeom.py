@@ -309,14 +309,11 @@ def convex_hull_2d(points: Iterable[complex]) -> ConvexPolygon:
 
 def polygon_area(poly: ConvexPolygon) -> float:
     """Shoelace area; zero for degenerate polygons."""
-    v = poly.vertices
-    if len(v) < 3:
+    a = np.asarray(poly.vertices, dtype=np.complex128)
+    if a.size < 3:
         return 0.0
-    s = 0.0
-    for i in range(len(v)):
-        a, b = v[i], v[(i + 1) % len(v)]
-        s += a.real * b.imag - b.real * a.imag
-    return 0.5 * s
+    b = np.roll(a, -1)
+    return 0.5 * float(np.sum(a.real * b.imag - b.real * a.imag))
 
 
 def _signed_distances(vertices, ws) -> np.ndarray:

@@ -32,14 +32,13 @@ from the support-line apex to the chord of adjacent support points -
 drops below a target, which certifies W(M) within that distance of the
 assembled polygon.  The table of angles stays symmetric under theta ->
 theta + pi, so a wedge and its opposite split together, into as many
-equal parts as the needier of the two asks for from the radius of
-curvature rho = h + h'' at its ends (the bound is about rho*width^2/4
-on a smooth arc) while that agrees with the bound, which shrinks with
-the square of the width; so a smooth wedge meets the target in one
-round, and a wedge across a corner or a flat face (rho near 0) is
-bisected.  rho needs the full eigendecomposition (Loisel and Maxwell,
-SIMAX 39(4), 2018), so it is measured only at the ends of wedges that
-are still to be split.
+equal parts as the needier of the two asks for.  On a smooth arc the
+bound is about rho*width^2/4, rho = h + h'' the radius of curvature, so
+the bounds of a wedge's two neighbours measure rho at its ends; the
+split trusts that while it agrees with the wedge's own bound, which
+shrinks with the square of the width.  So a smooth wedge meets the
+target in one round, and a wedge across a corner or a flat face, whose
+neighbours are flat, is bisected.
 
 The support points span Johnson's inner polygon and their support
 lines his outer one; the apex-chord bound is the gap between them.
@@ -154,7 +153,7 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_reset_after_fork)
 
 
-def _map_chunks(fn, a: np.ndarray, thetas: np.ndarray, least: int = 1) -> list:
+def _map_chunks(fn, a: np.ndarray, thetas: np.ndarray, least: int) -> list:
     """fn over consecutive chunks of thetas, each stacking at most
     _BATCH_BYTES of matrices of a's shape and dtype, but at least
     least of them, results in chunk order.
@@ -200,51 +199,31 @@ def _rotated_hermitian_parts(a: np.ndarray, b: np.ndarray, thetas: np.ndarray) -
     return np.cos(thetas)[:, None, None] * a - np.sin(thetas)[:, None, None] * b
 
 
-def _curvatures(a: np.ndarray, b: np.ndarray, thetas: np.ndarray, w: np.ndarray,
-                v: np.ndarray) -> np.ndarray:
-    """Radius of curvature rho = h + h'' of the boundary at each angle.
+def _points(m: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """<Mx, x> for each unit vector of a stack x of shape (2, k, n).
 
-    rho = 2 sum_{j>1} |x_j* H'(theta) x_1|^2 / (lambda_1 - lambda_j) from
-    the eigendecomposition (w ascending, v) of H(theta), where
-    H'(theta) = -sin(theta) A - cos(theta) B; infinite where an
-    eigenvalue ties the top one.  O(n^2) per angle.
+    M is applied in one 2-D product, whose rounding of a row does not
+    depend on k; a stack of single rows would take matrix-vector
+    products instead, and a sweep's result would depend on its chunks.
     """
-    top = v[:, :, -1]
-    ax = np.einsum("ij,kj->ki", a, top)
-    bx = np.einsum("ij,kj->ki", b, top)
-    dx = -(np.sin(thetas)[:, None] * ax + np.cos(thetas)[:, None] * bx)
-    # |x_j* y| = |x_j^T conj(y)|, which spares a conjugate copy of v.
-    c = np.abs(np.einsum("kij,ki->kj", v[:, :, :-1], np.conj(dx)))
-    gaps = w[:, -1:] - w[:, :-1]
-    # |c|/sqrt(gap), squared: no overflow for entries up to about 1e300.
-    scaled = np.divide(c, np.sqrt(gaps), out=np.full(gaps.shape, np.inf), where=gaps > 0.0)
-    return 2.0 * np.sum(scaled * scaled, axis=1)
-
-
-def _top_support(m, a, b, thetas, w, v):
-    """(h, p, rho) from the top eigenpairs of H(theta), given its
-    eigendecomposition (w ascending, v); see _supports_batch."""
-    top = v[:, :, -1]
-    p = np.einsum("ki,ij,kj->k", np.conj(top), m, top)
-    return w[:, -1], p, _curvatures(a, b, thetas, w, v)
+    mx = (x.reshape(-1, m.shape[0]) @ m.T).reshape(x.shape)
+    return np.einsum("ski,ski->sk", np.conj(x), mx)
 
 
 def _eigh_supports(m: np.ndarray, a: np.ndarray, b: np.ndarray, thetas: np.ndarray):
-    """(h, p, rho) as in _supports_batch, all from the full
-    eigendecomposition of each H(theta), rho included.
+    """(h, p) as in _supports_batch, both from the full eigendecomposition
+    of each H(theta).
 
     H(theta + pi) = -H(theta), so its top eigenpair is the bottom one of
     H(theta) with the eigenvalue negated.
     """
     w, v = np.linalg.eigh(_rotated_hermitian_parts(a, b, thetas))
-    top, bottom = (_top_support(m, a, b, *side) for side in
-                   ((thetas, w, v), (thetas + math.pi, -w[:, ::-1], v[:, :, ::-1])))
-    return tuple(map(np.stack, zip(top, bottom)))
+    return np.stack([w[:, -1], -w[:, 0]]), _points(m, np.stack([v[:, :, -1], v[:, :, 0]]))
 
 
 def _supports_batch(m: np.ndarray, a: np.ndarray, b: np.ndarray, thetas: np.ndarray):
     """Support data for a batch of angles in [0, pi) and their opposites:
-    (h, p, rho), with (A, B) = _hermitian_parts(M), row 0 of each column
+    (h, p), with (A, B) = _hermitian_parts(M), row 0 of each column
     at theta and row 1 at theta + pi.
 
     h comes from the eigenvalues of H(theta) alone: its top one and
@@ -258,8 +237,7 @@ def _supports_batch(m: np.ndarray, a: np.ndarray, b: np.ndarray, thetas: np.ndar
     p = <Mx, x> for the unit x.  Any unit x puts p in W(M).  Where its
     depth lambda - x*(sH)x below the support line is above 2^-46
     max|eigenvalue|, or a solve fails, the row takes p from
-    _eigh_supports instead, which also measures rho for both rows of
-    its angle; rho is NaN on every other row.
+    _eigh_supports instead.
     """
     thetas = np.asarray(thetas, dtype=np.float64)
     hs = _rotated_hermitian_parts(a, b, thetas)
@@ -286,15 +264,12 @@ def _supports_batch(m: np.ndarray, a: np.ndarray, b: np.ndarray, thetas: np.ndar
     x /= np.linalg.norm(x, axis=-1, keepdims=True)
     xh = np.conj(x)
     depth = h - sign * np.einsum("ski,ski->sk", xh, (hs @ x[..., None])[..., 0]).real
-    p = np.einsum("ski,ski->sk", xh, x @ m.T)
-    rho = np.full(h.shape, np.nan)
+    p = _points(m, x)
     off = ~(depth <= np.ldexp(scale, -46))
     redo = off.any(axis=0)
     if redo.any():
-        _, p_eigh, rho_eigh = _eigh_supports(m, a, b, thetas[redo])
-        p[:, redo] = np.where(off[:, redo], p_eigh, p[:, redo])
-        rho[:, redo] = rho_eigh
-    return h, p, rho
+        p[:, redo] = np.where(off[:, redo], _eigh_supports(m, a, b, thetas[redo])[1], p[:, redo])
+    return h, p
 
 
 def _supports(m: np.ndarray, a: np.ndarray, b: np.ndarray, thetas):
@@ -303,13 +278,6 @@ def _supports(m: np.ndarray, a: np.ndarray, b: np.ndarray, thetas):
     least = -(-_GIL_FREE_VALUES // a.shape[0])
     parts = _map_chunks(lambda t: _supports_batch(m, a, b, t), a, thetas, least)
     return tuple(np.concatenate(col, axis=1) for col in zip(*parts))
-
-
-def _curvatures_at(m: np.ndarray, a: np.ndarray, b: np.ndarray, thetas: np.ndarray) -> np.ndarray:
-    """rho at each angle theta in [0, pi) (row 0) and at theta + pi (row
-    1), from _eigh_supports, chunk by chunk."""
-    parts = _map_chunks(lambda t: _eigh_supports(m, a, b, t)[2], a, thetas)
-    return np.concatenate(parts, axis=1)
 
 
 def _apex_chord_bounds(ta, ha, pa, tb, hb, pb) -> np.ndarray:
@@ -334,27 +302,29 @@ def _apex_chord_bounds(ta, ha, pa, tb, hb, pb) -> np.ndarray:
     return small / np.sqrt(1.0 + r * (r + 2.0 * np.cos(tb - ta)))
 
 
-def _split_counts(ta, tb, bounds, ra, rb, refine_tol: float) -> np.ndarray:
-    """Number of equal children for each wedge (ta, tb), at least two.
+def _split_counts(ta, tb, bounds, refine_tol: float) -> np.ndarray:
+    """Number of equal children for each wedge (ta, tb), at least two;
+    the arguments hold every wedge of the sweep, in order round the
+    circle.
 
     A wedge's apex-chord bound shrinks with the square of its width; on
     a smooth arc it is about rho*width^2/4 for a mean curvature rho over
-    the wedge.  The curvature count sizes children by the larger end
-    curvature, so that the children at the more curved end also come
-    under refine_tol in this round.  It is trusted up to twice the count
-    the bound alone asks for; beyond that the ends do not describe the
-    wedge (a corner or a closing eigengap inside, or an infinite rho at
-    a degenerate end) and the bound's count is taken.  A wedge across a
-    corner or a flat face has rho near 0 and is bisected.  No split
-    beyond two makes a child narrower than REFINE_MIN_WEDGE.  The
-    sweep's support values come from eigenvalues and its support points
-    from one shifted solve per side, so it measures rho, from the full
-    eigendecomposition, only at the ends of the wedges passed here.
+    the wedge, so sqrt(bound/refine_tol)/width children per radian, the
+    wedge's density, bring it under refine_tol.  The densities of the
+    wedge before and the wedge after measure rho at its two ends, and
+    the curvature count sizes children by the larger, so that the
+    children at the more curved end also come under refine_tol in this
+    round.  It is trusted up to twice the count the wedge's own bound
+    asks for; beyond that the ends do not describe the wedge (a corner
+    or a closing eigengap inside) and the bound's count is taken.  A
+    wedge across a corner or a flat face has flat neighbours and is
+    bisected.  No split beyond two makes a child narrower than
+    REFINE_MIN_WEDGE.
     """
     width = tb - ta
-    root_tol = math.sqrt(refine_tol)
-    by_bound = np.sqrt(bounds) / root_tol
-    by_curvature = width * np.sqrt(np.maximum(ra, rb)) / (2.0 * root_tol)
+    by_bound = np.sqrt(bounds) / math.sqrt(refine_tol)
+    density = by_bound / width
+    by_curvature = width * np.maximum(np.roll(density, 1), np.roll(density, -1))
     k = np.ceil(np.where(by_curvature <= 2.0 * by_bound, by_curvature, by_bound))
     k = np.fmin(k, np.maximum(2.0, np.floor(width / REFINE_MIN_WEDGE)))
     return np.fmax(k, 2.0).astype(np.int64)
@@ -370,12 +340,11 @@ def _sweep(m: np.ndarray, refine_tol: float) -> tuple[NRangeBoundary, float]:
     columns = _supports(m, a, b, thetas)
     target = refine_tol * max(1.0, float(np.max(columns[0])))
     # Every solved angle theta, ascending in [0, pi) from 0, and the
-    # columns h, p and rho (NaN where not yet measured), each with row 0
-    # at theta and row 1 at theta + pi; read row by row, one table
-    # ascending over [0, 2*pi).
+    # columns h and p, each with row 0 at theta and row 1 at theta + pi;
+    # read row by row, one table ascending over [0, 2*pi).
     table = [thetas, *columns]
     for depth in range(REFINE_MAX_DEPTH + 1):
-        t, h, p, rho = table
+        t, h, p = table
         # Wedge i runs from angle i to angle i + 1 of the whole table;
         # the last one closes the circle at 2*pi, where angle 0 stands.
         # Wedges i and i + t.size are opposite, and split as a pair.
@@ -387,18 +356,7 @@ def _sweep(m: np.ndarray, refine_tol: float) -> tuple[NRangeBoundary, float]:
         needy = ((tb - ta > REFINE_MIN_WEDGE) & (bounds > target)).reshape(2, -1).any(axis=0)
         if depth == REFINE_MAX_DEPTH or not needy.any():
             break
-        both = np.tile(needy, 2)
-        # rho is measured at the ends of the needy wedges only, where
-        # still unknown; one eigendecomposition gives both rows of a
-        # column.
-        unknown = (both | np.roll(both, 1)) & np.isnan(rho).ravel()
-        cols = np.unique(np.flatnonzero(unknown) % t.size)
-        if cols.size:
-            rho[:, cols] = _curvatures_at(m, a, b, t[cols])
-        ra = rho.ravel()
-        rb = np.roll(ra, -1)
-        k = _split_counts(ta[both], tb[both], bounds[both], ra[both], rb[both], target)
-        k = k.reshape(2, -1).max(axis=0)
+        k = _split_counts(ta, tb, bounds, target).reshape(2, -1).max(axis=0)[needy]
         ta, tb = ta[:t.size][needy], tb[:t.size][needy]
         # Interior angles ta + (tb - ta)*j/k, j = 1 .. k-1, wedge by wedge.
         owner = np.repeat(np.arange(k.size), k - 1)
@@ -428,14 +386,14 @@ def nrange_boundary(a, refine_tol: float = DEFAULT_REFINE_TOL) -> NRangeBoundary
     round splits every pair of opposite wedges where either
     apex-to-chord bound is above the target refine_tol*max(1, w), w the
     largest support value on the start grid, into k equal parts, k the
-    larger of the two wedges' counts from their end curvatures and
-    bounds (2 across a corner or a flat face), and evaluates all the new
-    angles in one batch.  Rounds repeat until no bound is above the
-    target or the guards stop them; bound reports the largest bound
-    left, so W(A) lies within bound of the returned hull, and the hull
-    itself inside W(A) up to eigensolver noise.  The evaluated angles
-    stay in one table, ascending and symmetric under theta -> theta +
-    pi, with one support point per angle.
+    larger of the two wedges' counts from their own and their
+    neighbours' bounds (2 across a corner or a flat face), and evaluates
+    all the new angles in one batch.  Rounds repeat until no bound is
+    above the target or the guards stop them; bound reports the largest
+    bound left, so W(A) lies within bound of the returned hull, and the
+    hull itself inside W(A) up to eigensolver noise.  The evaluated
+    angles stay in one table, ascending and symmetric under theta ->
+    theta + pi, with one support point per angle.
     """
     return _sweep(as_matrix(a, square=True), refine_tol)[0]
 

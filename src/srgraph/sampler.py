@@ -34,8 +34,8 @@ def sample_srg(t, field: str = "complex", count: int = 10000, seed: int = 1) -> 
     output vector yields the single point 0.  Returns a complex128 array.
     """
     m = as_matrix(t, square=True)
-    if count < 1:
-        raise InputError("count must be at least 1")
+    if isinstance(count, bool) or not isinstance(count, numbers.Integral) or count < 1:
+        raise InputError(f"count must be a positive integer, got {count!r}")
     if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
         raise InputError(f"seed must be a non-negative integer, got {seed!r}")
     if field not in ("real", "complex"):
@@ -114,8 +114,11 @@ def check_containment(samples, region: cgeom.SrgRegion, tol: float = 1e-7) -> Sa
 
     Bulk decisions come from certified locator bounds; samples the
     bounds cannot settle are re-measured exactly, so every decision
-    and the reported violation are exact.
+    and the reported violation are exact.  tol must be finite and at
+    least 0.
     """
+    if not (isinstance(tol, numbers.Real) and math.isfinite(tol) and tol >= 0):
+        raise InputError(f"tol must be a finite non-negative number, got {tol!r}")
     if not isinstance(samples, np.ndarray):
         samples = list(samples)
     ws = cgeom.bk_forward_array(samples)

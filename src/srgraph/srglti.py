@@ -83,11 +83,9 @@ def rational_tf(num, den) -> RationalTF:
 def _paraconjugate(coeffs: np.ndarray) -> np.ndarray:
     """p~(s) = conj-coefficients of p evaluated at -s, leading first."""
     out = np.conj(np.asarray(coeffs, dtype=np.complex128))
-    length = len(out)
-    for idx in range(length):
-        power = length - 1 - idx
-        if power % 2:
-            out[idx] = -out[idx]
+    # Leading first: the odd powers are every other entry back from the
+    # second to last.
+    out[-2::-2] = -out[-2::-2]
     return out
 
 
@@ -332,8 +330,8 @@ def default_grid(tf: RationalTF, n: int = 512) -> FreqGrid:
     infinity); imaginary-axis poles of h are inserted exactly, with
     symmetric neighborhoods so the curve's approach to them is sampled.
     """
-    if n < 16:
-        raise InputError("default grid needs n >= 16")
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 16:
+        raise InputError(f"default grid needs an integer n >= 16, got {n!r}")
     omegas = [math.tan(math.pi * (2 * k - n) / (2 * n + 2)) for k in range(n + 1)]
     for wp in _axis_poles(tf):
         omegas.append(wp)

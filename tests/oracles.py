@@ -400,66 +400,73 @@ def svg_fmt_ref(x: float) -> str:
     return "0.0000" if s == "-0.0000" else s
 
 
-def bisect_counts(ta, tb, bounds, ra, rb, refine_tol) -> np.ndarray:
+def polygon_area_ref(vertices) -> float:
+    """Shoelace area, one vertex at a time; 0 below three vertices."""
+    s = 0.0
+    if len(vertices) < 3:
+        return s
+    for i in range(len(vertices)):
+        a, b = vertices[i], vertices[(i + 1) % len(vertices)]
+        s += a.real * b.imag - b.real * a.imag
+    return 0.5 * s
+
+
+def paraconjugate_ref(coeffs) -> list:
+    """Coefficients, leading first, of conj(p(-conj(s))): each conjugated,
+    and negated at every odd power."""
+    n = len(coeffs)
+    return [-c.conjugate() if (n - 1 - i) % 2 else c.conjugate()
+            for i, c in enumerate(complex(c) for c in coeffs)]
+
+
+def bisect_counts(ta, tb, bounds, refine_tol) -> np.ndarray:
     """The split rule of plain bisection: two children for every wedge."""
     return np.full(np.shape(ta), 2, dtype=np.int64)
 
 
-def eigh_supports_ref(a, part_a, part_b, rotated_parts, curvatures):
+def eigh_supports_ref(a, part_a, part_b, rotated_parts):
     """Support data from one full eigendecomposition per angle: the
     reference for the sweep's kernel of eigenvalues and shifted solves.
 
-    Returns a function of angles theta in [0, pi) that gives (h, p, rho),
+    Returns a function of angles theta in [0, pi) that gives (h, p),
     each with row 0 at theta, from the top eigenpair of H(theta), and
     row 1 at theta + pi, from the bottom one with the eigenvalue negated.
     """
     def supports(thetas):
         w, v = np.linalg.eigh(rotated_parts(part_a, part_b, thetas))
         rows = []
-        for angles, ws, vs in ((thetas, w, v), (thetas + math.pi, -w[:, ::-1], v[:, :, ::-1])):
+        for ws, vs in ((w, v), (-w[:, ::-1], v[:, :, ::-1])):
             top = vs[:, :, -1]
-            rows.append((ws[:, -1], np.einsum("ki,ij,kj->k", np.conj(top), a, top),
-                         curvatures(part_a, part_b, angles, ws, vs)))
+            rows.append((ws[:, -1], np.einsum("ki,ij,kj->k", np.conj(top), a, top)))
         return tuple(np.stack(col) for col in zip(*rows))
 
     return supports
 
 
-def sweep_ref(num_angles: int, refine_tol: float, supports, curvatures, apex_chord_bounds,
-              split_counts):
+def sweep_ref(num_angles: int, refine_tol: float, supports, apex_chord_bounds, split_counts):
     """Paired angle-sweep bookkeeping with Python lists of (theta, h, p).
 
     The per-angle helpers and the split rule are passed in; this checks
-    the pairing, ordering, refinement and curvature bookkeeping around
-    them.  supports(thetas), for angles theta in [0, pi), gives (h, p,
-    rho), each with row 0 at theta and row 1 at theta + pi, and rho NaN
-    where not measured; curvatures(thetas) gives rho alone, both rows.
-    The sweep starts on num_angles // 2 angles in [0, pi), and wedges
-    are refined to refine_tol*max(1, largest support value on those
-    num_angles directions).  A wedge and its opposite split together,
-    into the larger of their split_counts(ta, tb, bounds, ra, rb, target)
-    (bisect_counts for plain bisection), whenever either is above the
-    target.  Before that, every end of such a pair of wedges whose rho is
-    NaN gets it from curvatures, both rows of its angle at once.  Returns
+    the pairing, ordering and refinement bookkeeping around them.
+    supports(thetas), for angles theta in [0, pi), gives (h, p), each
+    with row 0 at theta and row 1 at theta + pi.  The sweep starts on
+    num_angles // 2 angles in [0, pi), and wedges are refined to
+    refine_tol*max(1, largest support value on those num_angles
+    directions).  split_counts(ta, tb, bounds, target) takes every wedge
+    in order round the circle from angle 0 (bisect_counts for plain
+    bisection); a wedge and its opposite split together, into the larger
+    of their counts, whenever either is above the target.  Returns
     (angles, support_points, support_values) as arrays.
     """
-    rho = {}
-
     def ends(thetas):
-        # Per angle, the ends (angle, h, p, key) at theta and at theta +
-        # pi; rho[key] is the end's radius of curvature.
-        h, p, r = (col.tolist() for col in supports(thetas))
-        out = []
-        for i, theta in enumerate(thetas.tolist()):
-            for side in (0, 1):
-                rho[theta, side] = r[side][i]
-            out.append(tuple((theta + side * math.pi, h[side][i], p[side][i], (theta, side))
-                             for side in (0, 1)))
-        return out
+        # Per angle, the ends (angle, h, p) at theta and at theta + pi.
+        h, p = (col.tolist() for col in supports(thetas))
+        return [tuple((theta + side * math.pi, h[side][i], p[side][i]) for side in (0, 1))
+                for i, theta in enumerate(thetas.tolist())]
 
     half = num_angles // 2
     initial = ends(math.pi * np.arange(half) / half)
-    entries = [end[:3] for pair in initial for end in pair]
+    entries = [end for pair in initial for end in pair]
     target = refine_tol * max(1.0, max(h for _, h, _ in entries))
     # A wedge is a pair of ends, and a pair is a wedge and its opposite.
     # Angles are not wrapped: the last top wedge ends at pi, on the first
@@ -469,36 +476,27 @@ def sweep_ref(num_angles: int, refine_tol: float, supports, curvatures, apex_cho
     wrap = (top[0][0] + 2.0 * math.pi, *top[0][1:])
     pairs = list(zip(zip(top, top[1:] + bottom[:1]), zip(bottom, bottom[1:] + [wrap])))
     for _ in range(48):
-        wedges = [wedge for pair in pairs for wedge in pair]
+        # Round the circle: every top wedge, then every bottom one.
+        wedges = [pair[0] for pair in pairs] + [pair[1] for pair in pairs]
         ta, ha, pa, tb, hb, pb = (np.array(col) for col in zip(
-            *[(*lo[:3], *hi[:3]) for lo, hi in wedges]))
+            *[(*lo, *hi) for lo, hi in wedges]))
         bounds = apex_chord_bounds(ta, ha, pa, tb, hb, pb).tolist()
         over = [hi[0] - lo[0] > 1e-9 and bound > target
                 for (lo, hi), bound in zip(wedges, bounds)]
-        needy = [i for i in range(len(pairs)) if over[2 * i] or over[2 * i + 1]]
-        if not needy:
+        needy = [over[i] or over[i + len(pairs)] for i in range(len(pairs))]
+        if not any(needy):
             break
-        halves = [(wedges[j], bounds[j]) for i in needy for j in (2 * i, 2 * i + 1)]
-        missing = sorted({end[3][0] for wedge, _ in halves for end in wedge
-                          if math.isnan(rho[end[3]])})
-        if missing:
-            measured = curvatures(np.array(missing)).tolist()
-            for i, theta in enumerate(missing):
-                rho[theta, 0], rho[theta, 1] = measured[0][i], measured[1][i]
-        counts = split_counts(
-            np.array([lo[0] for (lo, _), _ in halves]),
-            np.array([hi[0] for (_, hi), _ in halves]),
-            np.array([b for _, b in halves]),
-            np.array([rho[lo[3]] for (lo, _), _ in halves]),
-            np.array([rho[hi[3]] for (_, hi), _ in halves]), target).tolist()
-        split = [(pairs[i], max(counts[2 * j], counts[2 * j + 1])) for j, i in enumerate(needy)]
+        counts = split_counts(ta, tb, np.array(bounds), target).tolist()
+        # A pair that is not split stays whole: k = 1.
+        split = [(pair, max(counts[i], counts[i + len(pairs)]) if needy[i] else 1)
+                 for i, pair in enumerate(pairs)]
         inner = [lo[0] + (hi[0] - lo[0]) * j / k
                  for ((lo, hi), _), k in split for j in range(1, k)]
         mid = iter(ends(np.array(inner)))
         pairs = []
         for ((top_lo, top_hi), (bot_lo, bot_hi)), k in split:
             new = [next(mid) for _ in range(k - 1)]
-            entries.extend(end[:3] for pair in new for end in pair)
+            entries.extend(end for pair in new for end in pair)
             top = [top_lo] + [end for end, _ in new] + [top_hi]
             bottom = [bot_lo] + [end for _, end in new] + [bot_hi]
             pairs.extend(zip(zip(top, top[1:]), zip(bottom, bottom[1:])))

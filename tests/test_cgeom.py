@@ -266,6 +266,19 @@ def test_hull_of_points_not_in_convex_order_takes_the_chain(monkeypatch):
         assert calls, name
 
 
+def test_polygon_area_matches_the_shoelace_loop():
+    # np.sum adds pairwise, the loop in order: they agree to within the
+    # rounding of the summed terms' magnitudes.
+    rng = np.random.default_rng(18)
+    for count in (1, 2, 3, 7, 200):
+        poly = convex_hull_2d(list(rng.normal(size=count) + 1j * rng.normal(size=count)))
+        v = poly.vertices
+        want = oracles.polygon_area_ref(v)
+        scale = sum(abs(a.real * b.imag) + abs(b.real * a.imag) for a, b in zip(v, v[1:] + v[:1]))
+        assert abs(polygon_area(poly) - want) <= len(v) * np.finfo(float).eps * scale
+        assert (polygon_area(poly) == 0.0) == (len(v) < 3)
+
+
 def test_hull_area_of_uniform_square_samples():
     rng = np.random.default_rng(17)
     pts = [complex(x, y) for x, y in rng.uniform(0.0, 1.0, size=(10_000, 2))]

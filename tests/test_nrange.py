@@ -298,18 +298,16 @@ def test_invalid_refine_tol_is_rejected(bad):
 def _reference_sweep(a, num_angles, refine_tol, split_counts=nrange._split_counts,
                      eigh_only=False):
     """oracles.sweep_ref around the library's per-angle helpers, or with
-    eigh_only around oracles.eigh_supports_ref, which takes every (h, p,
-    rho) from the full eigendecomposition."""
+    eigh_only around oracles.eigh_supports_ref, which takes every (h, p)
+    from the full eigendecomposition."""
     m = nrange.as_matrix(a, square=True)
     part_a, part_b = nrange._hermitian_parts(m)
     if eigh_only:
-        supports = oracles.eigh_supports_ref(m, part_a, part_b, nrange._rotated_hermitian_parts,
-                                             nrange._curvatures)
+        supports = oracles.eigh_supports_ref(m, part_a, part_b, nrange._rotated_hermitian_parts)
     else:
         supports = functools.partial(nrange._supports_batch, m, part_a, part_b)
-    curvatures = functools.partial(nrange._curvatures_at, m, part_a, part_b)
-    return oracles.sweep_ref(num_angles, refine_tol, supports, curvatures,
-                             nrange._apex_chord_bounds, split_counts)
+    return oracles.sweep_ref(num_angles, refine_tol, supports, nrange._apex_chord_bounds,
+                             split_counts)
 
 
 def _same_bits(x, y) -> bool:
@@ -354,33 +352,28 @@ def _blas_threads() -> int:
 def test_chunked_rounds_match_one_batch_bit_for_bit(monkeypatch):
     # A budget of three matrices, with no floor on the chunk length,
     # splits every round into many chunks, which run on the shared pool
-    # where there is one; the curvature path is chunked the same way.
+    # where there is one.
     # eye(3) has a repeated top eigenvalue at every angle and diag(1, 1,
     # 2j) on an arc at the top and on the opposite arc at the bottom, so
     # such angles fall on both sides of chunk borders; both are real
-    # symmetric stacks, and the random matrix a complex one.
+    # symmetric stacks, and the random matrix a complex one.  70 angles
+    # leave a last chunk of one angle.
     rng = np.random.default_rng(49)
     for a in (np.eye(3, dtype=complex), np.diag([1.0, 1.0, 2j]), rand_complex(rng, 4)):
         part_a, part_b = nrange._hermitian_parts(a)
-        thetas = np.concatenate([math.pi * np.arange(32) / 32, rng.uniform(0.0, math.pi, 37)])
+        thetas = np.concatenate([math.pi * np.arange(32) / 32, rng.uniform(0.0, math.pi, 38)])
         want = nrange._supports_batch(a, part_a, part_b, thetas)
-        want_rho = nrange._eigh_supports(a, part_a, part_b, thetas)[2]
         monkeypatch.setattr(nrange, "_BATCH_BYTES", 3 * part_a.nbytes)
         monkeypatch.setattr(nrange, "_GIL_FREE_VALUES", 1)
         batches = _count_stacked(monkeypatch, "eigvalsh")
         solves = _count_stacked(monkeypatch, "solve")
-        eighs = _count_stacked(monkeypatch, "eigh")
         got = nrange._supports(a, part_a, part_b, thetas)
         assert batches and max(batches) == 3 and sum(batches) == thetas.size
         assert sorted(solves) == sorted(2 * batches)
-        assert len(got) == len(want) == 3
+        assert len(got) == len(want) == 2
         for x, y in zip(got, want):
             assert x.shape == (2, thetas.size)
             assert _same_bits(x, y)
-        eighs.clear()
-        rho = nrange._curvatures_at(a, part_a, part_b, thetas)
-        assert max(eighs) == 3 and sum(eighs) == thetas.size
-        assert _same_bits(rho, want_rho)
         # Whole sweeps from 64 angles, unrefined (at tolerance 1) and
         # refined, against the list bookkeeping, which solves each round
         # as one stack.
@@ -397,8 +390,9 @@ def test_eigensolver_inputs_stay_within_the_byte_budget(monkeypatch):
     # A complex 24x24 matrix, and V of a real one, whose stacks are
     # real: chunks are sized by the stack's itemsize, so a real chunk
     # holds twice the matrices of a complex one in the same bytes.  The
-    # eigenvalue stacks, the shifted stacks of the solves, one per side,
-    # and the curvature's eigendecompositions each keep to the budget.
+    # eigenvalue stacks and the shifted stacks of the solves, one per
+    # side, each keep to the budget; no row needs the full
+    # eigendecomposition.
     stacks = {}
 
     def record(name):
@@ -412,14 +406,14 @@ def test_eigensolver_inputs_stay_within_the_byte_budget(monkeypatch):
 
         monkeypatch.setattr(np.linalg, name, recorded)
 
-    names = ("eigvalsh", "solve", "eigh")
-    for name in names:
+    names = ("eigvalsh", "solve")
+    for name in names + ("eigh",):
         record(name)
     rng = np.random.default_rng(51)
     n = 24
     for a, dtype in ((rand_complex(rng, n), np.complex128),
                      (build_v(rng.normal(size=(n, n))).v, np.float64)):
-        stacks.update((name, []) for name in names)
+        stacks.update((name, []) for name in names + ("eigh",))
         with _blas_threads_at(2) as before:
             sweep = nrange_boundary(a, refine_tol=1e-6)
             assert before is None or _blas_threads() == before
@@ -429,6 +423,7 @@ def test_eigensolver_inputs_stay_within_the_byte_budget(monkeypatch):
             assert stacks[name] and {d for d, _, _ in stacks[name]} == {np.dtype(dtype)}
             assert max(b for _, _, b in stacks[name]) <= nrange._BATCH_BYTES
             assert max(k for _, k, _ in stacks[name]) == per_chunk
+        assert stacks["eigh"] == []
 
 
 def test_chunks_of_large_matrices_keep_enough_for_the_pool(monkeypatch):
@@ -539,29 +534,21 @@ def _bisecting_sweep(a, refine_tol):
 
 def test_smooth_boundary_refines_in_two_rounds_with_fewer_angles(monkeypatch):
     # A random 6x6 and its graph compression V, the operator that
-    # `srg matrix` sweeps: at most two rounds sized from the curvature,
-    # each measured once before its round, and fewer angles than
-    # bisection, whose last round overshoots the tolerance by up to 4x.
-    calls = {"_supports": [], "_curvatures_at": []}
+    # `srg matrix` sweeps: at most two rounds sized from the curvature
+    # that neighbouring bounds measure, and fewer angles than bisection,
+    # whose last round overshoots the tolerance by up to 4x.
+    calls, supports = [], nrange._supports
 
-    def count(name):
-        fn = getattr(nrange, name)
+    def counted(*args):
+        calls.append(1)
+        return supports(*args)
 
-        def counted(*args):
-            calls[name].append(1)
-            return fn(*args)
-
-        monkeypatch.setattr(nrange, name, counted)
-
-    for name in calls:
-        count(name)
+    monkeypatch.setattr(nrange, "_supports", counted)
     a = rand_complex(np.random.default_rng(55), 6)
     for a in (a, build_v(a).v):
-        for made in calls.values():
-            made.clear()
+        calls.clear()
         sweep = nrange_boundary(a, refine_tol=1e-8)
-        assert len(calls["_supports"]) <= 3
-        assert len(calls["_curvatures_at"]) == len(calls["_supports"]) - 1
+        assert len(calls) <= 3
         assert sweep.angles.size <= 0.8 * _bisecting_sweep(a, 1e-8)[0].size
 
 
@@ -575,24 +562,6 @@ def test_polygons_and_segments_cost_no_more_than_bisection():
     for a in (diag, herm):
         sweep = nrange_boundary(a, refine_tol=1e-8)
         assert sweep.angles.size <= _bisecting_sweep(a, 1e-8)[0].size
-
-
-def test_curvature_is_h_plus_second_derivative():
-    # Row 0 at theta from the top of H(theta), row 1 at theta + pi from
-    # its bottom; a complex matrix and the real symmetric stacks of V.
-    rng = np.random.default_rng(57)
-    thetas = np.linspace(0.0, math.pi, 8, endpoint=False) + 0.1
-    t = rand_complex(rng, 4)
-    for a in (t, build_v(t.real).v):
-        part_a, part_b = nrange._hermitian_parts(a)
-        rho = nrange._curvatures_at(a, part_a, part_b, thetas)
-        assert rho.shape == (2, thetas.size)
-        step = 1e-3
-        for side, at in enumerate((thetas, thetas + math.pi)):
-            h = [oracles.support_values_ref(a, at + d) for d in (-step, 0.0, step)]
-            want = h[1] + (h[0] - 2.0 * h[1] + h[2]) / step**2
-            assert np.all(np.isfinite(rho[side]))
-            assert np.max(np.abs(rho[side] - want) / np.abs(want)) <= 1e-5
 
 
 def test_apex_chord_bound_is_accurate_on_narrow_wedges():
@@ -717,7 +686,7 @@ def _kernel_cases():
 
 def test_shifted_solve_rows_match_the_eigh_sweep(monkeypatch):
     # Each row's support point lies on its support line up to rounding,
-    # and the sweep takes the angles of one that gets every (h, p, rho)
+    # and the sweep takes the angles of one that gets every (h, p)
     # from the full eigendecomposition, with the same hull up to
     # rounding.
     monkeypatch.setattr(nrange, "_START_ANGLES", 64)
@@ -750,9 +719,8 @@ def test_rows_off_their_support_line_take_the_eigh_vector(monkeypatch):
 
     monkeypatch.setattr(nrange, "_eigh_supports", counted)
     thetas = math.pi * np.arange(8) / 8 + 0.1
-    h, p, rho = nrange._supports_batch(m, part_a, part_b, thetas)
+    h, p = nrange._supports_batch(m, part_a, part_b, thetas)
     assert calls == [thetas.size]
-    assert not np.isnan(rho).any()
     assert np.all(np.abs((p * np.exp(-1j * np.stack([thetas, thetas + math.pi]))).real - h)
                   <= 4 * np.finfo(float).eps)
     sweep = nrange_boundary(a)
@@ -761,11 +729,18 @@ def test_rows_off_their_support_line_take_the_eigh_vector(monkeypatch):
     assert np.max(np.abs(np.abs(sweep.hull.vertices) - 1.0)) <= 2 * np.finfo(float).eps
 
 
-def test_curvature_eigendecompositions_are_few(monkeypatch):
-    # Curvature is measured only at the ends of wedges that are split:
-    # on a random V, at most 5% of the matrices the eigenvalue solver
-    # takes also go through the full eigendecomposition.
-    values = _count_stacked(monkeypatch, "eigvalsh")
-    full = _count_stacked(monkeypatch, "eigh")
-    nrange_boundary(build_v(rand_complex(np.random.default_rng(66), 6)).v)
-    assert 0 < sum(full) <= 0.05 * sum(values)
+def test_refined_sweeps_run_no_eigendecomposition(monkeypatch):
+    # Split counts come from the apex-chord bounds alone, and every row
+    # of a random 6x6 and of its V passes the depth check, so a refined
+    # sweep of either calls the full eigendecomposition zero times.
+    calls, eigh = [], np.linalg.eigh
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    a = rand_complex(np.random.default_rng(66), 6)
+    for a in (a, build_v(a).v):
+        assert nrange_boundary(a).angles.size > 720
+    assert calls == []

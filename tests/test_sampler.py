@@ -89,6 +89,23 @@ def test_sampler_validation():
         with pytest.raises(InputError, match="seed"):
             sample_srg(np.eye(2), seed=seed)
     assert sample_srg(np.eye(2), count=1, seed=np.int64(3)).size == 2
+    # A float, bool or string count used to raise a raw TypeError, or
+    # pass as a number.
+    for count in (2.5, True, "3", None):
+        with pytest.raises(InputError, match="count"):
+            sample_srg(np.eye(2), count=count)
+    assert sample_srg(np.eye(2), count=np.int64(2)).size == 4
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0, -1e-12, "1e-7", None])
+def test_containment_rejects_a_bad_tolerance(tol):
+    # NaN used to count every sample out with max_violation 0.0, and a
+    # negative tolerance passed.
+    samples = sample_srg(np.eye(2), count=4)
+    region = srg_complex(np.eye(2))
+    with pytest.raises(InputError, match="tol"):
+        check_containment(samples, region, tol=tol)
+    assert check_containment(samples, region, tol=0.0).total == 8
 
 
 def test_disjoint_region_contains_nothing():

@@ -27,6 +27,7 @@ from srgraph import (
     spectral_factorize,
     tf_value,
 )
+from srgraph import srglti
 
 TWO_OVER_SQUARE = ([2.0], [1.0, 2.0, 1.0])  # h = 2/(iw+1)^2
 INTEGRATOR = ([1.0], [1.0, 0.0])  # h = 1/(iw)
@@ -259,10 +260,26 @@ def test_freq_grid_validation():
         freq_grid([1.0, float("inf")])
 
 
+def test_paraconjugate_matches_the_loop_bit_for_bit():
+    # Signed zeros included: every odd power is negated, not multiplied.
+    rng = np.random.default_rng(19)
+    parts = [0.0, -0.0, 1.5, -2.25]
+    for length in range(1, 9):
+        coeffs = rng.choice(parts, length) + 1j * rng.choice(parts, length)
+        got = srglti._paraconjugate(coeffs)
+        want = np.array(oracles.paraconjugate_ref(coeffs.tolist()), dtype=np.complex128)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
 def test_default_grid_minimum_size():
     tf = rational_tf(*TWO_OVER_SQUARE)
     with pytest.raises(InputError):
         default_grid(tf, 15)
+    # A non-integer size used to raise a raw TypeError.
+    for n in (16.5, 16.0, True, "16", None):
+        with pytest.raises(InputError, match="integer"):
+            default_grid(tf, n)
+    assert len(default_grid(tf, np.int64(16)).omegas) == 17
 
 
 def test_default_grid_shape_and_symmetry():

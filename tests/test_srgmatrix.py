@@ -112,8 +112,8 @@ def test_build_v_of_real_matrix_is_complex_symmetric():
 
 def test_sweep_dtype_follows_the_field_of_t(monkeypatch):
     # Real T gives float64 stacks, complex T complex128 ones, in the
-    # eigenvalue solver, the shifted solves and the curvature's
-    # eigendecompositions alike.
+    # eigenvalue solver and the shifted solves alike; no row of these
+    # sweeps needs the full eigendecomposition.
     dtypes = set()
 
     def record(name):
@@ -126,8 +126,8 @@ def test_sweep_dtype_follows_the_field_of_t(monkeypatch):
 
         monkeypatch.setattr(np.linalg, name, recorded)
 
-    names = ("eigvalsh", "solve", "eigh")
-    for name in names:
+    names = ("eigvalsh", "solve")
+    for name in names + ("eigh",):
         record(name)
     rng = np.random.default_rng(57)
     for t, want in ((rng.normal(size=(5, 5)), np.float64), (rand_complex(rng, 5), np.complex128)):
