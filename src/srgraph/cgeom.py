@@ -353,7 +353,9 @@ def _signed_distances(vertices, ws) -> np.ndarray:
             d = np.full(rel.shape[0], np.inf)
         far = d > 0.0
         r = rel[far]
-        t = np.clip((r.real * e.real + r.imag * e.imag) / ln**2, 0.0, 1.0)
+        # Divided by |e| twice: |e|^2 underflows to 0 for an edge below
+        # about 1e-154 of the largest coordinate.
+        t = np.clip((r.real * e.real + r.imag * e.imag) / ln / ln, 0.0, 1.0)
         d[far] = np.min(np.abs(r - t * e), axis=1)
         out[lo:lo + step] = d
     return np.ldexp(out, k)
@@ -467,7 +469,8 @@ class PolygonLocator:
         dot = np.real(np.conj(n) * (ws - a))
         # Distance to the located edge segment: a true boundary point.
         e = b - a
-        t = np.clip(np.real(np.conj(e) * (ws - a)) / np.abs(e) ** 2, 0.0, 1.0)
+        ln = np.abs(e)
+        t = np.clip(np.real(np.conj(e) * (ws - a)) / ln / ln, 0.0, 1.0)
         seg = np.abs(ws - (a + t * e))
         # The anchor ray exits the boundary through this edge.
         rho = np.abs(rel)

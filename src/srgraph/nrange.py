@@ -12,16 +12,23 @@ M = M^T, as V of a real T is, A and B are real symmetric and the stacks
 are float64, so LAPACK runs its real routines; otherwise they are
 complex.  The dtype alone picks the routine.
 
-Each angle costs the eigenvalues of H(theta) and, per side, one step
-of shifted inverse iteration (Ipsen, SIAM Review 39, 1997): one LU
-solve with the top eigenvalue, shifted just above it, gives x.  Any
-unit x puts p in W(M), so the inner polygon holds whatever x is; the
-outer one needs p on its support line, so each row's depth below that
-line is checked at rounding level, and a row above it takes its vector
-from the full eigendecomposition instead.  A repeated extreme
-eigenvalue needs no special case: any unit vector of the top eigenspace
-lies on the support line, so each angle gives one support point, and a
-flat face's endpoints come from the angles beside its normal.
+The angles of the start grid take (h, p) from the full
+eigendecomposition of H(theta).  A refinement angle inside a wedge
+needs no eigenvalues: the values h and slopes h' = Im(e^{-i*theta}p) at
+the wedge's two ends predict, by cubic Hermite interpolation, the top
+eigenvalue sigma of sH(theta) for each side s = +1, -1.  One LU solve
+with that shift, one step of shifted inverse iteration (Ipsen, SIAM
+Review 39, 1997), gives a unit x, and rho = x*(sH)x is a lower bound
+on the top eigenvalue.  A Cholesky factorization of (rho + tau)I - sH,
+with tau at rounding level, then certifies the upper bound
+rho + tau, which the row reports as h, with p = <Mx, x> at depth tau
+below its support line.  Any unit x puts p in W(M), so the inner
+polygon holds whatever x is; a row whose solve or factorization fails,
+as where the prediction is off, takes (h, p) from the full
+eigendecomposition instead.  A repeated extreme eigenvalue needs no
+special case: any unit vector of the top eigenspace lies on the
+support line, so each angle gives one support point, and a flat
+face's endpoints come from the angles beside its normal.
 
 Angle batches are solved as stacks of at most _BATCH_BYTES each, so
 memory stays bounded however many angles a round holds; a round of
@@ -76,9 +83,10 @@ REFINE_MAX_DEPTH = 48
 REFINE_MIN_WEDGE = 1e-9
 # Bytes of stacked n-by-n matrices one eigensolver or solver call takes.
 _BATCH_BYTES = 1 << 18
-# numpy holds the GIL through an eigvalsh call whose output has at most
-# 500 entries, which would run the pool's chunks one at a time; so a
-# chunk of the sweep holds at least this many entries' worth of n-by-n
+# numpy holds the GIL through a solve whose output has at most 500
+# entries, as a stack of solves with one right-hand side of n entries
+# each has, which would run the pool's chunks one at a time; so a chunk
+# of the sweep holds at least this many entries' worth of n-by-n
 # matrices, even where that is more than _BATCH_BYTES.
 _GIL_FREE_VALUES = 501
 
@@ -153,18 +161,18 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_reset_after_fork)
 
 
-def _map_chunks(fn, a: np.ndarray, thetas: np.ndarray, least: int) -> list:
-    """fn over consecutive chunks of thetas, each stacking at most
-    _BATCH_BYTES of matrices of a's shape and dtype, but at least
-    least of them, results in chunk order.
+def _map_chunks(fn, a: np.ndarray, count: int, least: int) -> list:
+    """fn over consecutive slices of range(count), each standing for a
+    stack of at most _BATCH_BYTES of matrices of a's shape and dtype, but
+    at least least of them, results in slice order.
 
     Several chunks run on the shared pool with the BLAS at one thread;
     one chunk, or no pool, runs in the calling thread.  Each matrix
-    gets the same LAPACK call either way, so results do not depend on
-    the split.
+    gets the same LAPACK calls either way, and every decision of the
+    kernel is made per row, so results do not depend on the split.
     """
     size = max(least, _BATCH_BYTES // a.nbytes)
-    chunks = [thetas[i:i + size] for i in range(0, thetas.size, size)]
+    chunks = [slice(i, i + size) for i in range(0, count, size)]
     if len(chunks) > 1:
         with _LOCK:
             pool = _pool()
@@ -221,62 +229,111 @@ def _eigh_supports(m: np.ndarray, a: np.ndarray, b: np.ndarray, thetas: np.ndarr
     return np.stack([w[:, -1], -w[:, 0]]), _points(m, np.stack([v[:, :, -1], v[:, :, 0]]))
 
 
-def _supports_batch(m: np.ndarray, a: np.ndarray, b: np.ndarray, thetas: np.ndarray):
+def _per_row(fn, *stacks) -> np.ndarray:
+    """fn(*stacks) for a numpy.linalg function whose result has the shape
+    of its last argument, with NaN in the rows where LAPACK fails.
+
+    numpy raises for a whole stack when one matrix fails, so a failed
+    stack is halved until each failure stands alone; every other row
+    gets the same LAPACK call as in one stack.
+    """
+    try:
+        return fn(*stacks)
+    except np.linalg.LinAlgError:
+        if len(stacks[0]) == 1:
+            return np.full_like(stacks[-1], np.nan)
+        half = len(stacks[0]) // 2
+        return np.concatenate([_per_row(fn, *(x[:half] for x in stacks)),
+                               _per_row(fn, *(x[half:] for x in stacks))])
+
+
+def _positive_definite(stack: np.ndarray) -> np.ndarray:
+    """Whether each Hermitian matrix of the stack has a Cholesky factor,
+    read off the trace of the factor, NaN where LAPACK fails."""
+    return np.isfinite(np.einsum("kii->k", _per_row(np.linalg.cholesky, stack)))
+
+
+def _predicted_supports(ta, tb, ha, pa, hb, pb, t) -> np.ndarray:
+    """Support values at ta + t*(tb - ta), 0 < t < 1, predicted by cubic
+    Hermite interpolation from the values h and the slopes
+    h' = Im(e^{-i theta} p) at the ends of each wedge (ta, tb).
+
+    Arguments broadcast elementwise; the sweep passes each needy wedge
+    and its opposite as two rows.
+    """
+    width = tb - ta
+    sa = (pa.imag * np.cos(ta) - pa.real * np.sin(ta)) * width
+    sb = (pb.imag * np.cos(tb) - pb.real * np.sin(tb)) * width
+    u = 1.0 - t
+    return ha + t * t * (3.0 - 2.0 * t) * (hb - ha) + t * u * (u * sa - t * sb)
+
+
+def _supports_batch(m: np.ndarray, a: np.ndarray, b: np.ndarray, thetas: np.ndarray,
+                    sigma: np.ndarray | None = None):
     """Support data for a batch of angles in [0, pi) and their opposites:
     (h, p), with (A, B) = _hermitian_parts(M), row 0 of each column
     at theta and row 1 at theta + pi.
 
-    h comes from the eigenvalues of H(theta) alone: its top one and
-    minus its bottom one.  For each side s = +1, -1, with lambda the top
-    eigenvalue of sH, one step of shifted inverse iteration solves
-    ((lambda + delta) I - sH) x = e_k, with delta = 2^-48 max|eigenvalue|
-    (1 where H = 0) and e_k the unit vector at the largest diagonal
-    entry of sH, which keeps a diagonal H exact.  The shifted stack is
-    divided by a power of two near the largest eigenvalue modulus, which
-    is exact, and x by its largest entry, so nothing overflows; then
-    p = <Mx, x> for the unit x.  Any unit x puts p in W(M).  Where its
-    depth lambda - x*(sH)x below the support line is above 2^-46
-    max|eigenvalue|, or a solve fails, the row takes p from
-    _eigh_supports instead.
+    Without predictions sigma, as on the start grid, both come from
+    _eigh_supports.  With them, sigma[0] and sigma[1] predicting the top
+    eigenvalue of sH for s = +1 and s = -1, each side takes one step of
+    shifted inverse iteration, ((sigma I - sH) x = e_k, e_k the unit
+    vector at the largest diagonal entry of sH, which keeps a diagonal H
+    exact), and rho = x*(sH)x for the unit x.  The stacks are divided
+    by a power of two near the larger |sigma|, which is exact, and x by
+    its largest entry, so nothing overflows.  With tau = 2^-46 times the
+    larger |rho| of the two sides, a Cholesky factor of
+    (rho + tau)I - sH certifies that no eigenvalue of sH exceeds
+    rho + tau up to rounding; the row reports h = rho + tau and
+    p = <Mx, x>, which lies in W(M) for any unit x.  A row whose solve or
+    factorization fails, or whose values are not finite, takes (h, p)
+    from _eigh_supports instead.  Each decision is made row by row.
     """
     thetas = np.asarray(thetas, dtype=np.float64)
+    if sigma is None:
+        return _eigh_supports(m, a, b, thetas)
     hs = _rotated_hermitian_parts(a, b, thetas)
-    w = np.linalg.eigvalsh(hs)
-    h = np.stack([w[:, -1], -w[:, 0]])
-    scale = np.maximum(np.abs(w[:, -1]), np.abs(w[:, 0]))
-    unit = np.ldexp(1.0, -np.clip(np.frexp(scale)[1], -1000, 1000))
-    shift = (h + np.where(scale > 0.0, np.ldexp(scale, -48), 1.0)) * unit
     n = hs.shape[-1]
+    unit = np.ldexp(1.0, -np.clip(np.frexp(np.max(np.abs(sigma), axis=0))[1], -1000, 1000))
     diagonal = np.einsum("kii->ki", hs).real
     sign = np.array([[1.0], [-1.0]])
+    shifted = np.empty((2,) + hs.shape, dtype=hs.dtype)
     x = np.empty((2,) + hs.shape[:-1], dtype=hs.dtype)
     for side, s in enumerate(sign[:, 0]):
-        shifted = hs * (-s * unit)[:, None, None]
+        np.multiply(hs, (-s * unit)[:, None, None], out=shifted[side])
         # Basic slicing, not an index array, which would hold the GIL.
-        shifted.reshape(-1, n * n)[:, ::n + 1] += shift[side, :, None]
+        shifted[side].reshape(-1, n * n)[:, ::n + 1] += (sigma[side] * unit)[:, None]
         start = np.argmax(s * diagonal, axis=1)
         rhs = (np.arange(n) == start[:, None]).astype(hs.dtype)[..., None]
-        try:
-            x[side] = np.linalg.solve(shifted, rhs)[..., 0]
-        except np.linalg.LinAlgError:
-            x[side] = np.nan
-    x /= np.max(np.abs(x), axis=-1, keepdims=True)
-    x /= np.linalg.norm(x, axis=-1, keepdims=True)
-    xh = np.conj(x)
-    depth = h - sign * np.einsum("ski,ski->sk", xh, (hs @ x[..., None])[..., 0]).real
+        x[side] = _per_row(np.linalg.solve, shifted[side], rhs)[..., 0]
+    with np.errstate(invalid="ignore"):
+        # Rows of a failed solve are NaN, which complex division flags.
+        x /= np.max(np.abs(x), axis=-1, keepdims=True)
+        x /= np.linalg.norm(x, axis=-1, keepdims=True)
+    rho = sign * np.einsum("ski,ski->sk", np.conj(x), (hs @ x[..., None])[..., 0]).real
+    h = rho + np.ldexp(np.fmax(np.abs(rho[0]), np.abs(rho[1])), -46)
+    # Move each shift from sigma to h.
+    shifted.reshape(2, -1, n * n)[..., ::n + 1] += ((h - sigma) * unit)[..., None]
     p = _points(m, x)
-    off = ~(depth <= np.ldexp(scale, -46))
+    certified = np.stack([_positive_definite(c) for c in shifted])
+    off = ~(certified & np.isfinite(h) & np.isfinite(p))
     redo = off.any(axis=0)
     if redo.any():
-        p[:, redo] = np.where(off[:, redo], _eigh_supports(m, a, b, thetas[redo])[1], p[:, redo])
+        exact = _eigh_supports(m, a, b, thetas[redo])
+        h[:, redo], p[:, redo] = (np.where(off[:, redo], e, col[:, redo])
+                                  for e, col in zip(exact, (h, p)))
     return h, p
 
 
-def _supports(m: np.ndarray, a: np.ndarray, b: np.ndarray, thetas):
+def _supports(m: np.ndarray, a: np.ndarray, b: np.ndarray, thetas, sigma=None):
     """_supports_batch over any number of angles, chunk by chunk."""
     thetas = np.asarray(thetas, dtype=np.float64)
     least = -(-_GIL_FREE_VALUES // a.shape[0])
-    parts = _map_chunks(lambda t: _supports_batch(m, a, b, t), a, thetas, least)
+
+    def batch(rows):
+        return _supports_batch(m, a, b, thetas[rows], None if sigma is None else sigma[:, rows])
+
+    parts = _map_chunks(batch, a, thetas.size, least)
     return tuple(np.concatenate(col, axis=1) for col in zip(*parts))
 
 
@@ -357,12 +414,15 @@ def _sweep(m: np.ndarray, refine_tol: float) -> tuple[NRangeBoundary, float]:
         if depth == REFINE_MAX_DEPTH or not needy.any():
             break
         k = _split_counts(ta, tb, bounds, target).reshape(2, -1).max(axis=0)[needy]
-        ta, tb = ta[:t.size][needy], tb[:t.size][needy]
+        # Each needy wedge in row 0 and its opposite in row 1.
+        ends = [col.reshape(2, -1)[:, needy] for col in (ta, tb, ha, pa, hb, pb)]
         # Interior angles ta + (tb - ta)*j/k, j = 1 .. k-1, wedge by wedge.
         owner = np.repeat(np.arange(k.size), k - 1)
         j = np.arange(owner.size) - np.repeat(np.cumsum(k - 1) - (k - 1), k - 1) + 1
-        tm = ta[owner] + (tb - ta)[owner] * j / k[owner]
-        columns = _supports(m, a, b, tm)
+        lo, hi = ends[0][0], ends[1][0]
+        tm = lo[owner] + (hi - lo)[owner] * j / k[owner]
+        sigma = _predicted_supports(*(col[:, owner] for col in ends), j / k[owner])
+        columns = _supports(m, a, b, tm, sigma)
         table = [np.concatenate(pair, axis=-1) for pair in zip(table, [tm, *columns])]
         order = np.argsort(table[0], kind="stable")
         table = [col[..., order] for col in table]

@@ -426,13 +426,14 @@ def bisect_counts(ta, tb, bounds, refine_tol) -> np.ndarray:
 
 def eigh_supports_ref(a, part_a, part_b, rotated_parts):
     """Support data from one full eigendecomposition per angle: the
-    reference for the sweep's kernel of eigenvalues and shifted solves.
+    reference for the sweep's kernels.
 
-    Returns a function of angles theta in [0, pi) that gives (h, p),
-    each with row 0 at theta, from the top eigenpair of H(theta), and
-    row 1 at theta + pi, from the bottom one with the eigenvalue negated.
+    Returns a function of angles theta in [0, pi), and of predicted
+    support values that it ignores, that gives (h, p), each with row 0
+    at theta, from the top eigenpair of H(theta), and row 1 at
+    theta + pi, from the bottom one with the eigenvalue negated.
     """
-    def supports(thetas):
+    def supports(thetas, sigma=None):
         w, v = np.linalg.eigh(rotated_parts(part_a, part_b, thetas))
         rows = []
         for ws, vs in ((w, v), (-w[:, ::-1], v[:, :, ::-1])):
@@ -443,24 +444,29 @@ def eigh_supports_ref(a, part_a, part_b, rotated_parts):
     return supports
 
 
-def sweep_ref(num_angles: int, refine_tol: float, supports, apex_chord_bounds, split_counts):
+def sweep_ref(num_angles: int, refine_tol: float, supports, apex_chord_bounds, split_counts,
+              predict):
     """Paired angle-sweep bookkeeping with Python lists of (theta, h, p).
 
     The per-angle helpers and the split rule are passed in; this checks
     the pairing, ordering and refinement bookkeeping around them.
-    supports(thetas), for angles theta in [0, pi), gives (h, p), each
-    with row 0 at theta and row 1 at theta + pi.  The sweep starts on
-    num_angles // 2 angles in [0, pi), and wedges are refined to
-    refine_tol*max(1, largest support value on those num_angles
-    directions).  split_counts(ta, tb, bounds, target) takes every wedge
-    in order round the circle from angle 0 (bisect_counts for plain
-    bisection); a wedge and its opposite split together, into the larger
-    of their counts, whenever either is above the target.  Returns
-    (angles, support_points, support_values) as arrays.
+    supports(thetas, sigma), for angles theta in [0, pi), gives (h, p),
+    each with row 0 at theta and row 1 at theta + pi; sigma is None on
+    the start grid and otherwise the support values that
+    predict(ta, tb, ha, pa, hb, pb, t) gives at each new angle from the
+    ends of its wedge (row 0) and of the opposite wedge (row 1), t the
+    angle's fraction of the wedge.  The sweep starts on num_angles // 2
+    angles in [0, pi), and wedges are refined to refine_tol*max(1,
+    largest support value on those num_angles directions).
+    split_counts(ta, tb, bounds, target) takes every wedge in order round
+    the circle from angle 0 (bisect_counts for plain bisection); a wedge
+    and its opposite split together, into the larger of their counts,
+    whenever either is above the target.  Returns (angles,
+    support_points, support_values) as arrays.
     """
-    def ends(thetas):
+    def ends(thetas, sigma=None):
         # Per angle, the ends (angle, h, p) at theta and at theta + pi.
-        h, p = (col.tolist() for col in supports(thetas))
+        h, p = (col.tolist() for col in supports(thetas, sigma))
         return [tuple((theta + side * math.pi, h[side][i], p[side][i]) for side in (0, 1))
                 for i, theta in enumerate(thetas.tolist())]
 
@@ -490,9 +496,15 @@ def sweep_ref(num_angles: int, refine_tol: float, supports, apex_chord_bounds, s
         # A pair that is not split stays whole: k = 1.
         split = [(pair, max(counts[i], counts[i + len(pairs)]) if needy[i] else 1)
                  for i, pair in enumerate(pairs)]
-        inner = [lo[0] + (hi[0] - lo[0]) * j / k
-                 for ((lo, hi), _), k in split for j in range(1, k)]
-        mid = iter(ends(np.array(inner)))
+        inner = [(pair, j, k) for pair, k in split for j in range(1, k)]
+        thetas = np.array([lo[0] + (hi[0] - lo[0]) * j / k for ((lo, hi), _), j, k in inner])
+        # Row 0 holds each new angle's wedge and row 1 the opposite one;
+        # a wedge is a pair of ends (angle, h, p).
+        sides = [[pair[side] for pair, _, _ in inner] for side in (0, 1)]
+        ta, ha, pa, tb, hb, pb = (np.array([[wedge[end][i] for wedge in side] for side in sides])
+                                  for end in (0, 1) for i in (0, 1, 2))
+        sigma = predict(ta, tb, ha, pa, hb, pb, np.array([j / k for _, j, k in inner]))
+        mid = iter(ends(thetas, sigma))
         pairs = []
         for ((top_lo, top_hi), (bot_lo, bot_hi)), k in split:
             new = [next(mid) for _ in range(k - 1)]

@@ -485,3 +485,22 @@ def test_locator_holds_above_1e154():
     unit = PolygonLocator(convex_hull_2d([0j, 1.0, 1.0 + 1j, 1j]))
     for got, want in zip((lb, ub, bd), unit.query(ws / side)):
         assert np.allclose(got / side, want, rtol=1e-15, atol=0.0)
+
+
+def test_distances_hold_on_edges_below_1e154_of_the_coordinates():
+    # The squared length of an edge 1e-170 long underflows to 0; the
+    # distance kernel and the locator divided by it and returned NaN.
+    # Such an edge is a point at the precision of the other coordinates.
+    ws = np.array([1j, -1j, 1e-170 - 1j, 1.0, -1.0 + 0.5j])
+    tri = convex_hull_2d([0.0, 1e-170, 1j])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for verts in ([0.0, 1e-170], list(tri.vertices)):
+            got = cgeom._signed_distances(verts, ws)
+            want = [oracles.polygon_distance_ref(verts, complex(w)) for w in ws]
+            assert np.allclose(np.maximum(got, 0.0), want, rtol=1e-15, atol=0.0)
+        bounds = PolygonLocator(tri).query(ws)
+        exact = PolygonLocator(tri).exact(ws)
+    assert all(np.all(np.isfinite(b)) for b in bounds)
+    lb, ub, bd = bounds
+    assert np.all(lb <= exact) and np.all(exact <= ub) and np.all(bd >= np.abs(exact))

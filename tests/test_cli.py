@@ -267,6 +267,19 @@ def test_matrix_check_failure_exits_three(run_cli, matrix_file, monkeypatch):
     assert "contained 9/10" in err
 
 
+def test_matrix_below_1e154_of_its_spectrum_draws_without_warnings(run_cli, matrix_file, tmp_path):
+    # The region of diag(1e-320, 0) has an edge whose squared length
+    # underflows to 0; the distance kernels divided by it and printed a
+    # RuntimeWarning, which -W error turned into a traceback.
+    path = matrix_file("tiny.json", [[1e-320, 0.0], [0.0, 0.0]])
+    for fmt in ("svg", "csv"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _, err = run_cli(["matrix", "--input", path, "--format", fmt, "--spectrum",
+                                    "--out", str(tmp_path / f"tiny.{fmt}")])
+        assert (code, err) == (0, "")
+
+
 def test_matrix_spectrum_rows(run_cli, matrix_file):
     path = matrix_file("fig.json", oracles.FIG_MATRIX.real)
     code, out, _ = run_cli(

@@ -213,24 +213,37 @@ def test_unitary_similarity_invariance():
 
 
 def test_each_eigensolve_fills_two_angles(monkeypatch):
-    # Every row is one angle, and one eigenvalue problem gives the angle
-    # theta in [0, pi) and its opposite theta + pi, each with one shifted
-    # solve, also where the extreme eigenvalue is repeated: at every
-    # angle for eye(3), on an arc for diag(1, 1, 2j), and at every angle
-    # for the direct sums I (x) B and V of I (x) T.
-    batches = _count_stacked(monkeypatch, "eigvalsh")
-    solves = _count_stacked(monkeypatch, "solve")
+    # Every row is one angle, and one evaluation gives the angle theta
+    # in [0, pi) and its opposite theta + pi: one eigendecomposition on
+    # the start grid and for a row that falls back, and otherwise one
+    # shifted solve per side.  Also where the extreme eigenvalue is
+    # repeated: at every angle for eye(3), on an arc for diag(1, 1, 2j),
+    # and at every angle for the direct sums I (x) B and V of I (x) T.
+    problems = _count_stacked(monkeypatch, "eigh")
+    solved = _count_solved(monkeypatch, "solve")
+    evaluated, batch = [], nrange._supports_batch
+
+    def counted(m, a, b, thetas, sigma=None):
+        evaluated.append((len(thetas), sigma is None))
+        return batch(m, a, b, thetas, sigma)
+
+    monkeypatch.setattr(nrange, "_supports_batch", counted)
     rng = np.random.default_rng(63)
     blocks = (np.eye(3, dtype=complex), np.diag([1.0, 1.0, 2j]),
               np.kron(np.eye(2), rand_complex(rng, 3)),
               build_v(np.kron(np.eye(2), rng.normal(size=(2, 2)))).v)
     for a in (rand_complex(rng, 5), build_v(rng.normal(size=(4, 4))).v, *blocks):
-        batches.clear()
-        solves.clear()
+        for record in (problems, solved, evaluated):
+            record.clear()
         b = nrange_boundary(a)
         assert np.all(np.diff(b.angles) > 0.0)
-        assert 2 * sum(batches) == b.angles.size
-        assert sorted(solves) == sorted(2 * batches)
+        assert 2 * sum(k for k, _ in evaluated) == b.angles.size
+        assert sum(k for k, start in evaluated if start) == nrange._START_ANGLES // 2
+        refined = sum(k for k, start in evaluated if not start)
+        fallback = sum(problems) - nrange._START_ANGLES // 2
+        assert 0 <= fallback <= refined
+        # A side whose solve fails is among the fallback rows.
+        assert 2 * (refined - fallback) <= sum(solved) <= 2 * refined
         assert np.max(b.angles[:b.angles.size // 2]) < math.pi
 
 
@@ -307,7 +320,7 @@ def _reference_sweep(a, num_angles, refine_tol, split_counts=nrange._split_count
     else:
         supports = functools.partial(nrange._supports_batch, m, part_a, part_b)
     return oracles.sweep_ref(num_angles, refine_tol, supports, nrange._apex_chord_bounds,
-                             split_counts)
+                             split_counts, nrange._predicted_supports)
 
 
 def _same_bits(x, y) -> bool:
@@ -326,6 +339,34 @@ def _count_stacked(monkeypatch, name: str) -> list:
 
     monkeypatch.setattr(np.linalg, name, counted)
     return batches
+
+
+def _count_solved(monkeypatch, name: str) -> list:
+    """Patch np.linalg.<name> to record the batch length of each stacked
+    call that returns; a stack holding a failing matrix raises."""
+    batches, solver = [], getattr(np.linalg, name)
+
+    def counted(x, *args, **kwargs):
+        out = solver(x, *args, **kwargs)
+        if np.ndim(x) == 3:
+            batches.append(len(x))
+        return out
+
+    monkeypatch.setattr(np.linalg, name, counted)
+    return batches
+
+
+def _predictions(a, thetas, rng):
+    """Predicted support values at thetas, as (sigma, top, second): the
+    top eigenvalue of sH(theta) for s = +1, -1 off by up to 1e-9
+    relative, except on every fifth angle of each side, where sigma is
+    the second eigenvalue; and the top and second eigenvalues."""
+    part_a, part_b = nrange._hermitian_parts(nrange.as_matrix(a, square=True))
+    w = np.linalg.eigvalsh(nrange._rotated_hermitian_parts(part_a, part_b, thetas))
+    top, second = np.stack([w[:, -1], -w[:, 0]]), np.stack([w[:, -2], -w[:, 1]])
+    sigma = top * (1.0 + 1e-9 * rng.uniform(-1.0, 1.0, top.shape))
+    sigma[0, ::5], sigma[1, 2::5] = second[0, ::5], second[1, 2::5]
+    return sigma, top, second
 
 
 @contextlib.contextmanager
@@ -357,23 +398,34 @@ def test_chunked_rounds_match_one_batch_bit_for_bit(monkeypatch):
     # 2j) on an arc at the top and on the opposite arc at the bottom, so
     # such angles fall on both sides of chunk borders; both are real
     # symmetric stacks, and the random matrix a complex one.  70 angles
-    # leave a last chunk of one angle.
+    # leave a last chunk of one angle.  Without predictions every row
+    # takes the full eigendecomposition; with them, every fifth side's
+    # prediction is the second eigenvalue, and eye(3)'s are exact, so
+    # solves and factorizations fail on rows scattered over the chunks.
     rng = np.random.default_rng(49)
     for a in (np.eye(3, dtype=complex), np.diag([1.0, 1.0, 2j]), rand_complex(rng, 4)):
         part_a, part_b = nrange._hermitian_parts(a)
         thetas = np.concatenate([math.pi * np.arange(32) / 32, rng.uniform(0.0, math.pi, 38)])
-        want = nrange._supports_batch(a, part_a, part_b, thetas)
+        sigma = _predictions(a, thetas, rng)[0]
+        wants = [nrange._supports_batch(a, part_a, part_b, thetas, s) for s in (None, sigma)]
         monkeypatch.setattr(nrange, "_BATCH_BYTES", 3 * part_a.nbytes)
         monkeypatch.setattr(nrange, "_GIL_FREE_VALUES", 1)
-        batches = _count_stacked(monkeypatch, "eigvalsh")
-        solves = _count_stacked(monkeypatch, "solve")
-        got = nrange._supports(a, part_a, part_b, thetas)
-        assert batches and max(batches) == 3 and sum(batches) == thetas.size
-        assert sorted(solves) == sorted(2 * batches)
-        assert len(got) == len(want) == 2
-        for x, y in zip(got, want):
-            assert x.shape == (2, thetas.size)
-            assert _same_bits(x, y)
+        stacks = {name: _count_stacked(monkeypatch, name) for name in ("eigh", "solve", "cholesky")}
+        for s, want in zip((None, sigma), wants):
+            for batches in stacks.values():
+                batches.clear()
+            got = nrange._supports(a, part_a, part_b, thetas, s)
+            eigh = stacks["eigh"]
+            assert eigh and max(eigh) <= 3
+            if s is None:
+                assert max(eigh) == 3 and sum(eigh) == thetas.size
+                assert stacks["solve"] == stacks["cholesky"] == []
+            else:
+                assert max(stacks["solve"]) == max(stacks["cholesky"]) == 3
+            assert len(got) == len(want) == 2
+            for x, y in zip(got, want):
+                assert x.shape == (2, thetas.size)
+                assert _same_bits(x, y)
         # Whole sweeps from 64 angles, unrefined (at tolerance 1) and
         # refined, against the list bookkeeping, which solves each round
         # as one stack.
@@ -390,9 +442,9 @@ def test_eigensolver_inputs_stay_within_the_byte_budget(monkeypatch):
     # A complex 24x24 matrix, and V of a real one, whose stacks are
     # real: chunks are sized by the stack's itemsize, so a real chunk
     # holds twice the matrices of a complex one in the same bytes.  The
-    # eigenvalue stacks and the shifted stacks of the solves, one per
-    # side, each keep to the budget; no row needs the full
-    # eigendecomposition.
+    # eigendecompositions of the start grid and of fallback rows, and
+    # the shifted stacks of the solves and factorizations, one per side,
+    # each keep to the budget.
     stacks = {}
 
     def record(name):
@@ -406,14 +458,14 @@ def test_eigensolver_inputs_stay_within_the_byte_budget(monkeypatch):
 
         monkeypatch.setattr(np.linalg, name, recorded)
 
-    names = ("eigvalsh", "solve")
-    for name in names + ("eigh",):
+    names = ("eigh", "solve", "cholesky")
+    for name in names:
         record(name)
     rng = np.random.default_rng(51)
     n = 24
     for a, dtype in ((rand_complex(rng, n), np.complex128),
                      (build_v(rng.normal(size=(n, n))).v, np.float64)):
-        stacks.update((name, []) for name in names + ("eigh",))
+        stacks.update((name, []) for name in names)
         with _blas_threads_at(2) as before:
             sweep = nrange_boundary(a, refine_tol=1e-6)
             assert before is None or _blas_threads() == before
@@ -423,19 +475,20 @@ def test_eigensolver_inputs_stay_within_the_byte_budget(monkeypatch):
             assert stacks[name] and {d for d, _, _ in stacks[name]} == {np.dtype(dtype)}
             assert max(b for _, _, b in stacks[name]) <= nrange._BATCH_BYTES
             assert max(k for _, k, _ in stacks[name]) == per_chunk
-        assert stacks["eigh"] == []
 
 
 def test_chunks_of_large_matrices_keep_enough_for_the_pool(monkeypatch):
-    # At n = 40 the budget holds 10 complex matrices, whose 400
-    # eigenvalues are too few for numpy to release the GIL; a chunk
-    # holds 13 instead, 520 eigenvalues.
-    batches = _count_stacked(monkeypatch, "eigvalsh")
-    a = rand_complex(np.random.default_rng(67), 40)
+    # At n = 40 the budget holds 10 complex matrices, whose solves with
+    # one right-hand side give 400 values, too few for numpy to release
+    # the GIL; a chunk holds 13 instead, 520 values.
+    batches = _count_stacked(monkeypatch, "solve")
+    rng = np.random.default_rng(67)
+    a = rand_complex(rng, 40)
     part_a, part_b = nrange._hermitian_parts(a)
     assert nrange._BATCH_BYTES // part_a.nbytes == 10
-    nrange._supports(a, part_a, part_b, np.linspace(0.0, math.pi, 30, endpoint=False))
-    assert sorted(batches) == [4, 13, 13]
+    thetas = np.linspace(0.0, math.pi, 30, endpoint=False)
+    nrange._supports(a, part_a, part_b, thetas, _predictions(a, thetas, rng)[0])
+    assert sorted(batches) == [4, 4, 13, 13, 13, 13]
 
 
 def test_concurrent_sweeps_agree_and_restore_blas_threads(monkeypatch):
@@ -486,7 +539,7 @@ def test_forked_child_sweeps_after_a_pooled_sweep(monkeypatch):
     monkeypatch.setattr(nrange, "_BATCH_BYTES", 7 * 16 * 25)
     monkeypatch.setattr(nrange, "_GIL_FREE_VALUES", 1)
     monkeypatch.setattr(nrange, "_START_ANGLES", 128)
-    batches = _count_stacked(monkeypatch, "eigvalsh")
+    batches = _count_stacked(monkeypatch, "solve")
     want = nrange_boundary(a, refine_tol=1e-6).hull.vertices
     assert len(batches) > 1
     ctx = multiprocessing.get_context("fork")
@@ -685,29 +738,39 @@ def _kernel_cases():
 
 
 def test_shifted_solve_rows_match_the_eigh_sweep(monkeypatch):
-    # Each row's support point lies on its support line up to rounding,
-    # and the sweep takes the angles of one that gets every (h, p)
-    # from the full eigendecomposition, with the same hull up to
-    # rounding.
+    # Each row's support point lies on its support line up to rounding:
+    # a certified row's h is 2^-46 times the larger |h| of its angle's
+    # two rows above x*Hx.  The sweep takes the angles of one that gets
+    # every (h, p) from the full eigendecomposition.  A certified x
+    # differs from the top eigenvector by up to sqrt(depth/eigengap), so
+    # its p may slide along the support line, but both hulls lie in W
+    # and W within each sweep's bound of its hull, so the hulls agree
+    # within the larger bound.
     monkeypatch.setattr(nrange, "_START_ANGLES", 64)
     for a in _kernel_cases():
         sweep = nrange_boundary(a, refine_tol=1e-5)
         h = sweep.support_values
+        scale = np.maximum(1.0, np.maximum(np.abs(h), np.abs(np.roll(h, h.size // 2))))
         attained = (sweep.support_points * np.exp(-1j * sweep.angles)).real
-        assert np.all(h - attained <= 2.0**-46 * np.maximum(1.0, np.abs(h)))
-        angles, points, _ = _reference_sweep(a, 64, 1e-5, eigh_only=True)
+        assert np.all(h - attained <= 2.0**-45 * scale)
+        angles, points, values = _reference_sweep(a, 64, 1e-5, eigh_only=True)
         assert _same_bits(sweep.angles, angles)
+        ends = [np.roll(col, -1) for col in (angles, values, points)]
+        ends[0][-1] += 2.0 * math.pi
+        bound = np.max(nrange._apex_chord_bounds(angles, values, points, *ends))
         gap = oracles.hausdorff_support_exact(list(sweep.hull.vertices),
                                               list(convex_hull_2d(points).vertices))
-        assert gap <= 1e-13
+        assert gap <= max(sweep.bound, bound)
 
 
 def test_rows_off_their_support_line_take_the_eigh_vector(monkeypatch):
     # The diagonal of this Hermitian direct sum is 0, so the shifted
     # solve starts from a vector in the kernel of H(theta), which it
-    # never leaves: depth |cos(theta)| at every angle.  Those rows take
-    # their vector from the full eigendecomposition, and W is the
-    # segment [-1, 1], up to the rounding of its eigenvectors' entries.
+    # never leaves, even with the top eigenvalue as its prediction:
+    # rho = 0 is |cos(theta)| below it at every angle, and no Cholesky
+    # factor certifies it.  Those rows take (h, p) from the full
+    # eigendecomposition, and W is the segment [-1, 1], up to the
+    # rounding of its eigenvectors' entries.
     a = np.kron(np.eye(2), [[0.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
     m = nrange.as_matrix(a, square=True)
     part_a, part_b = nrange._hermitian_parts(m)
@@ -719,8 +782,10 @@ def test_rows_off_their_support_line_take_the_eigh_vector(monkeypatch):
 
     monkeypatch.setattr(nrange, "_eigh_supports", counted)
     thetas = math.pi * np.arange(8) / 8 + 0.1
-    h, p = nrange._supports_batch(m, part_a, part_b, thetas)
+    sigma = np.abs(np.cos(thetas)) * np.ones((2, 1))
+    h, p = nrange._supports_batch(m, part_a, part_b, thetas, sigma)
     assert calls == [thetas.size]
+    assert _same_bits(h, nrange._eigh_supports(m, part_a, part_b, thetas)[0])
     assert np.all(np.abs((p * np.exp(-1j * np.stack([thetas, thetas + math.pi]))).real - h)
                   <= 4 * np.finfo(float).eps)
     sweep = nrange_boundary(a)
@@ -729,18 +794,91 @@ def test_rows_off_their_support_line_take_the_eigh_vector(monkeypatch):
     assert np.max(np.abs(np.abs(sweep.hull.vertices) - 1.0)) <= 2 * np.finfo(float).eps
 
 
-def test_refined_sweeps_run_no_eigendecomposition(monkeypatch):
-    # Split counts come from the apex-chord bounds alone, and every row
-    # of a random 6x6 and of its V passes the depth check, so a refined
-    # sweep of either calls the full eigendecomposition zero times.
-    calls, eigh = [], np.linalg.eigh
+def test_refined_sweeps_run_eigh_only_on_fallback_rows(monkeypatch):
+    # Refinement rows take no eigenvalues: the full eigendecomposition
+    # runs on the start grid and on the rows whose certificate fails,
+    # and eigvalsh never runs.  A random 6x6 and its V, whose boundary
+    # bends sharply near angle 0; 2.0% and 6.6% of their refinement rows
+    # fall back.
+    problems = _count_stacked(monkeypatch, "eigh")
+    values = _count_stacked(monkeypatch, "eigvalsh")
+    fallback, eigh_supports = [], nrange._eigh_supports
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return eigh(*args, **kwargs)
+    def counted(m, a, b, thetas):
+        fallback.append(thetas.size)
+        return eigh_supports(m, a, b, thetas)
 
-    monkeypatch.setattr(np.linalg, "eigh", counted)
+    monkeypatch.setattr(nrange, "_eigh_supports", counted)
     a = rand_complex(np.random.default_rng(66), 6)
     for a in (a, build_v(a).v):
-        assert nrange_boundary(a).angles.size > 720
-    assert calls == []
+        problems.clear()
+        fallback.clear()
+        sweep = nrange_boundary(a)
+        start = nrange._START_ANGLES // 2
+        refined = sweep.angles.size // 2 - start
+        assert refined > 0
+        assert sum(problems) == sum(fallback) <= start + 0.1 * refined
+    assert values == []
+
+
+def test_wrong_prediction_falls_back_to_the_eigh_row():
+    # A prediction at the second eigenvalue leads the solve to the second
+    # eigenvector, whose rho no Cholesky factor certifies: that side takes
+    # the full eigendecomposition's row bit for bit, and the other sides,
+    # predicted to 1e-9, keep their certified rows.
+    rng = np.random.default_rng(68)
+    for a in (rand_complex(rng, 6), build_v(rng.normal(size=(5, 5))).v):
+        m = nrange.as_matrix(a, square=True)
+        part_a, part_b = nrange._hermitian_parts(m)
+        thetas = rng.uniform(0.0, math.pi, 40)
+        sigma, top, _ = _predictions(a, thetas, rng)
+        h, p = nrange._supports_batch(m, part_a, part_b, thetas, sigma)
+        exact_h, exact_p = nrange._eigh_supports(m, part_a, part_b, thetas)
+        wrong = np.zeros(sigma.shape, dtype=bool)
+        wrong[0, ::5] = wrong[1, 2::5] = True
+        assert _same_bits(h[wrong], exact_h[wrong]) and _same_bits(p[wrong], exact_p[wrong])
+        assert np.all(h[~wrong] > top[~wrong])
+
+
+def test_positive_definite_rows_match_their_eigenvalues():
+    # One Cholesky stack answers row by row, whatever the other rows
+    # are: mixed stacks, single rows and stacks where every row fails.
+    rng = np.random.default_rng(69)
+    for n, dtype in ((1, np.float64), (3, np.complex128), (6, np.float64), (6, np.complex128)):
+        x = rng.normal(size=(40, n, n)).astype(dtype)
+        if dtype == np.complex128:
+            x = x + 1j * rng.normal(size=(40, n, n))
+        h = (x + np.conj(np.swapaxes(x, 1, 2))) / 2
+        w = np.linalg.eigvalsh(h)
+        shift = -w[:, 0] + rng.choice([-1.0, 1.0], 40) * rng.uniform(0.1, 1.0, 40)
+        stack = h + shift[:, None, None] * np.eye(n)
+        want = np.linalg.eigvalsh(stack).min(axis=1) > 0.0
+        assert 0 < want.sum() < want.size
+        for rows in (stack, stack[:1], stack[~want], stack[want]):
+            got = nrange._positive_definite(rows)
+            assert got.tolist() == (np.linalg.eigvalsh(rows).min(axis=1) > 0.0).tolist()
+
+
+def test_certified_rows_bound_the_top_eigenvalue_from_above():
+    # With the top eigenvalues predicted to 1e-10, most rows certify, and
+    # a certified h is above the top eigenvalue lambda of sH by at most
+    # 2^-45 max(1, |h|), |h| the larger of the angle's two rows: tau is
+    # 2^-46 times that, and rounding adds little.  Below lambda it is
+    # only by rounding, which eigvalsh's own lambda shares.
+    rng = np.random.default_rng(70)
+    thetas = np.linspace(0.0, math.pi, 50, endpoint=False) + 0.01
+    certified = total = 0
+    for a in _kernel_cases():
+        m = nrange.as_matrix(a, square=True)
+        part_a, part_b = nrange._hermitian_parts(m)
+        w = np.linalg.eigvalsh(nrange._rotated_hermitian_parts(part_a, part_b, thetas))
+        top = np.stack([w[:, -1], -w[:, 0]])
+        sigma = top + 1e-10 * rng.uniform(-1.0, 1.0, top.shape) * np.max(np.abs(top), axis=0)
+        h, _ = nrange._supports_batch(m, part_a, part_b, thetas, sigma)
+        scale = np.maximum(1.0, np.max(np.abs(h), axis=0))
+        cert = h != nrange._eigh_supports(m, part_a, part_b, thetas)[0]
+        assert np.all(h <= top + 2.0**-45 * scale)
+        assert np.all(h[cert] >= (top - 2.0**-48 * scale)[cert])
+        certified += cert.sum()
+        total += cert.size
+    assert certified >= 0.9 * total

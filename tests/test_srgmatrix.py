@@ -112,8 +112,8 @@ def test_build_v_of_real_matrix_is_complex_symmetric():
 
 def test_sweep_dtype_follows_the_field_of_t(monkeypatch):
     # Real T gives float64 stacks, complex T complex128 ones, in the
-    # eigenvalue solver and the shifted solves alike; no row of these
-    # sweeps needs the full eigendecomposition.
+    # eigendecompositions of the start grid, the shifted solves and the
+    # Cholesky certificates alike; eigvalsh never runs.
     dtypes = set()
 
     def record(name):
@@ -126,8 +126,8 @@ def test_sweep_dtype_follows_the_field_of_t(monkeypatch):
 
         monkeypatch.setattr(np.linalg, name, recorded)
 
-    names = ("eigvalsh", "solve")
-    for name in names + ("eigh",):
+    names = ("eigh", "solve", "cholesky")
+    for name in names + ("eigvalsh",):
         record(name)
     rng = np.random.default_rng(57)
     for t, want in ((rng.normal(size=(5, 5)), np.float64), (rand_complex(rng, 5), np.complex128)):
