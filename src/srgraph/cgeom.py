@@ -106,11 +106,8 @@ def split_infinity(points) -> tuple[np.ndarray, np.ndarray]:
         zs = points.astype(np.complex128, copy=False).ravel()
         return zs, np.zeros(zs.size, dtype=bool)
     pts = list(np.ravel(points) if isinstance(points, np.ndarray) else points)
-    if INFINITY not in pts:
-        return np.array(pts, dtype=np.complex128).reshape(-1), np.zeros(len(pts), dtype=bool)
-    at_infinity = np.array([is_infinity(p) for p in pts])
-    return np.array([0j if inf else p for p, inf in zip(pts, at_infinity.tolist())],
-                    dtype=np.complex128), at_infinity
+    at_infinity = np.array([p is INFINITY for p in pts], dtype=bool)
+    return np.array([0j if p is INFINITY else p for p in pts], dtype=np.complex128), at_infinity
 
 
 def bk_forward_array(points) -> np.ndarray:
@@ -184,19 +181,23 @@ def _bk_inverse_upper(ws) -> tuple[np.ndarray, np.ndarray]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConvexPolygon:
-    """A convex polygon given by counter-clockwise vertices.
+    """A convex polygon given by counter-clockwise vertices, a read-only
+    complex128 copy of the sequence given.
 
     May degenerate to a segment (2 vertices) or a point (1 vertex).
     Vertices start at the lexicographically smallest point.
     """
 
-    vertices: tuple[complex, ...]
+    vertices: np.ndarray
 
     def __post_init__(self):
-        if len(self.vertices) == 0:
+        vertices = np.array(self.vertices, dtype=np.complex128).reshape(-1)
+        if vertices.size == 0:
             raise InputError("a polygon needs at least one vertex")
+        vertices.flags.writeable = False
+        object.__setattr__(self, "vertices", vertices)
 
 
 def _half_chain(pts: list[complex], tol: float) -> list[complex]:
@@ -291,7 +292,7 @@ def convex_hull_2d(points: Iterable[complex]) -> ConvexPolygon:
     tol = math.ldexp(COLLINEAR_TOL * scale, -k)
     start = _convex_cycle_start(x, tol)
     if start is not None:
-        return ConvexPolygon(tuple(np.roll(arr, -start).tolist()))
+        return ConvexPolygon(np.roll(arr, -start))
     # Stable lexicographic sort; equal points keep their first occurrence.
     order = np.lexsort((x.imag, x.real))
     x = x[order]
@@ -299,17 +300,17 @@ def convex_hull_2d(points: Iterable[complex]) -> ConvexPolygon:
     distinct[1:] = x[1:] != x[:-1]
     order, x = order[distinct], x[distinct]
     if x.size == 1:
-        return ConvexPolygon((complex(arr[order[0]]),))
+        return ConvexPolygon(arr[order])
     pts = x.tolist()
     verts = _half_chain(pts, tol)[:-1] + _half_chain(pts[::-1], tol)[:-1]
     # Fewer than 2 means all points coincide up to the pruning tolerance.
     at = np.searchsorted(x, verts) if len(verts) >= 2 else [0, -1]
-    return ConvexPolygon(tuple(arr[order[at]].tolist()))
+    return ConvexPolygon(arr[order[at]])
 
 
 def polygon_area(poly: ConvexPolygon) -> float:
     """Shoelace area; zero for degenerate polygons."""
-    a = np.asarray(poly.vertices, dtype=np.complex128)
+    a = poly.vertices
     if a.size < 3:
         return 0.0
     b = np.roll(a, -1)
@@ -406,8 +407,7 @@ class PolygonLocator:
 
     def __init__(self, poly: ConvexPolygon):
         self.poly = poly
-        v = np.asarray(poly.vertices, dtype=np.complex128)
-        self._v = v
+        v = poly.vertices
         self._direct = True
         if len(v) < 3:
             return
@@ -486,20 +486,21 @@ class PolygonLocator:
 
     def exact(self, ws) -> np.ndarray:
         """Exact signed distances (negative inside), O(V) per point."""
-        return _signed_distances(self._v, ws)
+        return _signed_distances(self.poly.vertices, ws)
 
 
-def polygon_boundary_points(poly: ConvexPolygon, spacing: float = EDGE_SPACING) -> list[complex]:
-    """CCW boundary walk with edges densified to at most `spacing` steps.
+def polygon_boundary_points(poly: ConvexPolygon, spacing: float = EDGE_SPACING) -> np.ndarray:
+    """CCW boundary walk with edges densified to at most `spacing` steps,
+    as a complex128 array.
 
     Degenerate polygons traverse once (no return leg), so a segment
     yields points from one endpoint to the other.  Point k of an edge
     cut into n steps is a + (b - a)*(k/n), the product written out as
     CPython's complex-by-real product.
     """
-    v = np.array(poly.vertices, dtype=np.complex128)
+    v = poly.vertices
     if v.size == 1:
-        return v.tolist()
+        return v.copy()
     a, b = (v[:1], v[1:]) if v.size == 2 else (v, np.roll(v, -1))
     dr, di = b.real - a.real, b.imag - a.imag
     n = np.maximum(1, np.ceil(np.hypot(dr, di) / spacing)).astype(np.int64)
@@ -509,7 +510,7 @@ def polygon_boundary_points(poly: ConvexPolygon, spacing: float = EDGE_SPACING) 
     walk = np.empty(edge.size, dtype=np.complex128)
     walk.real = a.real[edge] + (dr * f - di * 0.0)
     walk.imag = a.imag[edge] + (dr * 0.0 + di * f)
-    return walk.tolist() + (v[1:].tolist() if v.size == 2 else [])
+    return np.concatenate((walk, v[1:])) if v.size == 2 else walk
 
 
 # ---------------------------------------------------------------------------
@@ -517,20 +518,27 @@ def polygon_boundary_points(poly: ConvexPolygon, spacing: float = EDGE_SPACING) 
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SrgRegion:
     """An SRG result: disk-side hull plus the two conjugate plane branches.
 
-    `boundary_only` marks the 2-dimensional real-graph case where the
-    SRG is the boundary curve alone; the disk_hull is still the filled
-    hull so containment queries stay meaningful.
+    upper_branch is a read-only complex128 array, and at_infinity marks
+    its points at infinity, where it holds 0; lower_branch is its
+    conjugate, computed on access.  `boundary_only` marks the
+    2-dimensional real-graph case where the SRG is the boundary curve
+    alone; the disk_hull is still the filled hull so containment queries
+    stay meaningful.
     """
 
     disk_hull: ConvexPolygon
-    upper_branch: tuple[ExtComplex, ...]
-    lower_branch: tuple[ExtComplex, ...]
+    upper_branch: np.ndarray
+    at_infinity: np.ndarray
     contains_infinity: bool
     boundary_only: bool
+
+    @property
+    def lower_branch(self) -> np.ndarray:
+        return np.conj(self.upper_branch)
 
 
 def region_from_disk_hull(
@@ -543,7 +551,7 @@ def region_from_disk_hull(
     walked at EDGE_SPACING, back.
 
     The upper branch keeps the non-negative-imaginary representative of
-    each boundary point; the lower branch is its elementwise conjugate.
+    each boundary point, 0 where at_infinity marks the point at infinity.
     When `contains_infinity` is None it is derived from whether the
     hull touches the point 1 within EPS_DISK.  When it is False (a
     bounded operator), a boundary point that maps to infinity raises
@@ -552,25 +560,21 @@ def region_from_disk_hull(
     if contains_infinity is None:
         contains_infinity = polygon_signed_distance(hull, 1.0) <= EPS_DISK
     walk = polygon_boundary_points(hull)
-    up, at_infinity = _bk_inverse_upper(walk)
+    upper, at_infinity = _bk_inverse_upper(walk)
     if contains_infinity is False and at_infinity.any():
         w = complex(walk[np.argmax(at_infinity)])
         raise NumericalError(
             f"disk point {w!r} of a region without infinity lies in the {INF_TOL:g} "
             f"ball around w = 1, so its preimage is the point at infinity")
-    upper, lower = up.tolist(), np.conj(up).tolist()
-    for k in np.flatnonzero(at_infinity):
-        upper[k] = lower[k] = INFINITY
-    return SrgRegion(hull, tuple(upper), tuple(lower), bool(contains_infinity),
-                     bool(boundary_only))
+    upper[at_infinity] = 0.0
+    upper.flags.writeable = at_infinity.flags.writeable = False
+    return SrgRegion(hull, upper, at_infinity, bool(contains_infinity), bool(boundary_only))
 
 
 def hull_bk(points: Sequence[ExtComplex]) -> SrgRegion:
-    """Hyperbolic convex hull g(hull(f(points))) as an SrgRegion."""
-    pts = list(points)
-    if not pts:
-        raise InputError("hull_bk needs at least one point")
-    hull = convex_hull_2d(bk_forward_array(pts))
-    # None lets region_from_disk_hull derive the flag from the hull.
-    flag = True if INFINITY in pts else None
-    return region_from_disk_hull(hull, contains_infinity=flag)
+    """Hyperbolic convex hull g(hull(f(points))) as an SrgRegion.
+
+    The region contains infinity when the hull touches f(infinity) = 1,
+    as it does when INFINITY is among the points.
+    """
+    return region_from_disk_hull(convex_hull_2d(bk_forward_array(points)))

@@ -127,13 +127,20 @@ def _fmt17(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _columns(kind: str, theta, values, branch: str):
+# The kind and branch columns hold indices into these, which are sorted,
+# so sorting by index sorts by name.
+_KINDS = ("curve", "infinity", "spectrum", "srg", "support")
+_BRANCHES = ("", "lower", "upper")
+
+
+def _columns(kind: str, theta, values, at_infinity, branch: str):
     """CSV columns (kind, theta, re, im, branch, infinite) of rows that
-    share one kind and one branch; theta may be a scalar."""
-    zs, infinite = cgeom.split_infinity(values)
+    share one kind and one branch; theta and the at_infinity mask may be
+    scalars."""
+    zs = np.asarray(values, dtype=np.complex128).ravel()
     theta = np.broadcast_to(np.asarray(theta, dtype=np.float64), zs.shape)
-    return (np.full(zs.size, kind), theta, zs.real, zs.imag, np.full(zs.size, branch),
-            infinite)
+    return (np.full(zs.size, _KINDS.index(kind)), theta, zs.real, zs.imag,
+            np.full(zs.size, _BRANCHES.index(branch)), np.broadcast_to(at_infinity, zs.shape))
 
 
 def _concat(groups):
@@ -145,33 +152,21 @@ def _region_columns(region: cgeom.SrgRegion):
     """CSV columns of both branches; point j of a branch sits at 2*pi*j/count."""
     count = max(1, len(region.upper_branch))
     theta = 2.0 * math.pi * np.arange(len(region.upper_branch)) / count
-    return [_columns("srg", theta, region.upper_branch, "upper"),
-            _columns("srg", theta, region.lower_branch, "lower")]
-
-
-def _codes(col: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The sorted distinct values of a string column and each row's code,
-    whose order is their sort order.  Columns are long runs of one
-    value, so the values come from the heads of the runs alone."""
-    head = np.ones(col.size, dtype=bool)
-    head[1:] = col[1:] != col[:-1]
-    runs = col[head]
-    values = np.array(sorted(set(runs.tolist())), dtype=col.dtype)
-    return values, np.searchsorted(values, runs)[np.cumsum(head) - 1]
+    return [_columns("srg", theta, region.upper_branch, region.at_infinity, "upper"),
+            _columns("srg", theta, region.lower_branch, region.at_infinity, "lower")]
 
 
 def _csv_text(kind, theta, re, im, branch, infinite) -> str:
     """Render CSV rows given as columns, sorted by theta, branch, kind, re,
-    then im (stable, so exact ties keep their input order).  Rows under
-    the infinite mask become kind=infinity marker rows with empty re/im,
+    then im (stable, so exact ties keep their input order).  kind and
+    branch are indices into _KINDS and _BRANCHES.  Rows under the
+    infinite mask become kind=infinity marker rows with empty re/im,
     never float infinities.
     """
-    kind = np.where(infinite, "infinity", kind)
+    kind = np.where(infinite, _KINDS.index("infinity"), kind)
     re = np.where(infinite, math.inf, re)
     im = np.where(infinite, math.inf, im)
-    kinds, kind_code = _codes(kind)
-    branches, branch_code = _codes(branch)
-    order = np.lexsort((im, re, kind_code, branch_code, theta))
+    order = np.lexsort((im, re, kind, branch, theta))
     theta, re, im, finite = (col[order] for col in (theta, re, im, ~infinite))
     # A region's conjugate rows end up next to each other and share theta,
     # re and |im|, so each run of bitwise-equal triples is formatted once,
@@ -185,30 +180,28 @@ def _csv_text(kind, theta, re, im, branch, infinite) -> str:
     numbers = np.array(text, dtype=object).reshape(-1, 3)[np.cumsum(first) - 1]
     # Each row's line template carries its kind, its branch and the sign
     # of im; the numbers fill it in: theta, re and |im|, or theta alone.
-    templates = np.array([f"{k},{cells},{b}" for k in kinds.tolist() for b in branches.tolist()
+    templates = np.array([f"{k},{cells},{b}" for k in _KINDS for b in _BRANCHES
                           for cells in ("%s,%s,%s", "%s,%s,-%s", "%s,,")], dtype=object)
     state = np.where(finite, np.signbit(im) & ~np.isnan(im), 2)
-    rows = templates[(kind_code[order] * branches.size + branch_code[order]) * 3 + state]
+    rows = templates[(kind[order] * len(_BRANCHES) + branch[order]) * 3 + state]
     keep = np.ones(numbers.shape, dtype=bool)
     keep[:, 1:] = finite[:, None]
     body = "\n".join(rows.tolist()) % tuple(numbers[keep].tolist())
     return CSV_HEADER + "\n" + body + ("\n" if body else "")
 
 
-def _finite_runs(points) -> list[np.ndarray]:
-    """Split a point sequence at INFINITY into runs of at least 2 finite values."""
-    zs, infinite = cgeom.split_infinity(points)
-    cuts = np.flatnonzero(infinite)
-    runs = np.split(zs, cuts)
+def _finite_runs(values: np.ndarray, at_infinity: np.ndarray) -> list[np.ndarray]:
+    """Split points at the infinite ones into runs of at least 2 finite values."""
+    runs = np.split(values, np.flatnonzero(at_infinity))
     # Every run after the first starts with the infinite point it was cut at.
     runs = runs[:1] + [run[1:] for run in runs[1:]]
     return [run for run in runs if run.size >= 2]
 
 
 def _region_outline(region: cgeom.SrgRegion) -> np.ndarray:
-    upper, up_inf = cgeom.split_infinity(region.upper_branch)
-    lower, lo_inf = cgeom.split_infinity(region.lower_branch[::-1])
-    return np.concatenate((upper[~up_inf], lower[~lo_inf]))
+    """The finite points of the upper branch, then of the lower branch reversed."""
+    upper = region.upper_branch[~region.at_infinity]
+    return np.concatenate((upper, np.conj(upper[::-1])))
 
 
 # ---------------------------------------------------------------------------
@@ -228,14 +221,14 @@ def cmd_srg_matrix(args) -> int:
     if args.format == "csv":
         groups = _region_columns(region)
         if args.spectrum:
-            groups.append(_columns("spectrum", 0.0, general_eig(matrix), ""))
+            groups.append(_columns("spectrum", 0.0, general_eig(matrix), False, ""))
         text = _csv_text(*_concat(groups))
     else:
         fig = svgfig.SvgFigure(title="srg")
         fig.add_polygon(_region_outline(region), fill=svgfig.REGION_FILL,
                         stroke=svgfig.REGION_EDGE)
         if args.spectrum:
-            eigs = general_eig(matrix).tolist()
+            eigs = general_eig(matrix)
             fig.add_polygon(_region_outline(cgeom.hull_bk(eigs)), fill=svgfig.HULL_FILL,
                             stroke=svgfig.HULL_EDGE, opacity=0.9)
             for ev in eigs:
@@ -269,13 +262,13 @@ def cmd_srg_lti(args) -> int:
         groups = _region_columns(result.region)
         count = max(1, len(result.curve))
         theta = 2.0 * math.pi * np.arange(len(result.curve)) / count
-        groups.append(_columns("curve", theta, result.curve, ""))
+        groups.append(_columns("curve", theta, result.curve, result.curve_at_infinity, ""))
         text = _csv_text(*_concat(groups))
     else:
         fig = svgfig.SvgFigure(title="srg-lti")
         fig.add_polygon(_region_outline(result.region), fill=svgfig.HULL_FILL,
                         stroke=svgfig.HULL_EDGE, opacity=0.9)
-        for run in _finite_runs(result.curve):
+        for run in _finite_runs(result.curve, result.curve_at_infinity):
             fig.add_polyline(run)
         text = fig.render()
     _write_text(args.out, text)
@@ -286,7 +279,7 @@ def cmd_nrange(args) -> int:
     matrix, _ = load_matrix_file(args.input)
     boundary = nrange_boundary(matrix)
     if args.format == "csv":
-        text = _csv_text(*_columns("support", boundary.angles, boundary.support_points, ""))
+        text = _csv_text(*_columns("support", boundary.angles, boundary.support_points, False, ""))
     else:
         fig = svgfig.SvgFigure(title="nrange")
         fig.add_polygon(boundary.hull.vertices, fill=svgfig.HULL_FILL,

@@ -13,7 +13,7 @@ import numbers
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, NumericalError
 
 
 def as_matrix(a, square: bool = False) -> np.ndarray:
@@ -51,7 +51,9 @@ def poly_roots(coeffs) -> np.ndarray:
 
     Uses companion-matrix eigenvalues.  Leading zeros are trimmed
     exactly; the zero polynomial and (nonzero) constants are rejected.
-    Roots are sorted by (re, im).
+    Coefficients whose ratios to the leading one, the companion
+    matrix's entries, are not finite raise NumericalError.  Roots are
+    sorted by (re, im).
     """
     c = np.atleast_1d(np.asarray(coeffs, dtype=np.complex128))
     if c.ndim != 1 or c.size == 0:
@@ -64,6 +66,12 @@ def poly_roots(coeffs) -> np.ndarray:
     c = c[nz[0]:]
     if c.size < 2:
         raise InputError("constant polynomial: degree must be at least 1")
+    with np.errstate(all="ignore"):
+        ratios = c[1:] / c[0]
+    if not np.isfinite(ratios).all():
+        raise NumericalError(
+            "polynomial coefficients out of range: their ratios to the leading "
+            "coefficient are not finite in floating point")
     roots = np.roots(c)
     order = np.lexsort((roots.imag, roots.real))
     return roots[order]

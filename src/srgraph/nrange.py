@@ -66,7 +66,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import cgeom
-from .errors import InputError
+from .errors import InputError, NumericalError
 from .linalg import as_matrix, require_positive_finite
 
 # Default outer-approximation bound of a sweep, relative to
@@ -95,7 +95,7 @@ _GIL_FREE_VALUES = 501
 _LOCK = threading.Lock()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NRangeBoundary:
     """Support data of a numerical-range boundary sweep.
 
@@ -389,13 +389,24 @@ def _split_counts(ta, tb, bounds, refine_tol: float) -> np.ndarray:
 
 def _sweep(m: np.ndarray, refine_tol: float) -> tuple[NRangeBoundary, float]:
     """The refined sweep of nrange_boundary and the target it refined to,
-    refine_tol*max(1, largest support value on the start grid)."""
+    refine_tol*max(1, largest support value on the start grid).
+
+    A matrix with a coordinate above 1 is traced divided by the smallest
+    even power of two above it, which scales every step of the sweep
+    exactly, square roots included, so nothing overflows.  The target,
+    h, p, the hull and the bound are scaled back, and NumericalError is
+    raised where W(M) reaches past the largest float.
+    """
     require_positive_finite(refine_tol, "refine_tol")
+    size = cgeom._max_coordinate(m)
+    exponent = 0 if size <= 1.0 else math.frexp(size)[1]
+    exponent += exponent & 1
+    m = cgeom._ldexp(m, -exponent)
     a, b = _hermitian_parts(m)
     half = _START_ANGLES // 2
     thetas = math.pi * np.arange(half) / half
     columns = _supports(m, a, b, thetas)
-    target = refine_tol * max(1.0, float(np.max(columns[0])))
+    target = refine_tol * max(math.ldexp(1.0, -exponent), float(np.max(columns[0])))
     # Every solved angle theta, ascending in [0, pi) from 0, and the
     # columns h and p, each with row 0 at theta and row 1 at theta + pi;
     # read row by row, one table ascending over [0, 2*pi).
@@ -428,12 +439,17 @@ def _sweep(m: np.ndarray, refine_tol: float) -> tuple[NRangeBoundary, float]:
         table = [col[..., order] for col in table]
 
     # The loop ends on the whole table: ta, ha and pa hold every row.
+    with np.errstate(over="ignore"):
+        ha, pa = np.ldexp(ha, exponent), cgeom._ldexp(pa, exponent)
+        bound, target = np.ldexp([np.max(bounds), target], exponent).tolist()
+    if not (np.isfinite(ha).all() and np.isfinite(pa).all()):
+        raise NumericalError("the numerical range reaches past the largest float")
     boundary = NRangeBoundary(
         angles=ta,
         support_points=pa,
         support_values=ha,
         hull=cgeom.convex_hull_2d(pa),
-        bound=float(np.max(bounds)),
+        bound=bound,
     )
     return boundary, target
 
@@ -453,7 +469,8 @@ def nrange_boundary(a, refine_tol: float = DEFAULT_REFINE_TOL) -> NRangeBoundary
     bound left, so W(A) lies within bound of the returned hull, and the
     hull itself inside W(A) up to eigensolver noise.  The evaluated
     angles stay in one table, ascending and symmetric under theta ->
-    theta + pi, with one support point per angle.
+    theta + pi, with one support point per angle.  A W(A) that reaches
+    past the largest float raises NumericalError.
     """
     return _sweep(as_matrix(a, square=True), refine_tol)[0]
 

@@ -24,6 +24,10 @@ from .linalg import as_matrix
 
 # Fixed, portable PRNG so failures reproduce across platforms.
 GENERATOR = "pcg64"
+# Largest count, and largest count * n, sample_srg takes: a few hundred
+# bytes per vector entry are live at peak.
+_MAX_SAMPLES = 1 << 20
+_MAX_SAMPLE_ENTRIES = 1 << 24
 
 
 def sample_srg(t, field: str = "complex", count: int = 10000, seed: int = 1) -> np.ndarray:
@@ -32,10 +36,15 @@ def sample_srg(t, field: str = "complex", count: int = 10000, seed: int = 1) -> 
     Unit vectors are normalized standard Gaussians over the requested
     field.  Each draw yields the conjugate pair (upper first); a zero
     output vector yields the single point 0.  Returns a complex128 array.
+    count may be at most 2**20 (1,048,576), and count * n at most 2**24;
+    a larger count raises InputError before any allocation.
     """
     m = as_matrix(t, square=True)
     if isinstance(count, bool) or not isinstance(count, numbers.Integral) or count < 1:
         raise InputError(f"count must be a positive integer, got {count!r}")
+    if count > _MAX_SAMPLES or count * m.shape[0] > _MAX_SAMPLE_ENTRIES:
+        raise InputError(f"count must be at most {_MAX_SAMPLES} and count * n at most "
+                         f"{_MAX_SAMPLE_ENTRIES}, got count {count} for n = {m.shape[0]}")
     if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
         raise InputError(f"seed must be a non-negative integer, got {seed!r}")
     if field not in ("real", "complex"):

@@ -32,10 +32,16 @@ from .linalg import poly_roots
 # even polynomial; companion-matrix roots at these degrees are accurate
 # to ~1e-10, so 1e-8 separates the axis safely.
 AXIS_TOL = 1e-8
+# Largest n default_grid takes; the CLI's CSV output of srg lti holds
+# about 1 KB per grid point at peak.
+_MAX_GRID = 1 << 20
 
 
 def _coeff_tuple(coeffs, what: str) -> tuple[complex, ...]:
-    arr = [complex(c) for c in coeffs]
+    try:
+        arr = [complex(c) for c in coeffs]
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"{what} must be a sequence of numbers") from exc
     if not arr:
         raise InputError(f"{what} must have at least one coefficient")
     if any(not (math.isfinite(c.real) and math.isfinite(c.imag)) for c in arr):
@@ -198,13 +204,15 @@ def spectral_factorize(tf: RationalTF) -> SpectralFactor:
     )
 
 
-def _freq_is_infinite(omega) -> bool:
+def _frequency(omega) -> float:
+    """omega as a float, inf for INFINITY; InputError for anything else
+    that is not a real number."""
     if cgeom.is_infinity(omega):
-        return True
+        return math.inf
     try:
-        return math.isinf(float(omega))
-    except (TypeError, ValueError):
-        return False
+        return float(omega)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"a frequency must be a real number or INFINITY, got {omega!r}") from exc
 
 
 def _pole_tol(coeffs: tuple[complex, ...], omegas: np.ndarray) -> np.ndarray:
@@ -277,9 +285,10 @@ def tf_value(tf: RationalTF, omega) -> ExtComplex:
     smaller, the leading-coefficient ratio if equal).  A zero shared by
     numerator and denominator raises FactorizationDegenerateError.
     """
-    if _freq_is_infinite(omega):
+    w = _frequency(omega)
+    if math.isinf(w):
         return _value_at_infinity(tf)
-    curve, pole, _ = _response(tf, [float(omega)])
+    curve, pole, _ = _response(tf, [w])
     return INFINITY if pole[0] else complex(curve[0])
 
 
@@ -290,9 +299,10 @@ def lti_disk_point(tf: RationalTF, omega) -> complex:
     raw numerator/denominator values b and a, so imaginary-axis poles
     land exactly on f(infinity) = 1 instead of overflowing.
     """
-    if _freq_is_infinite(omega):
+    w = _frequency(omega)
+    if math.isinf(w):
         return cgeom.bk_forward(_value_at_infinity(tf))
-    return complex(_response(tf, [float(omega)])[2][0])
+    return complex(_response(tf, [w])[2][0])
 
 
 @dataclass(frozen=True)
@@ -304,7 +314,10 @@ class FreqGrid:
 
 def freq_grid(omegas) -> FreqGrid:
     """Sort, deduplicate, and validate a frequency list."""
-    vals = [float(w) for w in omegas]
+    try:
+        vals = [float(w) for w in omegas]
+    except (TypeError, ValueError) as exc:
+        raise InputError("a frequency grid must be a sequence of real numbers") from exc
     if not vals:
         raise InputError("frequency grid must be non-empty")
     if any(not math.isfinite(w) for w in vals):
@@ -329,9 +342,12 @@ def default_grid(tf: RationalTF, n: int = 512) -> FreqGrid:
     omega_k = tan(pi (2k - n) / (2n + 2)) for k = 0..n (lti_srg adds
     infinity); imaginary-axis poles of h are inserted exactly, with
     symmetric neighborhoods so the curve's approach to them is sampled.
+    n must be an integer from 16 to 2**20 (1,048,576); anything else
+    raises InputError before any allocation.
     """
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 16:
-        raise InputError(f"default grid needs an integer n >= 16, got {n!r}")
+    if (isinstance(n, bool) or not isinstance(n, (int, np.integer))
+            or not 16 <= n <= _MAX_GRID):
+        raise InputError(f"default grid needs an integer n from 16 to {_MAX_GRID}, got {n!r}")
     omegas = [math.tan(math.pi * (2 * k - n) / (2 * n + 2)) for k in range(n + 1)]
     for wp in _axis_poles(tf):
         omegas.append(wp)
@@ -341,20 +357,23 @@ def default_grid(tf: RationalTF, n: int = 512) -> FreqGrid:
     return freq_grid(omegas)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LtiSrg:
-    """SRG of a transfer function plus the raw data behind it.
+    """SRG of a transfer function plus the raw data behind it, as arrays.
 
-    region is the SRG proper; curve is the frequency response
-    h(omega) over the same grid (the spectrum of the multiplication
-    operator, useful for plotting); disk_points are the mapped grid
+    region is the SRG proper.  omegas is the float grid, ending in
+    inf for omega = infinity.  curve is the frequency response
+    h(omega) over it (the spectrum of the multiplication operator,
+    useful for plotting), with curve_at_infinity marking where h is
+    infinite and the values are 0.  disk_points are the mapped grid
     points whose hull is the region's disk side.
     """
 
     region: cgeom.SrgRegion
-    omegas: tuple[ExtComplex, ...]
-    disk_points: tuple[complex, ...]
-    curve: tuple[ExtComplex, ...]
+    omegas: np.ndarray
+    disk_points: np.ndarray
+    curve: np.ndarray
+    curve_at_infinity: np.ndarray
 
 
 def lti_srg(tf: RationalTF, grid: FreqGrid | None = None) -> LtiSrg:
@@ -363,20 +382,19 @@ def lti_srg(tf: RationalTF, grid: FreqGrid | None = None) -> LtiSrg:
     The operator is normal, so the SRG is the hyperbolic hull of the
     frequency-response curve: disk side = convex hull of the per-omega
     disk points.  omega = infinity always ends the grid: the closure of
-    h(i R) contains h(infinity).
+    h(i R) contains h(infinity).  A grid that is not a FreqGrid raises
+    InputError.
     """
     if grid is None:
         grid = default_grid(tf)
+    elif not isinstance(grid, FreqGrid):
+        raise InputError(f"grid must be a FreqGrid, got {type(grid).__name__}")
     values, pole, disk = _response(tf, grid.omegas)
-    omegas = grid.omegas + (INFINITY,)
-    curve = [INFINITY if p else h for h, p in zip(values.tolist(), pole.tolist())]
-    curve.append(_value_at_infinity(tf))
-    disk = np.append(disk, cgeom.bk_forward(curve[-1]))
-    hull = cgeom.convex_hull_2d(disk)
-    region = cgeom.region_from_disk_hull(hull)
-    return LtiSrg(
-        region=region,
-        omegas=omegas,
-        disk_points=tuple(disk.tolist()),
-        curve=tuple(curve),
-    )
+    last = _value_at_infinity(tf)
+    at_infinity = np.append(pole, cgeom.is_infinity(last))
+    curve = np.append(values, 0j if at_infinity[-1] else last)
+    curve[at_infinity] = 0.0
+    disk = np.append(disk, cgeom.bk_forward(last))
+    region = cgeom.region_from_disk_hull(cgeom.convex_hull_2d(disk))
+    return LtiSrg(region=region, omegas=np.append(grid.omegas, math.inf),
+                  disk_points=disk, curve=curve, curve_at_infinity=at_infinity)

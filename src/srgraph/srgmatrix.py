@@ -30,7 +30,7 @@ from .nrange import DEFAULT_REFINE_TOL, nrange_boundary
 COND_LIMIT = 1e12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VOperator:
     """The graph compression V together with the normalizer S used."""
 
@@ -99,8 +99,7 @@ def hull_bk_spectrum(t) -> cgeom.SrgRegion:
     Eigenvalues are always taken over the complex field, also for real
     input.  For normal T this region equals the full SRG.
     """
-    eigs = general_eig(t)
-    return cgeom.hull_bk([complex(ev) for ev in eigs])
+    return cgeom.hull_bk(general_eig(t))
 
 
 def similarity_scaled_srg(t, s, refine_tol: float = DEFAULT_REFINE_TOL) -> cgeom.SrgRegion:
@@ -151,9 +150,10 @@ def gamma_scaling_demo(t, gammas, refine_tol: float = DEFAULT_REFINE_TOL):
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectrumReport:
-    """Per-eigenvalue containment margins of f(eigenvalue) in W(V).
+    """Per-eigenvalue containment margins of f(eigenvalue) in W(V), as
+    arrays in the order of general_eig.
 
     margin is minus the signed distance to the hull of the sweep of V,
     so margin > 0 means inside the hull; an eigenvalue counts as
@@ -161,18 +161,18 @@ class SpectrumReport:
     radius (see nrange_contains).
     """
 
-    eigenvalues: tuple[complex, ...]
-    margins: tuple[float, ...]
-    contained: tuple[bool, ...]
+    eigenvalues: np.ndarray
+    margins: np.ndarray
+    contained: np.ndarray
     tol: float
 
     @property
     def all_contained(self) -> bool:
-        return all(self.contained)
+        return bool(np.all(self.contained))
 
     @property
     def worst_margin(self) -> float:
-        return min(self.margins)
+        return float(np.min(self.margins))
 
 
 def spectrum_check(t, refine_tol: float = DEFAULT_REFINE_TOL) -> SpectrumReport:
@@ -182,12 +182,8 @@ def spectrum_check(t, refine_tol: float = DEFAULT_REFINE_TOL) -> SpectrumReport:
     refine_tol, and the report carries one margin per eigenvalue,
     decided by the rule of nrange_contains.
     """
-    eigs = [complex(ev) for ev in general_eig(t)]
+    eigs = general_eig(t)
     distances, radius = nrange._certified_distances(
         build_v(t).v, cgeom.bk_forward_array(eigs), refine_tol)
-    return SpectrumReport(
-        eigenvalues=tuple(eigs),
-        margins=tuple((-distances).tolist()),
-        contained=tuple((distances <= radius).tolist()),
-        tol=radius,
-    )
+    return SpectrumReport(eigenvalues=eigs, margins=-distances, contained=distances <= radius,
+                          tol=radius)

@@ -352,9 +352,21 @@ def indexed_rows_ref(kind: str, values, branch: str) -> list:
     return [(kind, 2.0 * math.pi * j / count, v, branch) for j, v in enumerate(values)]
 
 
+def extended_ref(values, at_infinity) -> tuple:
+    """Points as Python complex numbers, INFINITY where the mask is set."""
+    return tuple(INFINITY if inf else complex(v)
+                 for v, inf in zip(np.asarray(values).tolist(), np.asarray(at_infinity).tolist()))
+
+
+def branches_ref(region) -> tuple[tuple, tuple]:
+    """The region's (upper, lower) branches with INFINITY under its mask."""
+    return (extended_ref(region.upper_branch, region.at_infinity),
+            extended_ref(region.lower_branch, region.at_infinity))
+
+
 def region_rows_ref(region) -> list:
-    return (indexed_rows_ref("srg", region.upper_branch, "upper")
-            + indexed_rows_ref("srg", region.lower_branch, "lower"))
+    upper, lower = branches_ref(region)
+    return indexed_rows_ref("srg", upper, "upper") + indexed_rows_ref("srg", lower, "lower")
 
 
 def finite_runs_ref(points) -> list:
@@ -373,8 +385,9 @@ def finite_runs_ref(points) -> list:
 
 
 def region_outline_ref(region) -> list:
-    pts = [complex(p) for p in region.upper_branch if p is not INFINITY]
-    pts.extend(complex(p) for p in reversed(region.lower_branch) if p is not INFINITY)
+    upper, lower = branches_ref(region)
+    pts = [p for p in upper if p is not INFINITY]
+    pts.extend(p for p in reversed(lower) if p is not INFINITY)
     return pts
 
 

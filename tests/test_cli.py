@@ -326,9 +326,10 @@ def test_lti_csv_matches_row_reference(run_cli, tf_file, num, den):
     code, out, _ = run_cli(["lti", "--tf", path, "--grid", "64"])
     assert code == 0
     result = _lti_result(path, 64)
-    assert INFINITY in result.region.upper_branch
+    assert result.region.at_infinity.any()
     rows = oracles.region_rows_ref(result.region)
-    rows += oracles.indexed_rows_ref("curve", result.curve, "")
+    curve = oracles.extended_ref(result.curve, result.curve_at_infinity)
+    rows += oracles.indexed_rows_ref("curve", curve, "")
     assert out == oracles.csv_text_ref(rows)
     assert "\ninfinity," in out and "\ncurve," in out
 
@@ -361,7 +362,8 @@ def test_csv_signed_zero_ties_keep_input_order():
         ("spectrum", 0.0, 2.0 + 1.0j, ""),
     ]
     for rotated in (rows, rows[::-1], rows[3:] + rows[:3]):
-        groups = [cli._columns(k, t, [v], b) for k, t, v, b in rotated]
+        groups = [cli._columns(k, t, [0j if v is INFINITY else v], np.array([v is INFINITY]), b)
+                  for k, t, v, b in rotated]
         assert cli._csv_text(*cli._concat(groups)) == oracles.csv_text_ref(rotated)
 
 
@@ -372,9 +374,9 @@ def test_lti_svg_with_infinity_breaks_matches_point_reference(run_cli, tf_file, 
                           "--out", str(dest)])
     assert code == 0
     result = _lti_result(path, 64)
-    assert INFINITY in result.region.upper_branch
+    assert result.region.at_infinity.any()
     outline = oracles.region_outline_ref(result.region)
-    runs = oracles.finite_runs_ref(result.curve)
+    runs = oracles.finite_runs_ref(oracles.extended_ref(result.curve, result.curve_at_infinity))
     assert len(runs) >= 2  # the curve breaks at its poles
     tracked = outline + [p for run in runs for p in run]
     want = [oracles.svg_coords_ref(pts, tracked) for pts in [outline, *runs]]
@@ -520,6 +522,19 @@ def test_exit_one_on_shape_mismatch(run_cli, tmp_path):
     assert "3x3" in err
 
 
+def test_exit_one_on_sizes_above_the_limits(run_cli, matrix_file, tf_file, tmp_path):
+    # Checked before any allocation, and before any output is written.
+    dest = tmp_path / "out.csv"
+    path = matrix_file("m.json", np.eye(2))
+    code, _, err = run_cli(["matrix", "--input", path, "--check", "--samples", str(10**12),
+                            "--out", str(dest)])
+    assert code == 1 and "count" in err
+    path = tf_file("tf.json", [1.0], [1.0, 1.0])
+    code, _, err = run_cli(["lti", "--tf", path, "--grid", str(10**12), "--out", str(dest)])
+    assert code == 1 and "1048576" in err
+    assert not dest.exists()
+
+
 def test_exit_two_on_degenerate_factorization(run_cli, tf_file):
     path = tf_file("dg.json", [1.0, 0.0, 1.0], [1.0, 1.0, 1.0, 1.0])
     code, _, err = run_cli(["lti", "--tf", path])
@@ -567,6 +582,14 @@ def test_exit_two_on_lti_overflow_without_warnings(run_cli, tf_file):
     assert code == 2
     assert err.startswith("numerical error: ") and "at omega = " in err
     assert "RuntimeWarning" not in err and "Traceback" not in err
+    # The pole of 1/(1e-320 s + 1) is at -1e320: the root finder's
+    # companion matrix is not finite.
+    path = tf_file("tiny.json", [1.0], [1e-320, 1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _, err = run_cli(["lti", "--tf", path])
+    assert code == 2
+    assert err.startswith("numerical error: ") and err.count("\n") == 1
 
 
 def test_exit_one_on_usage_errors(run_cli):

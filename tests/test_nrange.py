@@ -17,6 +17,7 @@ from conftest import rand_complex, rand_unitary
 from srgraph import (
     INFINITY,
     InputError,
+    NumericalError,
     bk_forward,
     build_v,
     convex_hull_2d,
@@ -66,9 +67,9 @@ def test_boundary_fields_are_consistent(monkeypatch):
     assert np.max(np.abs(attained - b.support_values)) <= tol
     # The hull is exactly the hull of the support points: all of them,
     # in sweep order, from the smallest.
-    assert b.hull.vertices == convex_hull_2d(b.support_points).vertices
+    assert b.hull.vertices.tolist() == convex_hull_2d(b.support_points).vertices.tolist()
     start = b.support_points.tolist().index(b.hull.vertices[0])
-    assert b.hull.vertices == tuple(np.roll(b.support_points, -start).tolist())
+    assert b.hull.vertices.tolist() == np.roll(b.support_points, -start).tolist()
     # Convexity: pruning never strands a support point outside the hull.
     outside = oracles.polygon_distance_many(
         list(b.hull.vertices), np.array(b.support_points, dtype=complex)
@@ -88,6 +89,39 @@ def test_sweep_above_1e154_matches_the_scaled_sweep():
     assert gap <= 1e-14 * np.max(np.abs(unit.hull.vertices))
     assert nrange_contains(a, np.mean(big.support_points))
     assert not nrange_contains(a, 3.0 * np.mean(big.support_points))
+
+
+@pytest.mark.parametrize("a", [
+    [[1e308, 1e308], [0.0, 1.0]],
+    [[1e308 + 1e308j]],
+], ids=["upper_triangular", "scalar"])
+def test_sweep_near_the_float_maximum_is_the_scaled_sweep(a):
+    # Sums of these entries overflow.  The sweep traces A/2^1024, which
+    # is exact, and scales its rows back; so does the sweep of A/2^1022,
+    # whose largest support value is above 1 too, so the two targets
+    # scale alike and the sweeps agree bit for bit, with no
+    # RuntimeWarning on the way.
+    a = np.array(a, dtype=complex)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        big = nrange_boundary(a)
+        small = nrange_boundary(cgeom._ldexp(a, -1022))
+        assert nrange_contains(a, np.diag(a)).all()
+    assert np.max(small.support_values) > 1.0
+    assert np.array_equal(big.support_points, cgeom._ldexp(small.support_points, 1022))
+    assert np.array_equal(big.support_values, np.ldexp(small.support_values, 1022))
+    assert np.array_equal(big.hull.vertices, cgeom._ldexp(small.hull.vertices, 1022))
+    assert big.bound == math.ldexp(small.bound, 1022)
+
+
+def test_sweep_past_the_float_maximum_is_a_numerical_error():
+    # W(A) of this matrix reaches past 1.8e308: its rows overflow when
+    # scaled back, which is a typed error, not a warning.
+    a = 1e308 * np.array([[1.0, -1.0, 1.0], [-1.0, 1.0, 1.0], [1.0, 1.0, -1.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match="largest float"):
+            nrange_boundary(a)
 
 
 def test_support_points_lie_inside_every_halfplane():
@@ -177,7 +211,7 @@ def test_flat_face_seen_only_from_the_bottom_emits_both_endpoints():
     assert np.min(np.abs(b.angles - 1.5 * math.pi)) < 1e-12
     for end in (0.0, 1.0):
         assert np.min(np.abs(b.support_points - end)) < 1e-12
-    assert b.hull.vertices == (0j, 1 + 0j, 0.5 + 1j)
+    assert b.hull.vertices.tolist() == [0j, 1 + 0j, 0.5 + 1j]
 
 
 def test_normal_matrix_range_is_spectral_hull():
@@ -275,9 +309,9 @@ def test_membership_of_eigenvalues(monkeypatch):
         sweep = nrange_boundary(build_v(a).v)
         ws = [bk_forward(lam) for lam in report.eigenvalues]
         margins = -cgeom._signed_distances(sweep.hull.vertices, ws)
-        assert report.margins == tuple(margins.tolist())
+        assert report.margins.tolist() == margins.tolist()
         assert report.tol == max(1e-8, sweep.bound)
-        assert report.contained == tuple((margins >= -report.tol).tolist())
+        assert report.contained.tolist() == (margins >= -report.tol).tolist()
 
 
 def test_input_validation():
@@ -528,7 +562,7 @@ def test_concurrent_sweeps_agree_and_restore_blas_threads(monkeypatch):
 
 
 def _sweep_in_child(a, out):
-    out.put(nrange_boundary(a, refine_tol=1e-6).hull.vertices)
+    out.put(nrange_boundary(a, refine_tol=1e-6).hull.vertices.tolist())
 
 
 @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
@@ -540,7 +574,7 @@ def test_forked_child_sweeps_after_a_pooled_sweep(monkeypatch):
     monkeypatch.setattr(nrange, "_GIL_FREE_VALUES", 1)
     monkeypatch.setattr(nrange, "_START_ANGLES", 128)
     batches = _count_stacked(monkeypatch, "solve")
-    want = nrange_boundary(a, refine_tol=1e-6).hull.vertices
+    want = nrange_boundary(a, refine_tol=1e-6).hull.vertices.tolist()
     assert len(batches) > 1
     ctx = multiprocessing.get_context("fork")
     out = ctx.Queue()

@@ -95,6 +95,12 @@ def test_sampler_validation():
         with pytest.raises(InputError, match="count"):
             sample_srg(np.eye(2), count=count)
     assert sample_srg(np.eye(2), count=np.int64(2)).size == 4
+    # A few hundred bytes per vector entry are live at peak, so the
+    # count is checked before any allocation: at most 2**20 vectors and
+    # 2**24 entries.
+    for n, count in ((2, 10**12), (2, 2**20 + 1), (32, 2**19 + 1)):
+        with pytest.raises(InputError, match="count"):
+            sample_srg(np.eye(n), count=count)
 
 
 @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0, -1e-12, "1e-7", None])

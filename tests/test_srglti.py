@@ -68,6 +68,23 @@ def test_rational_tf_validation():
         rational_tf([1.0], [float("inf"), 1.0])
 
 
+@pytest.mark.parametrize("call", [
+    lambda: rational_tf(["a"], [1.0]),
+    lambda: rational_tf([[1.0]], [1.0]),
+    lambda: rational_tf(1.0, [1.0]),
+    lambda: freq_grid(["a"]),
+    lambda: freq_grid([1j]),
+    lambda: tf_value(rational_tf([1.0], [1.0, 1.0]), "x"),
+    lambda: lti_disk_point(rational_tf([1.0], [1.0, 1.0]), [1.0]),
+    lambda: lti_srg(rational_tf([1.0], [1.0, 1.0]), [0.0, 1.0]),
+], ids=["string_coefficient", "nested_coefficient", "scalar_coefficients", "string_grid",
+        "complex_grid", "string_frequency", "list_frequency", "list_grid"])
+def test_public_constructors_raise_input_error(call):
+    # These used to raise a raw ValueError, TypeError or AttributeError.
+    with pytest.raises(InputError):
+        call()
+
+
 # ---------------------------------------------------------------------------
 # spectral_factorize
 
@@ -280,6 +297,12 @@ def test_default_grid_minimum_size():
         with pytest.raises(InputError, match="integer"):
             default_grid(tf, n)
     assert len(default_grid(tf, np.int64(16)).omegas) == 17
+    # Each grid point holds about 1 KB at peak in srg lti, and 1e8 of
+    # them were killed for memory: the size is checked before any
+    # allocation.
+    for n in (2**20 + 1, 10**12):
+        with pytest.raises(InputError, match="1048576"):
+            default_grid(tf, n)
 
 
 def test_default_grid_shape_and_symmetry():
@@ -334,7 +357,7 @@ def test_integrator_region_is_imaginary_axis_with_infinity():
     assert out.region.contains_infinity
     # Mapped back: the imaginary axis plus the point at infinity.
     saw_infinity = False
-    for u in out.region.upper_branch:
+    for u in oracles.branches_ref(out.region)[0]:
         if is_infinity(u):
             saw_infinity = True
             continue
@@ -346,7 +369,8 @@ def test_improper_function_forces_infinity():
     tf = rational_tf([1.0, 0.0], [1.0])  # h = iw, improper
     grid = freq_grid([0.5, 1.0, 2.0])
     out = lti_srg(tf, grid)
-    assert is_infinity(out.omegas[-1])
+    assert out.omegas.tolist() == [0.5, 1.0, 2.0, math.inf]
+    assert out.curve_at_infinity.tolist() == [False, False, False, True]
     assert out.disk_points[-1] == 1.0 + 0j
     assert out.region.contains_infinity
 
@@ -356,7 +380,8 @@ def test_sweep_emits_matching_curve_and_points():
     grid = default_grid(tf, 64)
     out = lti_srg(tf, grid)
     assert len(out.omegas) == len(out.disk_points) == len(out.curve)
-    for w, p, h in zip(out.omegas, out.disk_points, out.curve):
+    curve = oracles.extended_ref(out.curve, out.curve_at_infinity)
+    for w, p, h in zip(out.omegas, out.disk_points, curve):
         assert p == lti_disk_point(tf, w)
         hv = tf_value(tf, w)
         if is_infinity(hv):
@@ -454,15 +479,17 @@ def test_lti_srg_matches_the_exact_rational_oracle():
         user = freq_grid([-2.5, -0.5, 0.0, 0.5, 1.0, 2.5] + axis)
         for grid in (default_grid(tf, 16), default_grid(tf, 256), user):
             out = lti_srg(tf, grid)
-            assert out.omegas == grid.omegas + (INFINITY,)
-            disk, curve = oracles.lti_points_exact(tf.num, tf.den, out.omegas)
+            assert out.omegas.tolist() == [*grid.omegas, math.inf]
+            disk, curve = oracles.lti_points_exact(tf.num, tf.den, grid.omegas + (INFINITY,))
             assert max(map(abs, np.subtract(out.disk_points, disk))) <= 1e-12
-            assert list(map(is_infinity, out.curve)) == list(map(is_infinity, curve))
-            for got, want in zip(out.curve, curve):
+            got_curve = oracles.extended_ref(out.curve, out.curve_at_infinity)
+            assert list(map(is_infinity, got_curve)) == list(map(is_infinity, curve))
+            assert not out.curve[out.curve_at_infinity].any()
+            for got, want in zip(got_curve, curve):
                 if not is_infinity(want):
                     assert abs(got - want) <= 1e-11 * abs(want)
             if grid is user:
-                poles_hit += sum(map(is_infinity, out.curve))
+                poles_hit += int(np.count_nonzero(out.curve_at_infinity))
         disk, curve = oracles.lti_points_exact(tf.num, tf.den, user.omegas + (INFINITY,))
         for w, d, h in zip(user.omegas + (INFINITY,), disk, curve):
             assert abs(lti_disk_point(tf, w) - d) <= 1e-12
@@ -511,7 +538,8 @@ def test_coefficient_scales_beyond_the_square_range_compute():
     # that separates f(h(0)) = 1 - 2e-200 i from the point at infinity.
     for num, den in (([1e200], [1.0, 1.0]), ([1.0], [1e-200, 1.0])):
         tf = rational_tf(num, den)
-        out = lti_srg(tf, freq_grid([-1e200, -1.0, 0.0, 1e-3, 1.0, 1e200]))
-        disk, _ = oracles.lti_points_exact(tf.num, tf.den, out.omegas)
+        grid = freq_grid([-1e200, -1.0, 0.0, 1e-3, 1.0, 1e200])
+        out = lti_srg(tf, grid)
+        disk, _ = oracles.lti_points_exact(tf.num, tf.den, grid.omegas + (INFINITY,))
         assert max(map(abs, np.subtract(out.disk_points, disk))) <= 1e-12
     assert lti_disk_point(rational_tf([1e200], [1.0, 1.0]), 0.0) == complex(1.0, -2e-200)

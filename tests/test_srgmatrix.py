@@ -19,10 +19,12 @@ from srgraph import (
     general_eig,
     hull_bk,
     hull_bk_spectrum,
+    lti_srg,
     nrange_boundary,
     polygon_area,
     polygon_distance,
     polygon_hausdorff,
+    rational_tf,
     similarity_scaled_srg,
     spectrum_check,
     srg_complex,
@@ -274,7 +276,7 @@ def test_real_and_complex_agree_above_dimension_two():
     t = rng.normal(size=(4, 4))
     r_real = srg_real(t)
     r_cplx = srg_complex(t)
-    assert r_real.disk_hull.vertices == r_cplx.disk_hull.vertices
+    assert r_real.disk_hull.vertices.tolist() == r_cplx.disk_hull.vertices.tolist()
     assert not r_real.boundary_only
 
 
@@ -296,7 +298,7 @@ def test_spectral_hull_matches_direct_eigen_hull():
     t = rand_complex(rng, 4)
     region = hull_bk_spectrum(t)
     direct = hull_bk([complex(ev) for ev in general_eig(t)])
-    assert region.disk_hull.vertices == direct.disk_hull.vertices
+    assert region.disk_hull.vertices.tolist() == direct.disk_hull.vertices.tolist()
 
 
 def test_spectral_hull_equals_srg_for_normal_matrices():
@@ -316,7 +318,7 @@ def test_identity_similarity_is_identical():
     t = rand_complex(rng, 3)
     base = srg_complex(t)
     scaled = similarity_scaled_srg(t, np.eye(3))
-    assert scaled.disk_hull.vertices == base.disk_hull.vertices
+    assert scaled.disk_hull.vertices.tolist() == base.disk_hull.vertices.tolist()
 
 
 def test_unitary_similarity_leaves_hull_unchanged():
@@ -429,11 +431,26 @@ def test_spectrum_check_random_matrices_never_fail():
 # region structure invariants
 
 
+def test_results_holding_arrays_compare_and_hash_by_identity():
+    # A generated __eq__ or __hash__ would compare or hash the arrays:
+    # hash(nrange_boundary(a)) used to raise TypeError.
+    a = np.array([[1.0, 2.0], [0.0, 1j]])
+    region = srg_complex(a)
+    results = [nrange_boundary(a), region, region.disk_hull, build_v(a),
+               lti_srg(rational_tf([1.0], [1.0, 1.0]))]
+    again = [nrange_boundary(a), srg_complex(a), srg_complex(a).disk_hull, build_v(a),
+             lti_srg(rational_tf([1.0], [1.0, 1.0]))]
+    assert len(set(results) | set(again)) == 2 * len(results)
+    for first, second in zip(results, again):
+        assert first == first and first != second
+    assert not region.disk_hull.vertices.flags.writeable
+
+
 def test_disk_hull_is_convex_hull_of_its_vertices():
     rng = np.random.default_rng(63)
     region = srg_complex(rand_complex(rng, 3))
     rebuilt = convex_hull_2d(region.disk_hull.vertices)
-    assert rebuilt.vertices == region.disk_hull.vertices
+    assert rebuilt.vertices.tolist() == region.disk_hull.vertices.tolist()
 
 
 def test_branch_points_respect_spacing():
