@@ -70,24 +70,24 @@ def as_finite_complex(z) -> complex:
     return w
 
 
-def _clamp_disk_array(ws, eps: float = EPS_DISK) -> np.ndarray:
-    """Clamp nominal disk points so |w| <= 1, rejecting |w| > 1 + eps;
+def _clamp_disk_array(ws) -> np.ndarray:
+    """Clamp nominal disk points so |w| <= 1, rejecting |w| > 1 + EPS_DISK;
     returns a clamped copy.
 
     Points with |w| > 1 are divided by |w| as CPython divides a complex
     by a real, written out, so values match scalar complex arithmetic
     bit for bit.  The first point that is not finite or lies beyond
-    1 + eps raises InputError or OutOfDiskError.
+    1 + EPS_DISK raises InputError or OutOfDiskError.
     """
     ws = np.array(ws, dtype=np.complex128).ravel()
     with np.errstate(invalid="ignore"):
         r = np.hypot(ws.real, ws.imag)
-    bad = ~np.isfinite(ws) | (r > 1.0 + eps)
+    bad = ~np.isfinite(ws) | (r > 1.0 + EPS_DISK)
     if bad.any():
         k = int(np.argmax(bad))
         as_finite_complex(ws[k])  # raises InputError
         raise OutOfDiskError(
-            f"|w| = {float(r[k])!r} exceeds the unit disk beyond tolerance {eps}")
+            f"|w| = {float(r[k])!r} exceeds the unit disk beyond tolerance {EPS_DISK}")
     big = r > 1.0
     if big.any():
         wr, wi, rb = ws.real[big], ws.imag[big], r[big]

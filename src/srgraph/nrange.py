@@ -4,31 +4,31 @@ With A = (M + M*)/2 and B = i(M - M*)/2, both Hermitian, the Hermitian
 part of e^{-i*theta}M is H(theta) = cos(theta) A - sin(theta) B.  The
 support value of W(M) at theta is h(theta) = lambda_max(H(theta)), and
 a unit vector x on its support line, x*H(theta)x = h(theta), gives a
-boundary support point p = <Mx, x>.  Since H(theta + pi) = -H(theta),
-the same eigenvalues give the opposite side too: h(theta + pi) =
--lambda_min, as in Johnson's sweep (SIAM J. Numer. Anal. 15, 1978).  So
-every angle solved is in [0, pi) and fills two rows of the sweep.  When
-M = M^T, as V of a real T is, A and B are real symmetric and the stacks
-are float64, so LAPACK runs its real routines; otherwise they are
-complex.  The dtype alone picks the routine.
+boundary support point p = <Mx, x>.  When M = M^T, as V of a real T
+is, A and B are real symmetric and the stacks are float64, so LAPACK
+runs its real routines; otherwise they are complex.  The dtype alone
+picks the routine.
 
-The angles of the start grid take (h, p) from the full
-eigendecomposition of H(theta).  A refinement angle inside a wedge
-needs no eigenvalues: the values h and slopes h' = Im(e^{-i*theta}p) at
-the wedge's two ends predict, by cubic Hermite interpolation, the top
-eigenvalue sigma of sH(theta) for each side s = +1, -1.  One LU solve
-with that shift, one step of shifted inverse iteration (Ipsen, SIAM
-Review 39, 1997), gives a unit x, and rho = x*(sH)x is a lower bound
-on the top eigenvalue.  A Cholesky factorization of (rho + tau)I - sH,
-with tau at rounding level, then certifies the upper bound
-rho + tau, which the row reports as h, with p = <Mx, x> at depth tau
-below its support line.  Any unit x puts p in W(M), so the inner
-polygon holds whatever x is; a row whose solve or factorization fails,
-as where the prediction is off, takes (h, p) from the full
-eigendecomposition instead.  A repeated extreme eigenvalue needs no
-special case: any unit vector of the top eigenspace lies on the
-support line, so each angle gives one support point, and a flat
-face's endpoints come from the angles beside its normal.
+The start grid takes (h, p) from the full eigendecomposition of
+H(theta).  Since H(theta + pi) = -H(theta), the same eigenpairs give
+the opposite side too, h(theta + pi) = -lambda_min, as in Johnson's
+sweep (SIAM J. Numer. Anal. 15, 1978), so each start angle is solved
+in [0, pi) and fills two rows.  A refinement angle, anywhere in
+[0, 2*pi), fills one row and needs no eigenvalues: the values h and
+slopes h' = Im(e^{-i*theta}p) at its wedge's two ends predict, by cubic
+Hermite interpolation, the top eigenvalue sigma of H(theta).  One LU
+solve with that shift, one step of shifted inverse iteration (Ipsen,
+SIAM Review 39, 1997), gives a unit x, and rho = x*Hx is a lower bound
+on the top eigenvalue.  A Cholesky factorization of (rho + tau)I - H,
+with tau at rounding level, then certifies the upper bound rho + tau,
+which the row reports as h, with p = <Mx, x> at depth tau below its
+support line.  Any unit x puts p in W(M), so the inner polygon holds
+whatever x is; a row whose solve or factorization fails, as where the
+prediction is off, takes (h, p) from the full eigendecomposition
+instead.  A repeated extreme eigenvalue needs no special case: any unit
+vector of the top eigenspace lies on the support line, so each angle
+gives one support point, and a flat face's endpoints come from the
+angles beside its normal.
 
 Angle batches are solved as stacks of at most _BATCH_BYTES each, so
 memory stays bounded however many angles a round holds; a round of
@@ -37,15 +37,13 @@ held at one thread.  Adaptive refinement splits sweep wedges,
 breadth-first in batches, until the exact outer bound - the distance
 from the support-line apex to the chord of adjacent support points -
 drops below a target, which certifies W(M) within that distance of the
-assembled polygon.  The table of angles stays symmetric under theta ->
-theta + pi, so a wedge and its opposite split together, into as many
-equal parts as the needier of the two asks for.  On a smooth arc the
-bound is about rho*width^2/4, rho = h + h'' the radius of curvature, so
-the bounds of a wedge's two neighbours measure rho at its ends; the
-split trusts that while it agrees with the wedge's own bound, which
-shrinks with the square of the width.  So a smooth wedge meets the
-target in one round, and a wedge across a corner or a flat face, whose
-neighbours are flat, is bisected.
+assembled polygon.  A wedge is split when its own bound is above the
+target.  On a smooth arc the bound is about rho*width^2/4, rho = h + h''
+the radius of curvature, so the bounds of a wedge's two neighbours
+measure rho at its ends; the split trusts that while it agrees with
+the wedge's own bound, which shrinks with the square of the width.  So
+a smooth wedge meets the target in one round, and a wedge across a
+corner or a flat face, whose neighbours are flat, is bisected.
 
 The support points span Johnson's inner polygon and their support
 lines his outer one; the apex-chord bound is the gap between them.
@@ -74,7 +72,7 @@ from .linalg import as_matrix, require_positive_finite
 # that distance of the returned hull.
 DEFAULT_REFINE_TOL = 1e-8
 # Angles of the uniform grid on [0, 2*pi) every sweep starts from, two
-# per eigensolve.
+# per eigensolve; refinement adds one row per angle.
 _START_ANGLES = 720
 # Guards for adaptive refinement: the most rounds, and the narrowest
 # wedge that is still split (no split makes a wedge narrower than this,
@@ -208,23 +206,23 @@ def _rotated_hermitian_parts(a: np.ndarray, b: np.ndarray, thetas: np.ndarray) -
 
 
 def _points(m: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """<Mx, x> for each unit vector of a stack x of shape (2, k, n).
+    """<Mx, x> for each unit vector of a stack x of shape (..., k, n).
 
     M is applied in one 2-D product, whose rounding of a row does not
-    depend on k; a stack of single rows would take matrix-vector
-    products instead, and a sweep's result would depend on its chunks.
+    depend on k; a stack of single rows, or a product of one row, would
+    take matrix-vector products instead, and a sweep's result would
+    depend on its chunks.  So the rows get a copy of the first one.
     """
-    mx = (x.reshape(-1, m.shape[0]) @ m.T).reshape(x.shape)
-    return np.einsum("ski,ski->sk", np.conj(x), mx)
+    rows = x.reshape(-1, m.shape[0])
+    mx = (np.concatenate([rows, rows[:1]]) @ m.T)[:-1].reshape(x.shape)
+    return np.einsum("...i,...i->...", np.conj(x), mx)
 
 
 def _eigh_supports(m: np.ndarray, a: np.ndarray, b: np.ndarray, thetas: np.ndarray):
-    """(h, p) as in _supports_batch, both from the full eigendecomposition
-    of each H(theta).
-
-    H(theta + pi) = -H(theta), so its top eigenpair is the bottom one of
-    H(theta) with the eigenvalue negated.
-    """
+    """(h, p) from the full eigendecomposition of each H(theta): row 0
+    at theta, from its top eigenpair, and row 1 at theta + pi, from its
+    bottom one with the eigenvalue negated, since H(theta + pi) =
+    -H(theta)."""
     w, v = np.linalg.eigh(_rotated_hermitian_parts(a, b, thetas))
     return np.stack([w[:, -1], -w[:, 0]]), _points(m, np.stack([v[:, :, -1], v[:, :, 0]]))
 
@@ -258,8 +256,7 @@ def _predicted_supports(ta, tb, ha, pa, hb, pb, t) -> np.ndarray:
     Hermite interpolation from the values h and the slopes
     h' = Im(e^{-i theta} p) at the ends of each wedge (ta, tb).
 
-    Arguments broadcast elementwise; the sweep passes each needy wedge
-    and its opposite as two rows.
+    Arguments broadcast elementwise.
     """
     width = tb - ta
     sa = (pa.imag * np.cos(ta) - pa.real * np.sin(ta)) * width
@@ -269,24 +266,25 @@ def _predicted_supports(ta, tb, ha, pa, hb, pb, t) -> np.ndarray:
 
 
 def _supports_batch(m: np.ndarray, a: np.ndarray, b: np.ndarray, thetas: np.ndarray,
-                    sigma: np.ndarray | None = None):
-    """Support data for a batch of angles in [0, pi) and their opposites:
-    (h, p), with (A, B) = _hermitian_parts(M), row 0 of each column
-    at theta and row 1 at theta + pi.
+                    sigma: np.ndarray | None = None, w0: float = 0.0):
+    """Support data (h, p) for a batch of angles, with (A, B) =
+    _hermitian_parts(M).
 
-    Without predictions sigma, as on the start grid, both come from
-    _eigh_supports.  With them, sigma[0] and sigma[1] predicting the top
-    eigenvalue of sH for s = +1 and s = -1, each side takes one step of
-    shifted inverse iteration, ((sigma I - sH) x = e_k, e_k the unit
-    vector at the largest diagonal entry of sH, which keeps a diagonal H
-    exact), and rho = x*(sH)x for the unit x.  The stacks are divided
-    by a power of two near the larger |sigma|, which is exact, and x by
-    its largest entry, so nothing overflows.  With tau = 2^-46 times the
-    larger |rho| of the two sides, a Cholesky factor of
-    (rho + tau)I - sH certifies that no eigenvalue of sH exceeds
-    rho + tau up to rounding; the row reports h = rho + tau and
-    p = <Mx, x>, which lies in W(M) for any unit x.  A row whose solve or
-    factorization fails, or whose values are not finite, takes (h, p)
+    Without predictions sigma, as on the start grid, the angles lie in
+    [0, pi) and both come from _eigh_supports, row 0 at theta and row 1
+    at theta + pi.  With them, one row per angle in [0, 2*pi), sigma
+    predicting the top eigenvalue of H(theta): each row takes one step
+    of shifted inverse iteration, (sigma I - H) x = e_k, e_k the unit
+    vector at the largest diagonal entry of H, which keeps a diagonal H
+    exact, and rho = x*Hx for the unit x.  The stacks are divided by a
+    power of two near w0, the largest support value of the start grid,
+    which is exact and bounds every |sigma| up to the prediction's
+    error, and x by its largest entry, so nothing overflows.  With tau =
+    2^-46 max(|rho|, w0), a Cholesky factor of (rho + tau)I - H
+    certifies that no eigenvalue of H exceeds rho + tau up to rounding;
+    the row reports h = rho + tau and p = <Mx, x>, which lies in W(M)
+    for any unit x.  A row whose solve or factorization fails, or whose
+    values are not finite, takes the top eigenpair of its H(theta)
     from _eigh_supports instead.  Each decision is made row by row.
     """
     thetas = np.asarray(thetas, dtype=np.float64)
@@ -294,47 +292,38 @@ def _supports_batch(m: np.ndarray, a: np.ndarray, b: np.ndarray, thetas: np.ndar
         return _eigh_supports(m, a, b, thetas)
     hs = _rotated_hermitian_parts(a, b, thetas)
     n = hs.shape[-1]
-    unit = np.ldexp(1.0, -np.clip(np.frexp(np.max(np.abs(sigma), axis=0))[1], -1000, 1000))
-    diagonal = np.einsum("kii->ki", hs).real
-    sign = np.array([[1.0], [-1.0]])
-    shifted = np.empty((2,) + hs.shape, dtype=hs.dtype)
-    x = np.empty((2,) + hs.shape[:-1], dtype=hs.dtype)
-    for side, s in enumerate(sign[:, 0]):
-        np.multiply(hs, (-s * unit)[:, None, None], out=shifted[side])
-        # Basic slicing, not an index array, which would hold the GIL.
-        shifted[side].reshape(-1, n * n)[:, ::n + 1] += (sigma[side] * unit)[:, None]
-        start = np.argmax(s * diagonal, axis=1)
-        rhs = (np.arange(n) == start[:, None]).astype(hs.dtype)[..., None]
-        x[side] = _per_row(np.linalg.solve, shifted[side], rhs)[..., 0]
+    unit = math.ldexp(1.0, -min(max(math.frexp(w0)[1], -1000), 1000))
+    shifted = hs * -unit
+    # Basic slicing, not an index array, which would hold the GIL.
+    shifted.reshape(-1, n * n)[:, ::n + 1] += (sigma * unit)[:, None]
+    start = np.argmax(np.einsum("kii->ki", hs).real, axis=1)
+    rhs = (np.arange(n) == start[:, None]).astype(hs.dtype)[..., None]
+    x = _per_row(np.linalg.solve, shifted, rhs)[..., 0]
     with np.errstate(invalid="ignore"):
         # Rows of a failed solve are NaN, which complex division flags.
         x /= np.max(np.abs(x), axis=-1, keepdims=True)
         x /= np.linalg.norm(x, axis=-1, keepdims=True)
-    rho = sign * np.einsum("ski,ski->sk", np.conj(x), (hs @ x[..., None])[..., 0]).real
-    h = rho + np.ldexp(np.fmax(np.abs(rho[0]), np.abs(rho[1])), -46)
+    rho = np.einsum("ki,ki->k", np.conj(x), (hs @ x[..., None])[..., 0]).real
+    h = rho + np.ldexp(np.fmax(np.abs(rho), w0), -46)
     # Move each shift from sigma to h.
-    shifted.reshape(2, -1, n * n)[..., ::n + 1] += ((h - sigma) * unit)[..., None]
+    shifted.reshape(-1, n * n)[:, ::n + 1] += ((h - sigma) * unit)[:, None]
     p = _points(m, x)
-    certified = np.stack([_positive_definite(c) for c in shifted])
-    off = ~(certified & np.isfinite(h) & np.isfinite(p))
-    redo = off.any(axis=0)
-    if redo.any():
-        exact = _eigh_supports(m, a, b, thetas[redo])
-        h[:, redo], p[:, redo] = (np.where(off[:, redo], e, col[:, redo])
-                                  for e, col in zip(exact, (h, p)))
+    off = ~(_positive_definite(shifted) & np.isfinite(h) & np.isfinite(p))
+    if off.any():
+        h[off], p[off] = (col[0] for col in _eigh_supports(m, a, b, thetas[off]))
     return h, p
 
 
-def _supports(m: np.ndarray, a: np.ndarray, b: np.ndarray, thetas, sigma=None):
+def _supports(m: np.ndarray, a: np.ndarray, b: np.ndarray, thetas, sigma=None, w0=0.0):
     """_supports_batch over any number of angles, chunk by chunk."""
     thetas = np.asarray(thetas, dtype=np.float64)
     least = -(-_GIL_FREE_VALUES // a.shape[0])
 
     def batch(rows):
-        return _supports_batch(m, a, b, thetas[rows], None if sigma is None else sigma[:, rows])
+        return _supports_batch(m, a, b, thetas[rows], None if sigma is None else sigma[rows], w0)
 
     parts = _map_chunks(batch, a, thetas.size, least)
-    return tuple(np.concatenate(col, axis=1) for col in zip(*parts))
+    return tuple(np.concatenate(col, axis=-1) for col in zip(*parts))
 
 
 def _apex_chord_bounds(ta, ha, pa, tb, hb, pb) -> np.ndarray:
@@ -404,51 +393,44 @@ def _sweep(m: np.ndarray, refine_tol: float) -> tuple[NRangeBoundary, float]:
     m = cgeom._ldexp(m, -exponent)
     a, b = _hermitian_parts(m)
     half = _START_ANGLES // 2
-    thetas = math.pi * np.arange(half) / half
-    columns = _supports(m, a, b, thetas)
-    target = refine_tol * max(math.ldexp(1.0, -exponent), float(np.max(columns[0])))
-    # Every solved angle theta, ascending in [0, pi) from 0, and the
-    # columns h and p, each with row 0 at theta and row 1 at theta + pi;
-    # read row by row, one table ascending over [0, 2*pi).
-    table = [thetas, *columns]
+    grid = math.pi * np.arange(half) / half
+    # The table of every evaluated angle, ascending in [0, 2*pi) from 0,
+    # with its support value h and support point p: the start grid
+    # fills its rows at theta and theta + pi from one eigensolve each.
+    t = np.concatenate([grid, grid + math.pi])
+    h, p = (col.ravel() for col in _supports(m, a, b, grid))
+    w0 = float(np.max(h))
+    target = refine_tol * max(math.ldexp(1.0, -exponent), w0)
     for depth in range(REFINE_MAX_DEPTH + 1):
-        t, h, p = table
-        # Wedge i runs from angle i to angle i + 1 of the whole table;
-        # the last one closes the circle at 2*pi, where angle 0 stands.
-        # Wedges i and i + t.size are opposite, and split as a pair.
-        ta = np.concatenate([t, t + math.pi])
-        tb = np.append(ta[1:], 2.0 * math.pi)
-        ha, pa = h.ravel(), p.ravel()
-        hb, pb = np.roll(ha, -1), np.roll(pa, -1)
-        bounds = _apex_chord_bounds(ta, ha, pa, tb, hb, pb)
-        needy = ((tb - ta > REFINE_MIN_WEDGE) & (bounds > target)).reshape(2, -1).any(axis=0)
+        # Wedge i runs from angle i to angle i + 1; the last one closes
+        # the circle at 2*pi, where angle 0 stands.
+        tb = np.append(t[1:], 2.0 * math.pi)
+        hb, pb = np.roll(h, -1), np.roll(p, -1)
+        bounds = _apex_chord_bounds(t, h, p, tb, hb, pb)
+        needy = (tb - t > REFINE_MIN_WEDGE) & (bounds > target)
         if depth == REFINE_MAX_DEPTH or not needy.any():
             break
-        k = _split_counts(ta, tb, bounds, target).reshape(2, -1).max(axis=0)[needy]
-        # Each needy wedge in row 0 and its opposite in row 1.
-        ends = [col.reshape(2, -1)[:, needy] for col in (ta, tb, ha, pa, hb, pb)]
+        k = _split_counts(t, tb, bounds, target)[needy]
         # Interior angles ta + (tb - ta)*j/k, j = 1 .. k-1, wedge by wedge.
-        owner = np.repeat(np.arange(k.size), k - 1)
-        j = np.arange(owner.size) - np.repeat(np.cumsum(k - 1) - (k - 1), k - 1) + 1
-        lo, hi = ends[0][0], ends[1][0]
-        tm = lo[owner] + (hi - lo)[owner] * j / k[owner]
-        sigma = _predicted_supports(*(col[:, owner] for col in ends), j / k[owner])
-        columns = _supports(m, a, b, tm, sigma)
-        table = [np.concatenate(pair, axis=-1) for pair in zip(table, [tm, *columns])]
-        order = np.argsort(table[0], kind="stable")
-        table = [col[..., order] for col in table]
+        wedge = np.repeat(np.flatnonzero(needy), k - 1)
+        j = np.arange(wedge.size) - np.repeat(np.cumsum(k - 1) - (k - 1), k - 1) + 1
+        k = np.repeat(k, k - 1)
+        ends = [col[wedge] for col in (t, tb, h, p, hb, pb)]
+        tm = ends[0] + (ends[1] - ends[0]) * j / k
+        columns = _supports(m, a, b, tm, _predicted_supports(*ends, j / k), w0)
+        t, h, p = (np.insert(col, wedge + 1, new) for col, new in zip((t, h, p), (tm, *columns)))
 
-    # The loop ends on the whole table: ta, ha and pa hold every row.
+    # The loop ends on the whole table, with bounds of its every wedge.
     with np.errstate(over="ignore"):
-        ha, pa = np.ldexp(ha, exponent), cgeom._ldexp(pa, exponent)
+        h, p = np.ldexp(h, exponent), cgeom._ldexp(p, exponent)
         bound, target = np.ldexp([np.max(bounds), target], exponent).tolist()
-    if not (np.isfinite(ha).all() and np.isfinite(pa).all()):
+    if not (np.isfinite(h).all() and np.isfinite(p).all()):
         raise NumericalError("the numerical range reaches past the largest float")
     boundary = NRangeBoundary(
-        angles=ta,
-        support_points=pa,
-        support_values=ha,
-        hull=cgeom.convex_hull_2d(pa),
+        angles=t,
+        support_points=p,
+        support_values=h,
+        hull=cgeom.convex_hull_2d(p),
         bound=bound,
     )
     return boundary, target
@@ -459,18 +441,17 @@ def nrange_boundary(a, refine_tol: float = DEFAULT_REFINE_TOL) -> NRangeBoundary
 
     The sweep starts on _START_ANGLES equally spaced angles, from half
     as many solved on [0, pi), each at theta and theta + pi.  Each
-    round splits every pair of opposite wedges where either
-    apex-to-chord bound is above the target refine_tol*max(1, w), w the
-    largest support value on the start grid, into k equal parts, k the
-    larger of the two wedges' counts from their own and their
-    neighbours' bounds (2 across a corner or a flat face), and evaluates
-    all the new angles in one batch.  Rounds repeat until no bound is
-    above the target or the guards stop them; bound reports the largest
-    bound left, so W(A) lies within bound of the returned hull, and the
-    hull itself inside W(A) up to eigensolver noise.  The evaluated
-    angles stay in one table, ascending and symmetric under theta ->
-    theta + pi, with one support point per angle.  A W(A) that reaches
-    past the largest float raises NumericalError.
+    round splits every wedge whose apex-to-chord bound is above the
+    target refine_tol*max(1, w), w the largest support value on the
+    start grid, into k equal parts, k from its own and its neighbours'
+    bounds (2 across a corner or a flat face), and evaluates all the
+    new angles in one batch.  Rounds repeat until no bound is above the
+    target or the guards stop them; bound reports the largest bound
+    left, so W(A) lies within bound of the returned hull, and the hull
+    itself inside W(A) up to eigensolver noise.  The evaluated angles
+    stay in one table, ascending in [0, 2*pi), with one support point
+    per angle.  A W(A) that reaches past the largest float raises
+    NumericalError.
     """
     return _sweep(as_matrix(a, square=True), refine_tol)[0]
 

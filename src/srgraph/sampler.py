@@ -30,6 +30,14 @@ _MAX_SAMPLES = 1 << 20
 _MAX_SAMPLE_ENTRIES = 1 << 24
 
 
+def _draw(rng: np.random.Generator, field: str, rows: int, n: int) -> np.ndarray:
+    """rows standard Gaussian vectors of length n over the field, as
+    complex128; a complex draw takes its real parts first."""
+    if field == "real":
+        return rng.standard_normal((rows, n)).astype(np.complex128)
+    return rng.standard_normal((rows, n)) + 1j * rng.standard_normal((rows, n))
+
+
 def sample_srg(t, field: str = "complex", count: int = 10000, seed: int = 1) -> np.ndarray:
     """Sample the SRG of T from its definition; deterministic per seed.
 
@@ -53,17 +61,11 @@ def sample_srg(t, field: str = "complex", count: int = 10000, seed: int = 1) -> 
         raise InputError("real-field sampling requires a matrix with real entries")
     n = m.shape[0]
     rng = np.random.Generator(np.random.PCG64(seed))
-    if field == "real":
-        x = rng.standard_normal((count, n)).astype(np.complex128)
-    else:
-        x = rng.standard_normal((count, n)) + 1j * rng.standard_normal((count, n))
+    x = _draw(rng, field, count, n)
     nx = np.linalg.norm(x, axis=1)
     while np.any(nx == 0.0):  # probability ~0, but keep the math total
         bad = np.nonzero(nx == 0.0)[0]
-        if field == "real":
-            x[bad] = rng.standard_normal((bad.size, n)).astype(np.complex128)
-        else:
-            x[bad] = rng.standard_normal((bad.size, n)) + 1j * rng.standard_normal((bad.size, n))
+        x[bad] = _draw(rng, field, bad.size, n)
         nx = np.linalg.norm(x, axis=1)
     # Sample T / 2^k, with 2^k just above the largest |entry|, so that
     # |Tx| neither over- nor underflows, and scale the gain back at the
@@ -76,15 +78,12 @@ def sample_srg(t, field: str = "complex", count: int = 10000, seed: int = 1) -> 
     # tan(theta/2) = |v - u| / |v + u| for the normalized vectors,
     # which is the same angle in exact arithmetic but stays accurate
     # at both ends of [0, pi] (a raw arccos turns a 1-ulp defect in
-    # the cosine into ~1e-8 of angle).
-    angles = np.zeros(count)
+    # the cosine into ~1e-8 of angle).  x and y are normalized in place;
+    # a zero row of y stays zero, and its angle is not used.
     nonzero = ny > 0.0
-    if np.any(nonzero):
-        un = x[nonzero] / nx[nonzero, None]
-        vn = y[nonzero] / ny[nonzero, None]
-        diff = np.linalg.norm(vn - un, axis=1)
-        summ = np.linalg.norm(vn + un, axis=1)
-        angles[nonzero] = 2.0 * np.arctan2(diff, summ)
+    x /= nx[:, None]
+    np.divide(y, ny[:, None], out=y, where=nonzero[:, None])
+    angles = 2.0 * np.arctan2(np.linalg.norm(y - x, axis=1), np.linalg.norm(y + x, axis=1))
     # Rows are (upper, conjugate) pairs; a zero output keeps only its
     # first slot, the point 0.  cos and sin come from libm through math,
     # as scalar code gets them (numpy's SIMD versions may differ by an ulp).

@@ -100,8 +100,7 @@ class SpectralFactor:
     """Stable factor s = s_num/s_den with |s|^2 (1 + |h|^2) = 1.
 
     s_num is the denominator of h; s_den is Hurwitz (all roots in the
-    open left half-plane) with a positive real gain fixed at a
-    reference frequency.
+    open left half-plane) with a positive real leading coefficient.
     """
 
     s_num: tuple[complex, ...]
@@ -113,10 +112,11 @@ def spectral_factorize(tf: RationalTF) -> SpectralFactor:
 
     The even polynomial a~a + b~b is nonnegative on the imaginary axis
     and its roots come in (r, -conj(r)) pairs; c collects the open
-    left-half-plane roots, scaled by the positive constant that makes
-    |c|^2 = |a|^2 + |b|^2 at a reference frequency.  A root on the
-    axis itself means a and b share an imaginary-axis zero, which has
-    no stable factorization.
+    left-half-plane roots, scaled by the positive gain sqrt(|p_0|), p_0
+    the leading coefficient of a~a + b~b, which is |c_0|^2 exactly since
+    its top-degree terms never cancel.  A root on the axis itself means
+    a and b share an imaginary-axis zero, which has no stable
+    factorization.
 
     Both coefficient arrays of the result are divided by the modulus
     of the denominator's leading coefficient, so s_den depends only on
@@ -130,8 +130,6 @@ def spectral_factorize(tf: RationalTF) -> SpectralFactor:
     m = max(tf.degree_den, tf.degree_num if not tf.is_zero else 0)
     if m == 0:
         gain = math.hypot(abs(a[0]), abs(b[0]))
-        if gain == 0.0:
-            raise FactorizationDegenerateError("transfer function has no finite gain")
         return SpectralFactor(
             s_num=tuple(complex(x) / norm for x in tf.den),
             s_den=(complex(gain / norm),),
@@ -174,25 +172,7 @@ def spectral_factorize(tf: RationalTF) -> SpectralFactor:
             f"roots, found {len(lhp)}"
         )
     c_monic = np.poly(np.array(lhp, dtype=np.complex128))
-
-    # Fix the positive gain at omega = 0, falling back to nearby
-    # frequencies if the reference value degenerates there.
-    p_scale = float(np.max(np.abs(a)) ** 2 + np.max(np.abs(b)) ** 2)
-    c_scale = float(np.max(np.abs(c_monic)) ** 2)
-    candidates = [0.0]
-    for k in range(1, 2 * m + 6):
-        candidates.extend((0.5 * k, -0.5 * k))
-    gain2 = None
-    for w0 in candidates:
-        s0 = 1j * w0
-        pv = abs(np.polyval(a, s0)) ** 2 + abs(np.polyval(b, s0)) ** 2
-        cv = abs(np.polyval(c_monic, s0)) ** 2
-        if pv > 1e-12 * p_scale and cv > 1e-12 * c_scale:
-            gain2 = pv / cv
-            break
-    if gain2 is None:
-        raise NumericalError("could not normalize the spectral factor gain")
-    c_arr = (math.sqrt(gain2) / norm) * c_monic
+    c_arr = (math.sqrt(abs(p[0])) / norm) * c_monic
     if all(x.imag == 0 for x in tf.num) and all(x.imag == 0 for x in tf.den):
         # Real data gives a conjugate-symmetric stable root set, so the
         # factor is real up to root-finder round-off; drop the dust.

@@ -41,7 +41,6 @@ class _Polygon:
     points: np.ndarray
     fill: str
     stroke: str
-    stroke_width: float
     opacity: float
 
 
@@ -52,18 +51,12 @@ class _Polyline:
     stroke_width: float
 
 
-@dataclass
-class _Dot:
-    point: complex
-    radius: float
-    fill: str
-
-
 class SvgFigure:
     """Accumulates shapes in plane coordinates; renders one SVG string."""
 
-    def __init__(self, size: int = 640, title: str | None = None):
-        self.size = int(size)
+    size = 640  # canvas side in pixels
+
+    def __init__(self, title: str | None = None):
         self.title = title
         self._items: list = []
         self._tracked: list[np.ndarray] = []
@@ -74,10 +67,10 @@ class SvgFigure:
         return pts
 
     def add_polygon(self, points, fill: str = REGION_FILL, stroke: str = "none",
-                    stroke_width: float = 1.0, opacity: float = 0.85) -> None:
+                    opacity: float = 0.85) -> None:
         pts = self._track(points)
         if pts.size:
-            self._items.append(_Polygon(pts, fill, stroke, stroke_width, opacity))
+            self._items.append(_Polygon(pts, fill, stroke, opacity))
 
     def add_polyline(self, points, stroke: str = CURVE_COLOR,
                      stroke_width: float = 1.5) -> None:
@@ -85,9 +78,9 @@ class SvgFigure:
         if len(pts) >= 2:
             self._items.append(_Polyline(pts, stroke, stroke_width))
 
-    def add_dot(self, point, radius: float = 4.0, fill: str = DOT_COLOR) -> None:
+    def add_dot(self, point) -> None:
         (pt,) = self._track([point])
-        self._items.append(_Dot(pt, radius, fill))
+        self._items.append(pt)
 
     def _mapper(self):
         pts = np.concatenate(self._tracked) if self._tracked else np.empty(0)
@@ -126,7 +119,7 @@ class SvgFigure:
                 out.append(
                     f'<polygon points="{coords}" fill="{item.fill}" '
                     f'fill-opacity="{_fmt(item.opacity)}" fill-rule="evenodd" '
-                    f'stroke="{item.stroke}" stroke-width="{_fmt(item.stroke_width)}"/>'
+                    f'stroke="{item.stroke}" stroke-width="1.0000"/>'
                 )
             elif isinstance(item, _Polyline):
                 coords = _coords(*to_px(item.points))
@@ -136,10 +129,10 @@ class SvgFigure:
                     f'stroke-linejoin="round"/>'
                 )
             else:
-                px, py = to_px(complex(item.point))
+                px, py = to_px(complex(item))
                 out.append(
-                    f'<circle cx="{_fmt(px)}" cy="{_fmt(py)}" r="{_fmt(item.radius)}" '
-                    f'fill="{item.fill}"/>'
+                    f'<circle cx="{_fmt(px)}" cy="{_fmt(py)}" r="4.0000" '
+                    f'fill="{DOT_COLOR}"/>'
                 )
         out.append("</svg>")
         return "\n".join(out) + "\n"

@@ -441,17 +441,22 @@ def eigh_supports_ref(a, part_a, part_b, rotated_parts):
     """Support data from one full eigendecomposition per angle: the
     reference for the sweep's kernels.
 
-    Returns a function of angles theta in [0, pi), and of predicted
-    support values that it ignores, that gives (h, p), each with row 0
-    at theta, from the top eigenpair of H(theta), and row 1 at
-    theta + pi, from the bottom one with the eigenvalue negated.
+    Returns a function of angles theta, of predicted support values
+    sigma and of a start-grid value w0, both of which it ignores but for
+    whether sigma is given, that gives (h, p).  Without sigma, each
+    angle in [0, pi) has row 0 at theta, from the top eigenpair of
+    H(theta), and row 1 at theta + pi, from the bottom one with the
+    eigenvalue negated; with it, one row per angle, from the top
+    eigenpair.
     """
-    def supports(thetas, sigma=None):
+    def supports(thetas, sigma=None, w0=0.0):
         w, v = np.linalg.eigh(rotated_parts(part_a, part_b, thetas))
         rows = []
         for ws, vs in ((w, v), (-w[:, ::-1], v[:, :, ::-1])):
             top = vs[:, :, -1]
             rows.append((ws[:, -1], np.einsum("ki,ij,kj->k", np.conj(top), a, top)))
+        if sigma is not None:
+            return rows[0]
         return tuple(np.stack(col) for col in zip(*rows))
 
     return supports
@@ -459,76 +464,57 @@ def eigh_supports_ref(a, part_a, part_b, rotated_parts):
 
 def sweep_ref(num_angles: int, refine_tol: float, supports, apex_chord_bounds, split_counts,
               predict):
-    """Paired angle-sweep bookkeeping with Python lists of (theta, h, p).
+    """Angle-sweep bookkeeping with a Python list of (theta, h, p) ends,
+    one per angle, in order round the circle from angle 0.
 
     The per-angle helpers and the split rule are passed in; this checks
-    the pairing, ordering and refinement bookkeeping around them.
-    supports(thetas, sigma), for angles theta in [0, pi), gives (h, p),
-    each with row 0 at theta and row 1 at theta + pi; sigma is None on
-    the start grid and otherwise the support values that
-    predict(ta, tb, ha, pa, hb, pb, t) gives at each new angle from the
-    ends of its wedge (row 0) and of the opposite wedge (row 1), t the
-    angle's fraction of the wedge.  The sweep starts on num_angles // 2
-    angles in [0, pi), and wedges are refined to refine_tol*max(1,
-    largest support value on those num_angles directions).
-    split_counts(ta, tb, bounds, target) takes every wedge in order round
-    the circle from angle 0 (bisect_counts for plain bisection); a wedge
-    and its opposite split together, into the larger of their counts,
-    whenever either is above the target.  Returns (angles,
-    support_points, support_values) as arrays.
+    the ordering and refinement bookkeeping around them.  The sweep
+    starts on num_angles // 2 angles theta in [0, pi): supports(thetas)
+    gives (h, p), each with row 0 at theta and row 1 at theta + pi.
+    Wedges are refined to refine_tol*max(1, w0), w0 the largest support
+    value on those num_angles directions; each wedge whose own bound is
+    above that target is split on its own, and its new angles come one
+    row each from supports(thetas, sigma, w0), sigma the support values
+    that predict(ta, tb, ha, pa, hb, pb, t) gives at each new angle from
+    the ends of its wedge, t the angle's fraction of the wedge.
+    split_counts(ta, tb, bounds, target) takes every wedge in order
+    round the circle (bisect_counts for plain bisection).  Returns
+    (angles, support_points, support_values) as arrays.
     """
-    def ends(thetas, sigma=None):
-        # Per angle, the ends (angle, h, p) at theta and at theta + pi.
-        h, p = (col.tolist() for col in supports(thetas, sigma))
-        return [tuple((theta + side * math.pi, h[side][i], p[side][i]) for side in (0, 1))
-                for i, theta in enumerate(thetas.tolist())]
-
     half = num_angles // 2
-    initial = ends(math.pi * np.arange(half) / half)
-    entries = [end for pair in initial for end in pair]
-    target = refine_tol * max(1.0, max(h for _, h, _ in entries))
-    # A wedge is a pair of ends, and a pair is a wedge and its opposite.
-    # Angles are not wrapped: the last top wedge ends at pi, on the first
-    # bottom end, and the last bottom wedge at 2*pi.
-    top = [end for end, _ in initial]
-    bottom = [end for _, end in initial]
-    wrap = (top[0][0] + 2.0 * math.pi, *top[0][1:])
-    pairs = list(zip(zip(top, top[1:] + bottom[:1]), zip(bottom, bottom[1:] + [wrap])))
+    thetas = math.pi * np.arange(half) / half
+    h, p = (col.tolist() for col in supports(thetas))
+    ends = [(theta + side * math.pi, h[side][i], p[side][i])
+            for side in (0, 1) for i, theta in enumerate(thetas.tolist())]
+    w0 = max(value for _, value, _ in ends)
+    target = refine_tol * max(1.0, w0)
     for _ in range(48):
-        # Round the circle: every top wedge, then every bottom one.
-        wedges = [pair[0] for pair in pairs] + [pair[1] for pair in pairs]
+        # Angles are not wrapped: the last wedge ends at 2*pi.
+        wedges = list(zip(ends, ends[1:] + [(ends[0][0] + 2.0 * math.pi, *ends[0][1:])]))
         ta, ha, pa, tb, hb, pb = (np.array(col) for col in zip(
             *[(*lo, *hi) for lo, hi in wedges]))
         bounds = apex_chord_bounds(ta, ha, pa, tb, hb, pb).tolist()
-        over = [hi[0] - lo[0] > 1e-9 and bound > target
-                for (lo, hi), bound in zip(wedges, bounds)]
-        needy = [over[i] or over[i + len(pairs)] for i in range(len(pairs))]
+        needy = [hi[0] - lo[0] > 1e-9 and bound > target
+                 for (lo, hi), bound in zip(wedges, bounds)]
         if not any(needy):
             break
         counts = split_counts(ta, tb, np.array(bounds), target).tolist()
-        # A pair that is not split stays whole: k = 1.
-        split = [(pair, max(counts[i], counts[i + len(pairs)]) if needy[i] else 1)
-                 for i, pair in enumerate(pairs)]
-        inner = [(pair, j, k) for pair, k in split for j in range(1, k)]
-        thetas = np.array([lo[0] + (hi[0] - lo[0]) * j / k for ((lo, hi), _), j, k in inner])
-        # Row 0 holds each new angle's wedge and row 1 the opposite one;
-        # a wedge is a pair of ends (angle, h, p).
-        sides = [[pair[side] for pair, _, _ in inner] for side in (0, 1)]
-        ta, ha, pa, tb, hb, pb = (np.array([[wedge[end][i] for wedge in side] for side in sides])
+        # A wedge that is not split stays whole: k = 1.
+        split = [(wedge, k if over else 1) for wedge, k, over in zip(wedges, counts, needy)]
+        inner = [(wedge, j, k) for wedge, k in split for j in range(1, k)]
+        thetas = np.array([lo[0] + (hi[0] - lo[0]) * j / k for (lo, hi), j, k in inner])
+        ta, ha, pa, tb, hb, pb = (np.array([wedge[end][i] for wedge, _, _ in inner])
                                   for end in (0, 1) for i in (0, 1, 2))
         sigma = predict(ta, tb, ha, pa, hb, pb, np.array([j / k for _, j, k in inner]))
-        mid = iter(ends(thetas, sigma))
-        pairs = []
-        for ((top_lo, top_hi), (bot_lo, bot_hi)), k in split:
-            new = [next(mid) for _ in range(k - 1)]
-            entries.extend(end for pair in new for end in pair)
-            top = [top_lo] + [end for end, _ in new] + [top_hi]
-            bottom = [bot_lo] + [end for _, end in new] + [bot_hi]
-            pairs.extend(zip(zip(top, top[1:]), zip(bottom, bottom[1:])))
-    entries.sort(key=lambda e: e[0])
-    return (np.array([t for t, _, _ in entries], dtype=np.float64),
-            np.array([p for _, _, p in entries], dtype=np.complex128),
-            np.array([h for _, h, _ in entries], dtype=np.float64))
+        h, p = (col.tolist() for col in supports(thetas, sigma, w0))
+        mid = iter(zip(thetas.tolist(), h, p))
+        ends = []
+        for (lo, _), k in split:
+            ends.append(lo)
+            ends.extend(next(mid) for _ in range(k - 1))
+    return (np.array([t for t, _, _ in ends], dtype=np.float64),
+            np.array([p for _, _, p in ends], dtype=np.complex128),
+            np.array([h for _, h, _ in ends], dtype=np.float64))
 
 
 def frob(a) -> float:

@@ -246,20 +246,21 @@ def test_unitary_similarity_invariance():
     assert d <= 1e-8
 
 
-def test_each_eigensolve_fills_two_angles(monkeypatch):
-    # Every row is one angle, and one evaluation gives the angle theta
-    # in [0, pi) and its opposite theta + pi: one eigendecomposition on
-    # the start grid and for a row that falls back, and otherwise one
-    # shifted solve per side.  Also where the extreme eigenvalue is
-    # repeated: at every angle for eye(3), on an arc for diag(1, 1, 2j),
-    # and at every angle for the direct sums I (x) B and V of I (x) T.
+def test_start_grid_eigensolves_fill_two_angles_and_refinement_one(monkeypatch):
+    # Every row is one angle.  One eigendecomposition gives a start
+    # angle theta in [0, pi) and its opposite theta + pi; a refinement
+    # angle, anywhere in [0, 2*pi), fills its one row from one shifted
+    # solve, or from one eigendecomposition where it falls back.  Also
+    # where the extreme eigenvalue is repeated: at every angle for
+    # eye(3), on an arc for diag(1, 1, 2j), and at every angle for the
+    # direct sums I (x) B and V of I (x) T.
     problems = _count_stacked(monkeypatch, "eigh")
     solved = _count_solved(monkeypatch, "solve")
     evaluated, batch = [], nrange._supports_batch
 
-    def counted(m, a, b, thetas, sigma=None):
+    def counted(m, a, b, thetas, sigma=None, w0=0.0):
         evaluated.append((len(thetas), sigma is None))
-        return batch(m, a, b, thetas, sigma)
+        return batch(m, a, b, thetas, sigma, w0)
 
     monkeypatch.setattr(nrange, "_supports_batch", counted)
     rng = np.random.default_rng(63)
@@ -271,14 +272,34 @@ def test_each_eigensolve_fills_two_angles(monkeypatch):
             record.clear()
         b = nrange_boundary(a)
         assert np.all(np.diff(b.angles) > 0.0)
-        assert 2 * sum(k for k, _ in evaluated) == b.angles.size
-        assert sum(k for k, start in evaluated if start) == nrange._START_ANGLES // 2
-        refined = sum(k for k, start in evaluated if not start)
-        fallback = sum(problems) - nrange._START_ANGLES // 2
+        start = sum(k for k, grid in evaluated if grid)
+        refined = sum(k for k, grid in evaluated if not grid)
+        assert start == nrange._START_ANGLES // 2
+        assert 2 * start + refined == b.angles.size
+        fallback = sum(problems) - start
         assert 0 <= fallback <= refined
-        # A side whose solve fails is among the fallback rows.
-        assert 2 * (refined - fallback) <= sum(solved) <= 2 * refined
-        assert np.max(b.angles[:b.angles.size // 2]) < math.pi
+        # A row whose solve fails is among the fallback rows.
+        assert refined - fallback <= sum(solved) <= refined
+
+
+def test_refinement_leaves_a_wedge_under_the_target_whole():
+    # W of 2 (+) the shift is the hull of the disk of radius 1/2 and the
+    # point 2: a corner at 2, whose normals run to about +-75.5 degrees,
+    # and an arc of the circle opposite.  Every wedge of the start grid
+    # inside the corner has bound 0 and gains no angle, though the arc
+    # wedge opposite it is split.
+    a = np.zeros((3, 3))
+    a[0, 0], a[1, 2] = 2.0, 1.0
+    sweep, target = nrange._sweep(nrange.as_matrix(a, square=True), 1e-8)
+    assert sweep.bound <= target
+    half = nrange._START_ANGLES // 2
+    grid = math.pi * np.arange(half) / half
+    grid = np.concatenate([grid, grid + math.pi])
+    corner = np.minimum(sweep.angles, 2 * math.pi - sweep.angles) < 1.2
+    assert np.isin(sweep.angles[corner], grid).all()
+    assert np.all(np.abs(sweep.support_points[corner] - 2.0) <= 1e-15)
+    arc = np.abs(sweep.angles - math.pi) < math.pi - 1.9
+    assert arc.sum() > 4 * np.isin(sweep.angles[arc], grid).sum()
 
 
 def test_membership_queries():
@@ -392,14 +413,14 @@ def _count_solved(monkeypatch, name: str) -> list:
 
 def _predictions(a, thetas, rng):
     """Predicted support values at thetas, as (sigma, top, second): the
-    top eigenvalue of sH(theta) for s = +1, -1 off by up to 1e-9
-    relative, except on every fifth angle of each side, where sigma is
-    the second eigenvalue; and the top and second eigenvalues."""
+    top eigenvalue of H(theta) off by up to 1e-9 relative, except on
+    every fifth angle, where sigma is the second eigenvalue; and the top
+    and second eigenvalues."""
     part_a, part_b = nrange._hermitian_parts(nrange.as_matrix(a, square=True))
     w = np.linalg.eigvalsh(nrange._rotated_hermitian_parts(part_a, part_b, thetas))
-    top, second = np.stack([w[:, -1], -w[:, 0]]), np.stack([w[:, -2], -w[:, 1]])
+    top, second = w[:, -1], w[:, -2]
     sigma = top * (1.0 + 1e-9 * rng.uniform(-1.0, 1.0, top.shape))
-    sigma[0, ::5], sigma[1, 2::5] = second[0, ::5], second[1, 2::5]
+    sigma[::5] = second[::5]
     return sigma, top, second
 
 
@@ -433,32 +454,38 @@ def test_chunked_rounds_match_one_batch_bit_for_bit(monkeypatch):
     # such angles fall on both sides of chunk borders; both are real
     # symmetric stacks, and the random matrix a complex one.  70 angles
     # leave a last chunk of one angle.  Without predictions every row
-    # takes the full eigendecomposition; with them, every fifth side's
-    # prediction is the second eigenvalue, and eye(3)'s are exact, so
-    # solves and factorizations fail on rows scattered over the chunks.
+    # takes the full eigendecomposition, at angles in [0, pi); with
+    # them, at angles in [0, 2*pi), every fifth prediction is the second
+    # eigenvalue, and eye(3)'s are exact, so solves and factorizations
+    # fail on rows scattered over the chunks.
     rng = np.random.default_rng(49)
     for a in (np.eye(3, dtype=complex), np.diag([1.0, 1.0, 2j]), rand_complex(rng, 4)):
         part_a, part_b = nrange._hermitian_parts(a)
-        thetas = np.concatenate([math.pi * np.arange(32) / 32, rng.uniform(0.0, math.pi, 38)])
-        sigma = _predictions(a, thetas, rng)[0]
-        wants = [nrange._supports_batch(a, part_a, part_b, thetas, s) for s in (None, sigma)]
+        grid = np.concatenate([math.pi * np.arange(32) / 32, rng.uniform(0.0, math.pi, 38)])
+        thetas = np.concatenate([math.pi * np.arange(32) / 16, rng.uniform(0.0, 2 * math.pi, 38)])
+        sigma, top, _ = _predictions(a, thetas, rng)
+        w0 = float(np.max(top))
+        calls = ((grid, None, 0.0), (thetas, sigma, w0))
+        wants = [nrange._supports_batch(a, part_a, part_b, *call) for call in calls]
         monkeypatch.setattr(nrange, "_BATCH_BYTES", 3 * part_a.nbytes)
         monkeypatch.setattr(nrange, "_GIL_FREE_VALUES", 1)
         stacks = {name: _count_stacked(monkeypatch, name) for name in ("eigh", "solve", "cholesky")}
-        for s, want in zip((None, sigma), wants):
+        for (t, s, top_value), want in zip(calls, wants):
             for batches in stacks.values():
                 batches.clear()
-            got = nrange._supports(a, part_a, part_b, thetas, s)
+            got = nrange._supports(a, part_a, part_b, t, s, top_value)
             eigh = stacks["eigh"]
             assert eigh and max(eigh) <= 3
             if s is None:
-                assert max(eigh) == 3 and sum(eigh) == thetas.size
+                assert max(eigh) == 3 and sum(eigh) == t.size
                 assert stacks["solve"] == stacks["cholesky"] == []
+                shape = (2, t.size)
             else:
                 assert max(stacks["solve"]) == max(stacks["cholesky"]) == 3
+                shape = (t.size,)
             assert len(got) == len(want) == 2
             for x, y in zip(got, want):
-                assert x.shape == (2, thetas.size)
+                assert x.shape == shape
                 assert _same_bits(x, y)
         # Whole sweeps from 64 angles, unrefined (at tolerance 1) and
         # refined, against the list bookkeeping, which solves each round
@@ -477,8 +504,8 @@ def test_eigensolver_inputs_stay_within_the_byte_budget(monkeypatch):
     # real: chunks are sized by the stack's itemsize, so a real chunk
     # holds twice the matrices of a complex one in the same bytes.  The
     # eigendecompositions of the start grid and of fallback rows, and
-    # the shifted stacks of the solves and factorizations, one per side,
-    # each keep to the budget.
+    # the shifted stacks of the solves and factorizations, each keep to
+    # the budget.
     stacks = {}
 
     def record(name):
@@ -520,9 +547,10 @@ def test_chunks_of_large_matrices_keep_enough_for_the_pool(monkeypatch):
     a = rand_complex(rng, 40)
     part_a, part_b = nrange._hermitian_parts(a)
     assert nrange._BATCH_BYTES // part_a.nbytes == 10
-    thetas = np.linspace(0.0, math.pi, 30, endpoint=False)
-    nrange._supports(a, part_a, part_b, thetas, _predictions(a, thetas, rng)[0])
-    assert sorted(batches) == [4, 4, 13, 13, 13, 13]
+    thetas = np.linspace(0.0, 2 * math.pi, 30, endpoint=False)
+    sigma, top, _ = _predictions(a, thetas, rng)
+    nrange._supports(a, part_a, part_b, thetas, sigma, float(np.max(top)))
+    assert sorted(batches) == [4, 13, 13]
 
 
 def test_concurrent_sweeps_agree_and_restore_blas_threads(monkeypatch):
@@ -773,18 +801,19 @@ def _kernel_cases():
 
 def test_shifted_solve_rows_match_the_eigh_sweep(monkeypatch):
     # Each row's support point lies on its support line up to rounding:
-    # a certified row's h is 2^-46 times the larger |h| of its angle's
-    # two rows above x*Hx.  The sweep takes the angles of one that gets
-    # every (h, p) from the full eigendecomposition.  A certified x
-    # differs from the top eigenvector by up to sqrt(depth/eigengap), so
-    # its p may slide along the support line, but both hulls lie in W
-    # and W within each sweep's bound of its hull, so the hulls agree
-    # within the larger bound.
+    # a certified row's h is 2^-46 max(|h|, w0) above x*Hx, w0 the
+    # largest support value of the start grid, at most the largest of
+    # the sweep.  The sweep takes the angles of one that gets every
+    # (h, p) from the full eigendecomposition.  A certified x differs
+    # from the top eigenvector by up to sqrt(depth/eigengap), so its p
+    # may slide along the support line, but both hulls lie in W and W
+    # within each sweep's bound of its hull, so the hulls agree within
+    # the larger bound.
     monkeypatch.setattr(nrange, "_START_ANGLES", 64)
     for a in _kernel_cases():
         sweep = nrange_boundary(a, refine_tol=1e-5)
         h = sweep.support_values
-        scale = np.maximum(1.0, np.maximum(np.abs(h), np.abs(np.roll(h, h.size // 2))))
+        scale = np.maximum(1.0, np.maximum(np.abs(h), np.max(h)))
         attained = (sweep.support_points * np.exp(-1j * sweep.angles)).real
         assert np.all(h - attained <= 2.0**-45 * scale)
         angles, points, values = _reference_sweep(a, 64, 1e-5, eigh_only=True)
@@ -815,13 +844,12 @@ def test_rows_off_their_support_line_take_the_eigh_vector(monkeypatch):
         return eigh_supports(*args)
 
     monkeypatch.setattr(nrange, "_eigh_supports", counted)
-    thetas = math.pi * np.arange(8) / 8 + 0.1
-    sigma = np.abs(np.cos(thetas)) * np.ones((2, 1))
-    h, p = nrange._supports_batch(m, part_a, part_b, thetas, sigma)
+    thetas = math.pi * np.arange(16) / 8 + 0.1
+    sigma = np.abs(np.cos(thetas))
+    h, p = nrange._supports_batch(m, part_a, part_b, thetas, sigma, 1.0)
     assert calls == [thetas.size]
-    assert _same_bits(h, nrange._eigh_supports(m, part_a, part_b, thetas)[0])
-    assert np.all(np.abs((p * np.exp(-1j * np.stack([thetas, thetas + math.pi]))).real - h)
-                  <= 4 * np.finfo(float).eps)
+    assert _same_bits(h, nrange._eigh_supports(m, part_a, part_b, thetas)[0][0])
+    assert np.all(np.abs((p * np.exp(-1j * thetas)).real - h) <= 4 * np.finfo(float).eps)
     sweep = nrange_boundary(a)
     assert len(sweep.hull.vertices) == 2
     assert np.all(sweep.support_points.imag == 0.0)
@@ -849,7 +877,7 @@ def test_refined_sweeps_run_eigh_only_on_fallback_rows(monkeypatch):
         fallback.clear()
         sweep = nrange_boundary(a)
         start = nrange._START_ANGLES // 2
-        refined = sweep.angles.size // 2 - start
+        refined = sweep.angles.size - 2 * start
         assert refined > 0
         assert sum(problems) == sum(fallback) <= start + 0.1 * refined
     assert values == []
@@ -857,19 +885,19 @@ def test_refined_sweeps_run_eigh_only_on_fallback_rows(monkeypatch):
 
 def test_wrong_prediction_falls_back_to_the_eigh_row():
     # A prediction at the second eigenvalue leads the solve to the second
-    # eigenvector, whose rho no Cholesky factor certifies: that side takes
-    # the full eigendecomposition's row bit for bit, and the other sides,
-    # predicted to 1e-9, keep their certified rows.
+    # eigenvector, whose rho no Cholesky factor certifies: that row takes
+    # the top eigenpair of the full eigendecomposition bit for bit, and
+    # the other rows, predicted to 1e-9, keep their certified values.
     rng = np.random.default_rng(68)
     for a in (rand_complex(rng, 6), build_v(rng.normal(size=(5, 5))).v):
         m = nrange.as_matrix(a, square=True)
         part_a, part_b = nrange._hermitian_parts(m)
-        thetas = rng.uniform(0.0, math.pi, 40)
+        thetas = rng.uniform(0.0, 2 * math.pi, 40)
         sigma, top, _ = _predictions(a, thetas, rng)
-        h, p = nrange._supports_batch(m, part_a, part_b, thetas, sigma)
-        exact_h, exact_p = nrange._eigh_supports(m, part_a, part_b, thetas)
+        h, p = nrange._supports_batch(m, part_a, part_b, thetas, sigma, float(np.max(top)))
+        exact_h, exact_p = (col[0] for col in nrange._eigh_supports(m, part_a, part_b, thetas))
         wrong = np.zeros(sigma.shape, dtype=bool)
-        wrong[0, ::5] = wrong[1, 2::5] = True
+        wrong[::5] = True
         assert _same_bits(h[wrong], exact_h[wrong]) and _same_bits(p[wrong], exact_p[wrong])
         assert np.all(h[~wrong] > top[~wrong])
 
@@ -895,22 +923,23 @@ def test_positive_definite_rows_match_their_eigenvalues():
 
 def test_certified_rows_bound_the_top_eigenvalue_from_above():
     # With the top eigenvalues predicted to 1e-10, most rows certify, and
-    # a certified h is above the top eigenvalue lambda of sH by at most
-    # 2^-45 max(1, |h|), |h| the larger of the angle's two rows: tau is
-    # 2^-46 times that, and rounding adds little.  Below lambda it is
-    # only by rounding, which eigvalsh's own lambda shares.
+    # a certified h is above the top eigenvalue lambda of H by at most
+    # 2^-45 max(1, |h|, w0), w0 the largest top eigenvalue over the
+    # angles: tau is 2^-46 max(|rho|, w0), and rounding adds little.
+    # Below lambda it is only by rounding, which eigvalsh's own lambda
+    # shares.
     rng = np.random.default_rng(70)
-    thetas = np.linspace(0.0, math.pi, 50, endpoint=False) + 0.01
+    thetas = np.linspace(0.0, 2 * math.pi, 100, endpoint=False) + 0.01
     certified = total = 0
     for a in _kernel_cases():
         m = nrange.as_matrix(a, square=True)
         part_a, part_b = nrange._hermitian_parts(m)
         w = np.linalg.eigvalsh(nrange._rotated_hermitian_parts(part_a, part_b, thetas))
-        top = np.stack([w[:, -1], -w[:, 0]])
-        sigma = top + 1e-10 * rng.uniform(-1.0, 1.0, top.shape) * np.max(np.abs(top), axis=0)
-        h, _ = nrange._supports_batch(m, part_a, part_b, thetas, sigma)
-        scale = np.maximum(1.0, np.max(np.abs(h), axis=0))
-        cert = h != nrange._eigh_supports(m, part_a, part_b, thetas)[0]
+        top, w0 = w[:, -1], float(np.max(w[:, -1]))
+        sigma = top + 1e-10 * rng.uniform(-1.0, 1.0, top.shape) * np.max(np.abs(w), axis=1)
+        h, _ = nrange._supports_batch(m, part_a, part_b, thetas, sigma, w0)
+        scale = np.maximum(1.0, np.maximum(np.abs(h), w0))
+        cert = h != nrange._eigh_supports(m, part_a, part_b, thetas)[0][0]
         assert np.all(h <= top + 2.0**-45 * scale)
         assert np.all(h[cert] >= (top - 2.0**-48 * scale)[cert])
         certified += cert.sum()
