@@ -97,17 +97,32 @@ def _clamp_disk_array(ws) -> np.ndarray:
 
 
 def split_infinity(points) -> tuple[np.ndarray, np.ndarray]:
-    """Split extended-plane points into complex128 values and the INFINITY mask.
+    """Extended-plane points that a caller passes in, one point or a
+    sequence, as complex128 values and the INFINITY mask.
 
     Values under the mask are 0.  Numeric arrays pass through without a
-    scan; object arrays, which may hold INFINITY, are scanned.
+    scan; other sequences, which may hold INFINITY, are scanned.  An
+    entry that is neither a number nor INFINITY, or a NaN or float
+    infinity, raises InputError.
     """
-    if isinstance(points, np.ndarray) and points.dtype != object:
-        zs = points.astype(np.complex128, copy=False).ravel()
-        return zs, np.zeros(zs.size, dtype=bool)
-    pts = list(np.ravel(points) if isinstance(points, np.ndarray) else points)
-    at_infinity = np.array([p is INFINITY for p in pts], dtype=bool)
-    return np.array([0j if p is INFINITY else p for p in pts], dtype=np.complex128), at_infinity
+    try:
+        if isinstance(points, np.ndarray) and points.dtype != object:
+            zs = points.astype(np.complex128, copy=False).ravel()
+            at_infinity = np.zeros(zs.size, dtype=bool)
+        else:
+            if not isinstance(points, Iterable) or isinstance(points, str):
+                points = [points]
+            pts = list(np.ravel(points) if isinstance(points, np.ndarray) else points)
+            at_infinity = np.array([p is INFINITY for p in pts], dtype=bool)
+            zs = np.array([0j if p is INFINITY else p for p in pts], dtype=np.complex128)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"points must be complex numbers or INFINITY ({exc})") from exc
+    if zs.shape != at_infinity.shape:
+        raise InputError("expected a flat sequence of points")
+    finite = np.isfinite(zs)
+    if not finite.all():
+        as_finite_complex(zs[np.argmin(finite)])  # raises InputError
+    return zs, at_infinity
 
 
 def bk_forward_array(points) -> np.ndarray:
@@ -119,9 +134,6 @@ def bk_forward_array(points) -> np.ndarray:
     float infinity raises InputError.
     """
     zs, at_infinity = split_infinity(points)
-    finite = np.isfinite(zs)
-    if not finite.all():
-        as_finite_complex(zs[np.argmin(finite)])  # raises InputError
     x, y = zs.real, zs.imag
     ws = np.empty(zs.size, dtype=np.complex128)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -279,13 +291,11 @@ def convex_hull_2d(points: Iterable[complex]) -> ConvexPolygon:
     not overflow above about 1e154; the vertices are input points, bit
     for bit.
     """
-    arr = np.asarray(points if isinstance(points, np.ndarray) else list(points),
-                     dtype=np.complex128).ravel()
+    arr, at_infinity = split_infinity(points)
     if arr.size == 0:
         raise InputError("convex_hull_2d needs at least one point")
-    finite = np.isfinite(arr.real) & np.isfinite(arr.imag)
-    if not finite.all():
-        as_finite_complex(arr[np.argmin(finite)])  # raises InputError
+    if at_infinity.any():
+        raise InputError("convex_hull_2d needs finite points")
     scale = max(1.0, _max_coordinate(arr))
     k = math.frexp(scale)[1] - 1
     x = _ldexp(arr, -k)
@@ -369,7 +379,10 @@ def polygon_signed_distance(poly: ConvexPolygon, w) -> float:
     Euclidean distance to the polygon.  Degenerate polygons give the
     plain distance to the point or segment.
     """
-    return float(_signed_distances(poly.vertices, [as_finite_complex(w)])[0])
+    zs, at_infinity = split_infinity(w)
+    if zs.size != 1 or at_infinity[0]:
+        raise InputError("expected one finite complex value")
+    return float(_signed_distances(poly.vertices, zs)[0])
 
 
 def polygon_distance(poly: ConvexPolygon, w) -> float:
@@ -450,7 +463,9 @@ class PolygonLocator:
         rigorous; signs of signed_lb/signed_ub agree with the exact
         inside/outside decision.
         """
-        ws = np.asarray(ws, dtype=np.complex128).ravel()
+        ws, at_infinity = split_infinity(ws)
+        if at_infinity.any():
+            raise InputError("locator queries need finite points")
         if self._direct:
             d = self.exact(ws)
             return d, d.copy(), np.abs(d)

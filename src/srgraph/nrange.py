@@ -30,20 +30,22 @@ vector of the top eigenspace lies on the support line, so each angle
 gives one support point, and a flat face's endpoints come from the
 angles beside its normal.
 
-Angle batches are solved as stacks of at most _BATCH_BYTES each, so
-memory stays bounded however many angles a round holds; a round of
-several such chunks runs on a process-wide thread pool with the BLAS
-held at one thread.  Adaptive refinement splits sweep wedges,
-breadth-first in batches, until the exact outer bound - the distance
-from the support-line apex to the chord of adjacent support points -
-drops below a target, which certifies W(M) within that distance of the
-assembled polygon.  A wedge is split when its own bound is above the
-target.  On a smooth arc the bound is about rho*width^2/4, rho = h + h''
-the radius of curvature, so the bounds of a wedge's two neighbours
-measure rho at its ends; the split trusts that while it agrees with
-the wedge's own bound, which shrinks with the square of the width.  So
-a smooth wedge meets the target in one round, and a wedge across a
-corner or a flat face, whose neighbours are flat, is bisected.
+The loop, _refine, sees no matrix: it splits the wedges of a table of
+angles, breadth-first in rounds, until the exact outer bound - the
+distance from the support-line apex to the chord of adjacent support
+points - drops below a target, which certifies W(M) within that
+distance of the assembled polygon, and an oracle evaluate(thetas,
+sigma) gives (h, p) at each round's new angles.  A wedge is split when
+its own bound is above the target.  On a smooth arc the bound is about
+rho*width^2/4, rho = h + h'' the radius of curvature, so the bounds of
+a wedge's two neighbours measure rho at its ends; the split trusts that
+while it agrees with the wedge's own bound, which shrinks with the
+square of the width.  So a smooth wedge meets the target in one round,
+and a wedge across a corner or a flat face, whose neighbours are flat,
+is bisected.  The matrix side, _sweep, holds the scaling, the paired
+start grid, the target and the hull, with the shifted-solve kernel as
+its oracle; _map_chunks runs both kernels in stacks of at most
+_BATCH_BYTES, several of them on a process-wide thread pool.
 
 The support points span Johnson's inner polygon and their support
 lines his outer one; the apex-chord bound is the gap between them.
@@ -159,18 +161,20 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_reset_after_fork)
 
 
-def _map_chunks(fn, a: np.ndarray, count: int, least: int) -> list:
-    """fn over consecutive slices of range(count), each standing for a
-    stack of at most _BATCH_BYTES of matrices of a's shape and dtype, but
-    at least least of them, results in slice order.
+def _map_chunks(kernel, a: np.ndarray, *columns) -> tuple:
+    """kernel(*slices) over consecutive row slices of the columns, each a
+    stack of at most _BATCH_BYTES of matrices of a's shape and dtype but
+    of at least _GIL_FREE_VALUES entries of n; the columns of the results
+    are joined on the last axis, in slice order.
 
-    Several chunks run on the shared pool with the BLAS at one thread;
-    one chunk, or no pool, runs in the calling thread.  Each matrix
-    gets the same LAPACK calls either way, and every decision of the
-    kernel is made per row, so results do not depend on the split.
+    Several slices run on the shared pool with the BLAS at one thread;
+    one slice, or no pool, runs in the calling thread.  Each matrix gets
+    the same LAPACK calls either way, and every decision of the kernels
+    is made per row, so results do not depend on the split.
     """
-    size = max(least, _BATCH_BYTES // a.nbytes)
-    chunks = [slice(i, i + size) for i in range(0, count, size)]
+    size = max(-(-_GIL_FREE_VALUES // a.shape[0]), _BATCH_BYTES // a.nbytes)
+    chunks = [[col[i:i + size] for col in columns] for i in range(0, len(columns[0]), size)]
+    parts = None
     if len(chunks) > 1:
         with _LOCK:
             pool = _pool()
@@ -179,10 +183,11 @@ def _map_chunks(fn, a: np.ndarray, count: int, least: int) -> list:
                 saved = get()
                 set_(1)
                 try:
-                    return list(pool.map(fn, chunks))
+                    parts = list(pool.map(lambda chunk: kernel(*chunk), chunks))
                 finally:
                     set_(saved)
-    return [fn(chunk) for chunk in chunks]
+    parts = parts or [kernel(*chunk) for chunk in chunks]
+    return tuple(np.concatenate(col, axis=-1) for col in zip(*parts))
 
 
 def _hermitian_parts(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -265,31 +270,23 @@ def _predicted_supports(ta, tb, ha, pa, hb, pb, t) -> np.ndarray:
     return ha + t * t * (3.0 - 2.0 * t) * (hb - ha) + t * u * (u * sa - t * sb)
 
 
-def _supports_batch(m: np.ndarray, a: np.ndarray, b: np.ndarray, thetas: np.ndarray,
-                    sigma: np.ndarray | None = None, w0: float = 0.0):
-    """Support data (h, p) for a batch of angles, with (A, B) =
-    _hermitian_parts(M).
-
-    Without predictions sigma, as on the start grid, the angles lie in
-    [0, pi) and both come from _eigh_supports, row 0 at theta and row 1
-    at theta + pi.  With them, one row per angle in [0, 2*pi), sigma
-    predicting the top eigenvalue of H(theta): each row takes one step
-    of shifted inverse iteration, (sigma I - H) x = e_k, e_k the unit
-    vector at the largest diagonal entry of H, which keeps a diagonal H
-    exact, and rho = x*Hx for the unit x.  The stacks are divided by a
-    power of two near w0, the largest support value of the start grid,
-    which is exact and bounds every |sigma| up to the prediction's
-    error, and x by its largest entry, so nothing overflows.  With tau =
-    2^-46 max(|rho|, w0), a Cholesky factor of (rho + tau)I - H
-    certifies that no eigenvalue of H exceeds rho + tau up to rounding;
-    the row reports h = rho + tau and p = <Mx, x>, which lies in W(M)
-    for any unit x.  A row whose solve or factorization fails, or whose
-    values are not finite, takes the top eigenpair of its H(theta)
-    from _eigh_supports instead.  Each decision is made row by row.
+def _shifted_supports(m: np.ndarray, a: np.ndarray, b: np.ndarray, w0: float,
+                      thetas: np.ndarray, sigma: np.ndarray):
+    """Support data (h, p), one row per angle in [0, 2*pi), with (A, B) =
+    _hermitian_parts(M) and sigma predicting the top eigenvalue of each
+    H(theta): one step of shifted inverse iteration, (sigma I - H) x =
+    e_k, e_k the unit vector at the largest diagonal entry of H, which
+    keeps a diagonal H exact, and rho = x*Hx for the unit x.  The stacks
+    are divided by a power of two near w0, the largest support value of
+    the start grid, which is exact and bounds every |sigma| up to the
+    prediction's error, and x by its largest entry, so nothing
+    overflows.  With tau = 2^-46 max(|rho|, w0), a Cholesky factor of
+    (rho + tau)I - H certifies that no eigenvalue of H exceeds rho + tau
+    up to rounding; the row reports h = rho + tau and p = <Mx, x>, which
+    lies in W(M) for any unit x.  A row whose solve or factorization
+    fails, or whose values are not finite, takes the top eigenpair of
+    its H(theta) from _eigh_supports instead; each decision is per row.
     """
-    thetas = np.asarray(thetas, dtype=np.float64)
-    if sigma is None:
-        return _eigh_supports(m, a, b, thetas)
     hs = _rotated_hermitian_parts(a, b, thetas)
     n = hs.shape[-1]
     unit = math.ldexp(1.0, -min(max(math.frexp(w0)[1], -1000), 1000))
@@ -312,18 +309,6 @@ def _supports_batch(m: np.ndarray, a: np.ndarray, b: np.ndarray, thetas: np.ndar
     if off.any():
         h[off], p[off] = (col[0] for col in _eigh_supports(m, a, b, thetas[off]))
     return h, p
-
-
-def _supports(m: np.ndarray, a: np.ndarray, b: np.ndarray, thetas, sigma=None, w0=0.0):
-    """_supports_batch over any number of angles, chunk by chunk."""
-    thetas = np.asarray(thetas, dtype=np.float64)
-    least = -(-_GIL_FREE_VALUES // a.shape[0])
-
-    def batch(rows):
-        return _supports_batch(m, a, b, thetas[rows], None if sigma is None else sigma[rows], w0)
-
-    parts = _map_chunks(batch, a, thetas.size, least)
-    return tuple(np.concatenate(col, axis=-1) for col in zip(*parts))
 
 
 def _apex_chord_bounds(ta, ha, pa, tb, hb, pb) -> np.ndarray:
@@ -376,6 +361,36 @@ def _split_counts(ta, tb, bounds, refine_tol: float) -> np.ndarray:
     return np.fmax(k, 2.0).astype(np.int64)
 
 
+def _refine(evaluate, t: np.ndarray, h: np.ndarray, p: np.ndarray, target: float):
+    """Refine the support table (t, h, p) until no wedge's apex-chord
+    bound is above target, or the guards stop it; returns the table and
+    the bounds of its every wedge.
+
+    t ascends from t[0] over less than a turn; wedge i runs from angle i
+    to angle i + 1, the last one to t[0] + 2*pi.  Each round splits every
+    wedge whose bound is above target into _split_counts equal parts,
+    and evaluate(thetas, sigma) gives (h, p) at all the new angles, one
+    row each, sigma their support values predicted from the wedge ends.
+    """
+    for depth in range(REFINE_MAX_DEPTH + 1):
+        tb = np.append(t[1:], t[0] + 2.0 * math.pi)
+        hb, pb = np.roll(h, -1), np.roll(p, -1)
+        bounds = _apex_chord_bounds(t, h, p, tb, hb, pb)
+        needy = (tb - t > REFINE_MIN_WEDGE) & (bounds > target)
+        if depth == REFINE_MAX_DEPTH or not needy.any():
+            break
+        k = _split_counts(t, tb, bounds, target)[needy]
+        # Interior angles ta + (tb - ta)*j/k, j = 1 .. k-1, wedge by wedge.
+        wedge = np.repeat(np.flatnonzero(needy), k - 1)
+        j = np.arange(wedge.size) - np.repeat(np.cumsum(k - 1) - (k - 1), k - 1) + 1
+        k = np.repeat(k, k - 1)
+        ends = [col[wedge] for col in (t, tb, h, p, hb, pb)]
+        tm = ends[0] + (ends[1] - ends[0]) * j / k
+        columns = evaluate(tm, _predicted_supports(*ends, j / k))
+        t, h, p = (np.insert(col, wedge + 1, new) for col, new in zip((t, h, p), (tm, *columns)))
+    return t, h, p, bounds
+
+
 def _sweep(m: np.ndarray, refine_tol: float) -> tuple[NRangeBoundary, float]:
     """The refined sweep of nrange_boundary and the target it refined to,
     refine_tol*max(1, largest support value on the start grid).
@@ -394,33 +409,13 @@ def _sweep(m: np.ndarray, refine_tol: float) -> tuple[NRangeBoundary, float]:
     a, b = _hermitian_parts(m)
     half = _START_ANGLES // 2
     grid = math.pi * np.arange(half) / half
-    # The table of every evaluated angle, ascending in [0, 2*pi) from 0,
-    # with its support value h and support point p: the start grid
-    # fills its rows at theta and theta + pi from one eigensolve each.
-    t = np.concatenate([grid, grid + math.pi])
-    h, p = (col.ravel() for col in _supports(m, a, b, grid))
+    # The start grid fills its rows at theta and theta + pi from one
+    # eigensolve each, so its table ascends in [0, 2*pi) from 0.
+    h, p = (col.ravel() for col in _map_chunks(functools.partial(_eigh_supports, m, a, b), a, grid))
     w0 = float(np.max(h))
     target = refine_tol * max(math.ldexp(1.0, -exponent), w0)
-    for depth in range(REFINE_MAX_DEPTH + 1):
-        # Wedge i runs from angle i to angle i + 1; the last one closes
-        # the circle at 2*pi, where angle 0 stands.
-        tb = np.append(t[1:], 2.0 * math.pi)
-        hb, pb = np.roll(h, -1), np.roll(p, -1)
-        bounds = _apex_chord_bounds(t, h, p, tb, hb, pb)
-        needy = (tb - t > REFINE_MIN_WEDGE) & (bounds > target)
-        if depth == REFINE_MAX_DEPTH or not needy.any():
-            break
-        k = _split_counts(t, tb, bounds, target)[needy]
-        # Interior angles ta + (tb - ta)*j/k, j = 1 .. k-1, wedge by wedge.
-        wedge = np.repeat(np.flatnonzero(needy), k - 1)
-        j = np.arange(wedge.size) - np.repeat(np.cumsum(k - 1) - (k - 1), k - 1) + 1
-        k = np.repeat(k, k - 1)
-        ends = [col[wedge] for col in (t, tb, h, p, hb, pb)]
-        tm = ends[0] + (ends[1] - ends[0]) * j / k
-        columns = _supports(m, a, b, tm, _predicted_supports(*ends, j / k), w0)
-        t, h, p = (np.insert(col, wedge + 1, new) for col, new in zip((t, h, p), (tm, *columns)))
-
-    # The loop ends on the whole table, with bounds of its every wedge.
+    evaluate = functools.partial(_map_chunks, functools.partial(_shifted_supports, m, a, b, w0), a)
+    t, h, p, bounds = _refine(evaluate, np.concatenate([grid, grid + math.pi]), h, p, target)
     with np.errstate(over="ignore"):
         h, p = np.ldexp(h, exponent), cgeom._ldexp(p, exponent)
         bound, target = np.ldexp([np.max(bounds), target], exponent).tolist()
@@ -475,8 +470,8 @@ def nrange_contains(a, zs, tol: float = DEFAULT_REFINE_TOL) -> np.ndarray:
     So False certifies z outside W(A), and True certifies z within that
     radius of W(A).  A NaN, infinite or INFINITY point raises InputError.
     """
-    zs, at_infinity = cgeom.split_infinity([zs] if np.ndim(zs) == 0 else zs)
-    if at_infinity.any() or not np.isfinite(zs).all():
+    zs, at_infinity = cgeom.split_infinity(zs)
+    if at_infinity.any():
         raise InputError("membership points must be finite complex numbers")
     distances, radius = _certified_distances(a, zs, tol)
     return distances <= radius

@@ -24,8 +24,8 @@ from .linalg import as_matrix
 
 # Fixed, portable PRNG so failures reproduce across platforms.
 GENERATOR = "pcg64"
-# Largest count, and largest count * n, sample_srg takes: a few hundred
-# bytes per vector entry are live at peak.
+# Largest count, and largest count * n, sample_srg takes: about 40 bytes
+# per vector entry are live at peak.
 _MAX_SAMPLES = 1 << 20
 _MAX_SAMPLE_ENTRIES = 1 << 24
 
@@ -36,6 +36,15 @@ def _draw(rng: np.random.Generator, field: str, rows: int, n: int) -> np.ndarray
     if field == "real":
         return rng.standard_normal((rows, n)).astype(np.complex128)
     return rng.standard_normal((rows, n)) + 1j * rng.standard_normal((rows, n))
+
+
+def _by_rows(fn, count: int, n: int) -> np.ndarray:
+    """fn(rows) over consecutive row slices of a count-by-n array, 2^16
+    entries at a time, joined: for row norms, whose temporaries then stay
+    small.  A row's norm does not depend on how many rows there are, so
+    neither does the result."""
+    step = max(1, (1 << 16) // n)
+    return np.concatenate([fn(slice(lo, lo + step)) for lo in range(0, count, step)])
 
 
 def sample_srg(t, field: str = "complex", count: int = 10000, seed: int = 1) -> np.ndarray:
@@ -62,17 +71,17 @@ def sample_srg(t, field: str = "complex", count: int = 10000, seed: int = 1) -> 
     n = m.shape[0]
     rng = np.random.Generator(np.random.PCG64(seed))
     x = _draw(rng, field, count, n)
-    nx = np.linalg.norm(x, axis=1)
+    nx = _by_rows(lambda r: np.linalg.norm(x[r], axis=1), count, n)
     while np.any(nx == 0.0):  # probability ~0, but keep the math total
         bad = np.nonzero(nx == 0.0)[0]
         x[bad] = _draw(rng, field, bad.size, n)
-        nx = np.linalg.norm(x, axis=1)
+        nx = _by_rows(lambda r: np.linalg.norm(x[r], axis=1), count, n)
     # Sample T / 2^k, with 2^k just above the largest |entry|, so that
     # |Tx| neither over- nor underflows, and scale the gain back at the
     # end.  Powers of two scale exactly: normal-range samples keep every bit.
     k = math.frexp(float(np.max(np.abs(m))))[1]
     y = x @ np.ldexp(m.view(np.float64), -k).view(np.complex128).T
-    ny = np.linalg.norm(y, axis=1)
+    ny = _by_rows(lambda r: np.linalg.norm(y[r], axis=1), count, n)
     # The defining angle is arccos(Re<y,x> / (|y||x|)), clamped against
     # round-off.  It is evaluated through the half-angle identity
     # tan(theta/2) = |v - u| / |v + u| for the normalized vectors,
@@ -83,7 +92,9 @@ def sample_srg(t, field: str = "complex", count: int = 10000, seed: int = 1) -> 
     nonzero = ny > 0.0
     x /= nx[:, None]
     np.divide(y, ny[:, None], out=y, where=nonzero[:, None])
-    angles = 2.0 * np.arctan2(np.linalg.norm(y - x, axis=1), np.linalg.norm(y + x, axis=1))
+    angles = _by_rows(lambda r: 2.0 * np.arctan2(np.linalg.norm(y[r] - x[r], axis=1),
+                                                 np.linalg.norm(y[r] + x[r], axis=1)), count, n)
+    del x, y  # free the vectors before the samples are built
     # Rows are (upper, conjugate) pairs; a zero output keeps only its
     # first slot, the point 0.  cos and sin come from libm through math,
     # as scalar code gets them (numpy's SIMD versions may differ by an ulp).
@@ -125,7 +136,8 @@ def check_containment(samples, region: cgeom.SrgRegion, tol: float = 1e-7) -> Sa
     and the reported violation are exact.  tol must be finite and at
     least 0.
     """
-    if not (isinstance(tol, numbers.Real) and math.isfinite(tol) and tol >= 0):
+    if isinstance(tol, bool) or not (isinstance(tol, numbers.Real) and math.isfinite(tol)
+                                     and tol >= 0):
         raise InputError(f"tol must be a finite non-negative number, got {tol!r}")
     if not isinstance(samples, np.ndarray):
         samples = list(samples)

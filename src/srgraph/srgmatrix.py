@@ -128,9 +128,12 @@ def gamma_scaling_demo(t, gammas, refine_tol: float = DEFAULT_REFINE_TOL):
     hull of the mapped eigenvalues; it tends to zero as gamma grows.
     """
     m = as_matrix(t, square=True)
-    gam = [float(g) for g in gammas]
-    if not gam:
+    gam, at_infinity = cgeom.split_infinity(gammas)
+    if not gam.size:
         raise InputError("gammas must be non-empty")
+    if at_infinity.any() or gam.imag.any():
+        raise InputError("gammas must be real numbers")
+    gam = gam.real.tolist()
     if any(not (g > 0) for g in gam):
         raise InputError("gammas must be positive")
     if any(b <= a for a, b in zip(gam, gam[1:])):

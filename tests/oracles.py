@@ -441,15 +441,14 @@ def eigh_supports_ref(a, part_a, part_b, rotated_parts):
     """Support data from one full eigendecomposition per angle: the
     reference for the sweep's kernels.
 
-    Returns a function of angles theta, of predicted support values
-    sigma and of a start-grid value w0, both of which it ignores but for
-    whether sigma is given, that gives (h, p).  Without sigma, each
-    angle in [0, pi) has row 0 at theta, from the top eigenpair of
-    H(theta), and row 1 at theta + pi, from the bottom one with the
-    eigenvalue negated; with it, one row per angle, from the top
-    eigenpair.
+    Returns a function of angles theta, and of predicted support values
+    sigma, which it ignores but for whether they are given, that gives
+    (h, p).  Without sigma, as on the start grid, each angle in [0, pi)
+    has row 0 at theta, from the top eigenpair of H(theta), and row 1 at
+    theta + pi, from the bottom one with the eigenvalue negated; with
+    it, one row per angle, from the top eigenpair.
     """
-    def supports(thetas, sigma=None, w0=0.0):
+    def supports(thetas, sigma=None):
         w, v = np.linalg.eigh(rotated_parts(part_a, part_b, thetas))
         rows = []
         for ws, vs in ((w, v), (-w[:, ::-1], v[:, :, ::-1])):
@@ -462,41 +461,75 @@ def eigh_supports_ref(a, part_a, part_b, rotated_parts):
     return supports
 
 
-def sweep_ref(num_angles: int, refine_tol: float, supports, apex_chord_bounds, split_counts,
-              predict):
+def start_table_ref(num_angles: int, paired):
+    """The start table of a sweep on num_angles directions, from
+    num_angles // 2 angles theta in [0, pi): paired(thetas) gives (h, p),
+    each with row 0 at theta and row 1 at theta + pi.  Returns (t, h, p)
+    as arrays in order round the circle from angle 0."""
+    half = num_angles // 2
+    thetas = math.pi * np.arange(half) / half
+    h, p = (col.tolist() for col in paired(thetas))
+    rows = [(theta + side * math.pi, h[side][i], p[side][i])
+            for side in (0, 1) for i, theta in enumerate(thetas.tolist())]
+    return tuple(np.array(col) for col in zip(*rows))
+
+
+def polygon_oracle(vertices):
+    """Exact support data of the polygon with these vertices: a function
+    of angles theta (and of predictions, which it ignores) that gives
+    h(theta) = max Re(conj(e^{i theta}) v) over the vertices and the
+    first vertex attaining it, one row per angle.  No LAPACK."""
+    v = np.asarray(vertices, dtype=np.complex128)
+
+    def evaluate(thetas, sigma=None):
+        proj = v.real * np.cos(thetas)[:, None] + v.imag * np.sin(thetas)[:, None]
+        best = np.argmax(proj, axis=1)
+        return proj[np.arange(best.size), best], v[best]
+
+    return evaluate
+
+
+def ellipse_oracle(semi_x: float, semi_y: float, centre: complex = 0j):
+    """Exact support data of the ellipse with these semi-axes along the
+    coordinate axes: h(theta) = <centre, u> + sqrt(a^2 cos^2 + b^2 sin^2)
+    and the boundary point p whose outward normal is u = e^{i theta}, one
+    row per angle; predictions are ignored.  No LAPACK."""
+    def evaluate(thetas, sigma=None):
+        c, s = np.cos(thetas), np.sin(thetas)
+        r = np.hypot(semi_x * c, semi_y * s)
+        p = centre + (semi_x * semi_x * c + 1j * semi_y * semi_y * s) / r
+        return centre.real * c + centre.imag * s + r, p
+
+    return evaluate
+
+
+def sweep_ref(t, h, p, target: float, evaluate, apex_chord_bounds, split_counts, predict):
     """Angle-sweep bookkeeping with a Python list of (theta, h, p) ends,
-    one per angle, in order round the circle from angle 0.
+    one per angle, in order round the circle from the first.
 
     The per-angle helpers and the split rule are passed in; this checks
     the ordering and refinement bookkeeping around them.  The sweep
-    starts on num_angles // 2 angles theta in [0, pi): supports(thetas)
-    gives (h, p), each with row 0 at theta and row 1 at theta + pi.
-    Wedges are refined to refine_tol*max(1, w0), w0 the largest support
-    value on those num_angles directions; each wedge whose own bound is
-    above that target is split on its own, and its new angles come one
-    row each from supports(thetas, sigma, w0), sigma the support values
-    that predict(ta, tb, ha, pa, hb, pb, t) gives at each new angle from
-    the ends of its wedge, t the angle's fraction of the wedge.
-    split_counts(ta, tb, bounds, target) takes every wedge in order
-    round the circle (bisect_counts for plain bisection).  Returns
-    (angles, support_points, support_values) as arrays.
+    starts from the table (t, h, p), ascending from t[0] over less than
+    a full turn, and the last wedge closes at t[0] + 2*pi.  Each wedge
+    whose own bound is above target is split on its own, and its new
+    angles come one row each from evaluate(thetas, sigma), sigma the
+    support values that predict(ta, tb, ha, pa, hb, pb, t) gives at each
+    new angle from the ends of its wedge, t the angle's fraction of the
+    wedge.  split_counts(ta, tb, bounds, target) takes every wedge in
+    order round the circle (bisect_counts for plain bisection).  Returns
+    (angles, support_points, support_values, bounds) as arrays, bounds
+    those of every wedge of the last table.
     """
-    half = num_angles // 2
-    thetas = math.pi * np.arange(half) / half
-    h, p = (col.tolist() for col in supports(thetas))
-    ends = [(theta + side * math.pi, h[side][i], p[side][i])
-            for side in (0, 1) for i, theta in enumerate(thetas.tolist())]
-    w0 = max(value for _, value, _ in ends)
-    target = refine_tol * max(1.0, w0)
-    for _ in range(48):
-        # Angles are not wrapped: the last wedge ends at 2*pi.
+    ends = list(zip(t.tolist(), h.tolist(), p.tolist()))
+    for depth in range(49):
+        # Angles are not wrapped: the last wedge ends at t[0] + 2*pi.
         wedges = list(zip(ends, ends[1:] + [(ends[0][0] + 2.0 * math.pi, *ends[0][1:])]))
         ta, ha, pa, tb, hb, pb = (np.array(col) for col in zip(
             *[(*lo, *hi) for lo, hi in wedges]))
         bounds = apex_chord_bounds(ta, ha, pa, tb, hb, pb).tolist()
         needy = [hi[0] - lo[0] > 1e-9 and bound > target
                  for (lo, hi), bound in zip(wedges, bounds)]
-        if not any(needy):
+        if depth == 48 or not any(needy):
             break
         counts = split_counts(ta, tb, np.array(bounds), target).tolist()
         # A wedge that is not split stays whole: k = 1.
@@ -506,7 +539,7 @@ def sweep_ref(num_angles: int, refine_tol: float, supports, apex_chord_bounds, s
         ta, ha, pa, tb, hb, pb = (np.array([wedge[end][i] for wedge, _, _ in inner])
                                   for end in (0, 1) for i in (0, 1, 2))
         sigma = predict(ta, tb, ha, pa, hb, pb, np.array([j / k for _, j, k in inner]))
-        h, p = (col.tolist() for col in supports(thetas, sigma, w0))
+        h, p = (col.tolist() for col in evaluate(thetas, sigma))
         mid = iter(zip(thetas.tolist(), h, p))
         ends = []
         for (lo, _), k in split:
@@ -514,7 +547,8 @@ def sweep_ref(num_angles: int, refine_tol: float, supports, apex_chord_bounds, s
             ends.extend(next(mid) for _ in range(k - 1))
     return (np.array([t for t, _, _ in ends], dtype=np.float64),
             np.array([p for _, _, p in ends], dtype=np.complex128),
-            np.array([h for _, h, _ in ends], dtype=np.float64))
+            np.array([h for _, h, _ in ends], dtype=np.float64),
+            np.array(bounds, dtype=np.float64))
 
 
 def frob(a) -> float:

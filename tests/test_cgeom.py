@@ -10,6 +10,7 @@ import oracles
 from srgraph import (
     EPS_DISK,
     INFINITY,
+    ConvexPolygon,
     InputError,
     NumericalError,
     OutOfDiskError,
@@ -17,10 +18,13 @@ from srgraph import (
     PolygonLocator,
     bk_forward,
     build_v,
+    check_containment,
     convex_hull_2d,
+    gamma_scaling_demo,
     hull_bk,
     is_infinity,
     nrange_boundary,
+    nrange_contains,
     polygon_area,
     polygon_distance,
     polygon_hausdorff,
@@ -509,3 +513,30 @@ def test_distances_hold_on_edges_below_1e154_of_the_coordinates():
     assert all(np.all(np.isfinite(b)) for b in bounds)
     lb, ub, bd = bounds
     assert np.all(lb <= exact) and np.all(exact <= ub) and np.all(bd >= np.abs(exact))
+
+
+_SQUARE = ConvexPolygon([0, 1, 1 + 1j, 1j])
+
+
+@pytest.mark.parametrize("call", [
+    lambda: nrange_contains(np.eye(2), ["a"]),
+    lambda: check_containment(["x"], hull_bk([0.5, 2j])),
+    lambda: check_containment([0.5], hull_bk([0.5, 2j]), tol=True),
+    lambda: hull_bk(["a"]),
+    lambda: bk_forward("a"),
+    lambda: convex_hull_2d(["a"]),
+    lambda: convex_hull_2d([0.5, INFINITY]),
+    lambda: polygon_signed_distance(_SQUARE, "q"),
+    lambda: polygon_signed_distance(_SQUARE, [0.5, 0.5j]),
+    lambda: PolygonLocator(_SQUARE).query(["a"]),
+    lambda: gamma_scaling_demo(np.eye(2), ["a"]),
+    lambda: gamma_scaling_demo(np.eye(2), [1.0, 2j]),
+], ids=["nrange_contains", "check_containment", "check_containment_bool_tol", "hull_bk",
+        "bk_forward", "convex_hull_2d", "convex_hull_2d_infinity", "polygon_signed_distance",
+        "polygon_signed_distance_two_points", "locator_query", "gamma_scaling_demo",
+        "gamma_scaling_demo_complex"])
+def test_points_that_are_not_numbers_raise_input_error(call):
+    # Each of these used to raise a raw ValueError or TypeError, or, for
+    # a bool tol, to accept it as 1.
+    with pytest.raises(InputError):
+        call()

@@ -256,30 +256,40 @@ def test_start_grid_eigensolves_fill_two_angles_and_refinement_one(monkeypatch):
     # direct sums I (x) B and V of I (x) T.
     problems = _count_stacked(monkeypatch, "eigh")
     solved = _count_solved(monkeypatch, "solve")
-    evaluated, batch = [], nrange._supports_batch
+    refined, shifted = [], nrange._shifted_supports
+    starts, refine = [], nrange._refine
 
-    def counted(m, a, b, thetas, sigma=None, w0=0.0):
-        evaluated.append((len(thetas), sigma is None))
-        return batch(m, a, b, thetas, sigma, w0)
+    def counted(m, a, b, w0, thetas, sigma):
+        refined.append(len(thetas))
+        return shifted(m, a, b, w0, thetas, sigma)
 
-    monkeypatch.setattr(nrange, "_supports_batch", counted)
+    def recorded(evaluate, t, h, p, target):
+        starts.append((t, sum(problems)))
+        return refine(evaluate, t, h, p, target)
+
+    monkeypatch.setattr(nrange, "_shifted_supports", counted)
+    monkeypatch.setattr(nrange, "_refine", recorded)
     rng = np.random.default_rng(63)
     blocks = (np.eye(3, dtype=complex), np.diag([1.0, 1.0, 2j]),
               np.kron(np.eye(2), rand_complex(rng, 3)),
               build_v(np.kron(np.eye(2), rng.normal(size=(2, 2)))).v)
+    half = nrange._START_ANGLES // 2
+    grid = math.pi * np.arange(half) / half
     for a in (rand_complex(rng, 5), build_v(rng.normal(size=(4, 4))).v, *blocks):
-        for record in (problems, solved, evaluated):
+        for record in (problems, solved, refined, starts):
             record.clear()
         b = nrange_boundary(a)
         assert np.all(np.diff(b.angles) > 0.0)
-        start = sum(k for k, grid in evaluated if grid)
-        refined = sum(k for k, grid in evaluated if not grid)
-        assert start == nrange._START_ANGLES // 2
-        assert 2 * start + refined == b.angles.size
-        fallback = sum(problems) - start
-        assert 0 <= fallback <= refined
+        # The start table: half as many eigenproblems as rows, on the
+        # grid and the grid turned by pi.
+        [(start, start_problems)] = starts
+        assert start_problems == half
+        assert _same_bits(start, np.concatenate([grid, grid + math.pi]))
+        assert start.size + sum(refined) == b.angles.size
+        fallback = sum(problems) - half
+        assert 0 <= fallback <= sum(refined)
         # A row whose solve fails is among the fallback rows.
-        assert refined - fallback <= sum(solved) <= refined
+        assert sum(refined) - fallback <= sum(solved) <= sum(refined)
 
 
 def test_refinement_leaves_a_wedge_under_the_target_whole():
@@ -365,17 +375,22 @@ def test_invalid_refine_tol_is_rejected(bad):
 
 def _reference_sweep(a, num_angles, refine_tol, split_counts=nrange._split_counts,
                      eigh_only=False):
-    """oracles.sweep_ref around the library's per-angle helpers, or with
-    eigh_only around oracles.eigh_supports_ref, which takes every (h, p)
-    from the full eigendecomposition."""
+    """oracles.sweep_ref from the paired start table of oracles.start_table_ref,
+    around the library's per-angle helpers, or with eigh_only around
+    oracles.eigh_supports_ref, which takes every (h, p) from the full
+    eigendecomposition."""
     m = nrange.as_matrix(a, square=True)
     part_a, part_b = nrange._hermitian_parts(m)
     if eigh_only:
-        supports = oracles.eigh_supports_ref(m, part_a, part_b, nrange._rotated_hermitian_parts)
+        paired = oracles.eigh_supports_ref(m, part_a, part_b, nrange._rotated_hermitian_parts)
     else:
-        supports = functools.partial(nrange._supports_batch, m, part_a, part_b)
-    return oracles.sweep_ref(num_angles, refine_tol, supports, nrange._apex_chord_bounds,
-                             split_counts, nrange._predicted_supports)
+        paired = functools.partial(nrange._eigh_supports, m, part_a, part_b)
+    t, h, p = oracles.start_table_ref(num_angles, paired)
+    w0 = float(np.max(h))
+    evaluate = paired if eigh_only else functools.partial(nrange._shifted_supports, m, part_a,
+                                                           part_b, w0)
+    return oracles.sweep_ref(t, h, p, refine_tol * max(1.0, w0), evaluate,
+                             nrange._apex_chord_bounds, split_counts, nrange._predicted_supports)
 
 
 def _same_bits(x, y) -> bool:
@@ -453,36 +468,37 @@ def test_chunked_rounds_match_one_batch_bit_for_bit(monkeypatch):
     # 2j) on an arc at the top and on the opposite arc at the bottom, so
     # such angles fall on both sides of chunk borders; both are real
     # symmetric stacks, and the random matrix a complex one.  70 angles
-    # leave a last chunk of one angle.  Without predictions every row
-    # takes the full eigendecomposition, at angles in [0, pi); with
-    # them, at angles in [0, 2*pi), every fifth prediction is the second
-    # eigenvalue, and eye(3)'s are exact, so solves and factorizations
-    # fail on rows scattered over the chunks.
+    # leave a last chunk of one angle.  The start-grid kernel takes the
+    # full eigendecomposition at angles in [0, pi), two rows each; the
+    # shifted-solve kernel takes angles in [0, 2*pi), where every fifth
+    # prediction is the second eigenvalue, and eye(3)'s are exact, so
+    # solves and factorizations fail on rows scattered over the chunks.
     rng = np.random.default_rng(49)
     for a in (np.eye(3, dtype=complex), np.diag([1.0, 1.0, 2j]), rand_complex(rng, 4)):
         part_a, part_b = nrange._hermitian_parts(a)
         grid = np.concatenate([math.pi * np.arange(32) / 32, rng.uniform(0.0, math.pi, 38)])
         thetas = np.concatenate([math.pi * np.arange(32) / 16, rng.uniform(0.0, 2 * math.pi, 38)])
         sigma, top, _ = _predictions(a, thetas, rng)
-        w0 = float(np.max(top))
-        calls = ((grid, None, 0.0), (thetas, sigma, w0))
-        wants = [nrange._supports_batch(a, part_a, part_b, *call) for call in calls]
+        shifted = functools.partial(nrange._shifted_supports, a, part_a, part_b, float(np.max(top)))
+        calls = ((functools.partial(nrange._eigh_supports, a, part_a, part_b), (grid,)),
+                 (shifted, (thetas, sigma)))
+        wants = [kernel(*columns) for kernel, columns in calls]
         monkeypatch.setattr(nrange, "_BATCH_BYTES", 3 * part_a.nbytes)
         monkeypatch.setattr(nrange, "_GIL_FREE_VALUES", 1)
         stacks = {name: _count_stacked(monkeypatch, name) for name in ("eigh", "solve", "cholesky")}
-        for (t, s, top_value), want in zip(calls, wants):
+        for (kernel, columns), want in zip(calls, wants):
             for batches in stacks.values():
                 batches.clear()
-            got = nrange._supports(a, part_a, part_b, t, s, top_value)
+            got = nrange._map_chunks(kernel, part_a, *columns)
             eigh = stacks["eigh"]
             assert eigh and max(eigh) <= 3
-            if s is None:
-                assert max(eigh) == 3 and sum(eigh) == t.size
-                assert stacks["solve"] == stacks["cholesky"] == []
-                shape = (2, t.size)
-            else:
+            if kernel is shifted:
                 assert max(stacks["solve"]) == max(stacks["cholesky"]) == 3
-                shape = (t.size,)
+                shape = (thetas.size,)
+            else:
+                assert max(eigh) == 3 and sum(eigh) == grid.size
+                assert stacks["solve"] == stacks["cholesky"] == []
+                shape = (2, grid.size)
             assert len(got) == len(want) == 2
             for x, y in zip(got, want):
                 assert x.shape == shape
@@ -496,6 +512,7 @@ def test_chunked_rounds_match_one_batch_bit_for_bit(monkeypatch):
             ref = _reference_sweep(a, 64, refine_tol)
             for field, arr in zip(("angles", "support_points", "support_values"), ref):
                 assert _same_bits(getattr(sweep, field), arr)
+            assert sweep.bound == np.max(ref[3])
         monkeypatch.undo()
 
 
@@ -549,7 +566,8 @@ def test_chunks_of_large_matrices_keep_enough_for_the_pool(monkeypatch):
     assert nrange._BATCH_BYTES // part_a.nbytes == 10
     thetas = np.linspace(0.0, 2 * math.pi, 30, endpoint=False)
     sigma, top, _ = _predictions(a, thetas, rng)
-    nrange._supports(a, part_a, part_b, thetas, sigma, float(np.max(top)))
+    kernel = functools.partial(nrange._shifted_supports, a, part_a, part_b, float(np.max(top)))
+    nrange._map_chunks(kernel, part_a, thetas, sigma)
     assert sorted(batches) == [4, 13, 13]
 
 
@@ -652,18 +670,21 @@ def test_smooth_boundary_refines_in_two_rounds_with_fewer_angles(monkeypatch):
     # `srg matrix` sweeps: at most two rounds sized from the curvature
     # that neighbouring bounds measure, and fewer angles than bisection,
     # whose last round overshoots the tolerance by up to 4x.
-    calls, supports = [], nrange._supports
+    rounds, refine = [], nrange._refine
 
-    def counted(*args):
-        calls.append(1)
-        return supports(*args)
+    def counted(evaluate, *table):
+        def evaluate_counted(thetas, sigma):
+            rounds.append(1)
+            return evaluate(thetas, sigma)
 
-    monkeypatch.setattr(nrange, "_supports", counted)
+        return refine(evaluate_counted, *table)
+
+    monkeypatch.setattr(nrange, "_refine", counted)
     a = rand_complex(np.random.default_rng(55), 6)
     for a in (a, build_v(a).v):
-        calls.clear()
+        rounds.clear()
         sweep = nrange_boundary(a, refine_tol=1e-8)
-        assert len(calls) <= 3
+        assert len(rounds) <= 2
         assert sweep.angles.size <= 0.8 * _bisecting_sweep(a, 1e-8)[0].size
 
 
@@ -677,6 +698,64 @@ def test_polygons_and_segments_cost_no_more_than_bisection():
     for a in (diag, herm):
         sweep = nrange_boundary(a, refine_tol=1e-8)
         assert sweep.angles.size <= _bisecting_sweep(a, 1e-8)[0].size
+
+
+def _exact_oracles():
+    """Support oracles in closed form, with no LAPACK: a pentagon given by
+    its vertices and one point inside, and an ellipse off the origin."""
+    pentagon = 1.5 * np.exp(2j * math.pi * np.arange(5) / 5 + 0.3) + (0.2 - 0.1j)
+    yield oracles.polygon_oracle([*pentagon, 0.1j])
+    yield oracles.ellipse_oracle(2.0, 0.5, 0.3 - 0.2j)
+
+
+def test_refine_matches_the_list_bookkeeping_on_exact_oracles():
+    # The loop under an oracle in closed form, from 64 angles starting at
+    # 0 or at 0.1, against the list bookkeeping under the same oracle:
+    # the tables and the bounds agree bit for bit, every bound ends under
+    # the target, and new angles stay within a turn of the first.
+    for evaluate in _exact_oracles():
+        for first in (0.0, 0.1):
+            t = first + 2 * math.pi * np.arange(64) / 64
+            h, p = evaluate(t)
+            target = 1e-8 * max(1.0, float(np.max(h)))
+            got = nrange._refine(evaluate, t, h, p, target)
+            want = oracles.sweep_ref(t, h, p, target, evaluate, nrange._apex_chord_bounds,
+                                     nrange._split_counts, nrange._predicted_supports)
+            for x, y in zip(got, (want[0], want[2], want[1], want[3])):
+                assert _same_bits(x, y)
+            angles, _, _, bounds = got
+            assert angles.size > t.size
+            assert angles[0] == first and np.all(np.diff(angles) > 0.0)
+            assert angles[-1] < first + 2 * math.pi
+            assert np.max(bounds) <= target
+
+
+def test_an_oracle_off_by_more_than_the_target_stops_at_the_narrowest_wedge():
+    # An oracle whose support values are delta = 1e-3 too high on an arc
+    # 5e-7 wide, which the start table samples at three angles, leaves
+    # every wedge with both ends on the arc at a bound of about delta/2,
+    # far above the target, however narrow it is cut.  Refinement stops
+    # there on REFINE_MIN_WEDGE with a bounded table, and the bounds it
+    # returns show what is left.
+    delta, lo, hi = 1e-3, 1.0, 1.0 + 5e-7
+    ellipse = oracles.ellipse_oracle(2.0, 1.0)
+
+    def inflated(thetas, sigma=None):
+        h, p = ellipse(thetas)
+        return h + np.where((thetas > lo) & (thetas < hi), delta, 0.0), p
+
+    t = np.sort(np.concatenate([2 * math.pi * np.arange(720) / 720,
+                                lo + (hi - lo) * np.array([0.25, 0.5, 0.75])]))
+    target = 1e-6
+    t, h, p, bounds = nrange._refine(inflated, t, *inflated(t), target)
+    assert t.size < 1e5
+    width = np.append(t[1:], t[0] + 2 * math.pi) - t
+    over = bounds > target
+    on_arc = (t > lo) & (t < hi)
+    assert over.sum() > 100
+    assert np.all(width[over] <= nrange.REFINE_MIN_WEDGE)
+    assert np.all(on_arc[over] & np.roll(on_arc, -1)[over])
+    assert np.max(bounds) >= delta / 4
 
 
 def test_apex_chord_bound_is_accurate_on_narrow_wedges():
@@ -816,14 +895,11 @@ def test_shifted_solve_rows_match_the_eigh_sweep(monkeypatch):
         scale = np.maximum(1.0, np.maximum(np.abs(h), np.max(h)))
         attained = (sweep.support_points * np.exp(-1j * sweep.angles)).real
         assert np.all(h - attained <= 2.0**-45 * scale)
-        angles, points, values = _reference_sweep(a, 64, 1e-5, eigh_only=True)
+        angles, points, _, bounds = _reference_sweep(a, 64, 1e-5, eigh_only=True)
         assert _same_bits(sweep.angles, angles)
-        ends = [np.roll(col, -1) for col in (angles, values, points)]
-        ends[0][-1] += 2.0 * math.pi
-        bound = np.max(nrange._apex_chord_bounds(angles, values, points, *ends))
         gap = oracles.hausdorff_support_exact(list(sweep.hull.vertices),
                                               list(convex_hull_2d(points).vertices))
-        assert gap <= max(sweep.bound, bound)
+        assert gap <= max(sweep.bound, np.max(bounds))
 
 
 def test_rows_off_their_support_line_take_the_eigh_vector(monkeypatch):
@@ -846,7 +922,7 @@ def test_rows_off_their_support_line_take_the_eigh_vector(monkeypatch):
     monkeypatch.setattr(nrange, "_eigh_supports", counted)
     thetas = math.pi * np.arange(16) / 8 + 0.1
     sigma = np.abs(np.cos(thetas))
-    h, p = nrange._supports_batch(m, part_a, part_b, thetas, sigma, 1.0)
+    h, p = nrange._shifted_supports(m, part_a, part_b, 1.0, thetas, sigma)
     assert calls == [thetas.size]
     assert _same_bits(h, nrange._eigh_supports(m, part_a, part_b, thetas)[0][0])
     assert np.all(np.abs((p * np.exp(-1j * thetas)).real - h) <= 4 * np.finfo(float).eps)
@@ -894,7 +970,7 @@ def test_wrong_prediction_falls_back_to_the_eigh_row():
         part_a, part_b = nrange._hermitian_parts(m)
         thetas = rng.uniform(0.0, 2 * math.pi, 40)
         sigma, top, _ = _predictions(a, thetas, rng)
-        h, p = nrange._supports_batch(m, part_a, part_b, thetas, sigma, float(np.max(top)))
+        h, p = nrange._shifted_supports(m, part_a, part_b, float(np.max(top)), thetas, sigma)
         exact_h, exact_p = (col[0] for col in nrange._eigh_supports(m, part_a, part_b, thetas))
         wrong = np.zeros(sigma.shape, dtype=bool)
         wrong[::5] = True
@@ -937,7 +1013,7 @@ def test_certified_rows_bound_the_top_eigenvalue_from_above():
         w = np.linalg.eigvalsh(nrange._rotated_hermitian_parts(part_a, part_b, thetas))
         top, w0 = w[:, -1], float(np.max(w[:, -1]))
         sigma = top + 1e-10 * rng.uniform(-1.0, 1.0, top.shape) * np.max(np.abs(w), axis=1)
-        h, _ = nrange._supports_batch(m, part_a, part_b, thetas, sigma, w0)
+        h, _ = nrange._shifted_supports(m, part_a, part_b, w0, thetas, sigma)
         scale = np.maximum(1.0, np.maximum(np.abs(h), w0))
         cert = h != nrange._eigh_supports(m, part_a, part_b, thetas)[0][0]
         assert np.all(h <= top + 2.0**-45 * scale)

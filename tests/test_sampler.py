@@ -69,7 +69,9 @@ def test_sample_array_matches_per_draw_reference():
     rng = np.random.default_rng(86)
     cases = [(rng.normal(size=(3, 3)), "real", 500), (rand_complex(rng, 4), "complex", 500),
              (rand_complex(rng, 2), "complex", 1), (np.zeros((3, 3)), "real", 50),
-             (np.array([[0.0, 1.0], [0.0, 0.0]]), "complex", 300)]
+             (np.array([[0.0, 1.0], [0.0, 0.0]]), "complex", 300),
+             # Norms taken over several chunks of rows.
+             (rng.normal(size=(5, 5)), "real", 30000), (rand_complex(rng, 3), "complex", 50000)]
     for t, field, count in cases:
         got = sample_srg(t, field=field, count=count, seed=31)
         assert isinstance(got, np.ndarray) and got.dtype == np.complex128
