@@ -125,6 +125,15 @@ def split_infinity(points) -> tuple[np.ndarray, np.ndarray]:
     return zs, at_infinity
 
 
+def _finite_points(points, what: str) -> np.ndarray:
+    """split_infinity for callers that take finite points only: the
+    values, with InputError for an INFINITY entry too."""
+    zs, at_infinity = split_infinity(points)
+    if at_infinity.any():
+        raise InputError(f"{what} must be finite complex numbers")
+    return zs
+
+
 def bk_forward_array(points) -> np.ndarray:
     """Array kernel of bk_forward; INFINITY entries map to 1.
 
@@ -199,13 +208,14 @@ class ConvexPolygon:
     complex128 copy of the sequence given.
 
     May degenerate to a segment (2 vertices) or a point (1 vertex).
-    Vertices start at the lexicographically smallest point.
+    Vertices start at the lexicographically smallest point.  A vertex
+    that is not a finite complex number raises InputError.
     """
 
     vertices: np.ndarray
 
     def __post_init__(self):
-        vertices = np.array(self.vertices, dtype=np.complex128).reshape(-1)
+        vertices = np.array(_finite_points(self.vertices, "polygon vertices"))
         if vertices.size == 0:
             raise InputError("a polygon needs at least one vertex")
         vertices.flags.writeable = False
@@ -463,9 +473,7 @@ class PolygonLocator:
         rigorous; signs of signed_lb/signed_ub agree with the exact
         inside/outside decision.
         """
-        ws, at_infinity = split_infinity(ws)
-        if at_infinity.any():
-            raise InputError("locator queries need finite points")
+        ws = _finite_points(ws, "locator query points")
         if self._direct:
             d = self.exact(ws)
             return d, d.copy(), np.abs(d)
@@ -501,7 +509,7 @@ class PolygonLocator:
 
     def exact(self, ws) -> np.ndarray:
         """Exact signed distances (negative inside), O(V) per point."""
-        return _signed_distances(self.poly.vertices, ws)
+        return _signed_distances(self.poly.vertices, _finite_points(ws, "locator query points"))
 
 
 def polygon_boundary_points(poly: ConvexPolygon, spacing: float = EDGE_SPACING) -> np.ndarray:
@@ -560,7 +568,6 @@ def region_from_disk_hull(
     hull: ConvexPolygon,
     *,
     contains_infinity: bool | None = None,
-    boundary_only: bool = False,
 ) -> SrgRegion:
     """Build an SrgRegion from a disk-side hull by mapping its boundary,
     walked at EDGE_SPACING, back.
@@ -570,7 +577,8 @@ def region_from_disk_hull(
     When `contains_infinity` is None it is derived from whether the
     hull touches the point 1 within EPS_DISK.  When it is False (a
     bounded operator), a boundary point that maps to infinity raises
-    NumericalError: the plane point is too large for the model.
+    NumericalError: the plane point is too large for the model.  The
+    region is never boundary_only; srg_real sets that flag on its result.
     """
     if contains_infinity is None:
         contains_infinity = polygon_signed_distance(hull, 1.0) <= EPS_DISK
@@ -583,7 +591,7 @@ def region_from_disk_hull(
             f"ball around w = 1, so its preimage is the point at infinity")
     upper[at_infinity] = 0.0
     upper.flags.writeable = at_infinity.flags.writeable = False
-    return SrgRegion(hull, upper, at_infinity, bool(contains_infinity), bool(boundary_only))
+    return SrgRegion(hull, upper, at_infinity, bool(contains_infinity), False)
 
 
 def hull_bk(points: Sequence[ExtComplex]) -> SrgRegion:

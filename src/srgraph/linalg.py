@@ -18,7 +18,10 @@ from .errors import InputError, NumericalError
 
 def as_matrix(a, square: bool = False) -> np.ndarray:
     """Coerce to a 2-D complex128 array with finite entries."""
-    m = np.array(a, dtype=np.complex128, copy=True)
+    try:
+        m = np.array(a, dtype=np.complex128, copy=True)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"a matrix must be a 2-D array of numbers ({exc})") from exc
     if m.ndim != 2 or m.size == 0:
         raise InputError(f"expected a non-empty 2-D matrix, got shape {m.shape}")
     if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
@@ -29,8 +32,10 @@ def as_matrix(a, square: bool = False) -> np.ndarray:
 
 
 def require_positive_finite(value, name: str) -> None:
-    """Raise InputError unless value is a finite real number above 0."""
-    if not (isinstance(value, numbers.Real) and math.isfinite(value) and value > 0):
+    """Raise InputError unless value is a finite real number above 0
+    (a bool is not a number here)."""
+    if isinstance(value, bool) or not (isinstance(value, numbers.Real)
+                                       and math.isfinite(value) and value > 0):
         raise InputError(f"{name} must be a finite positive number, got {value!r}")
 
 
@@ -55,7 +60,10 @@ def poly_roots(coeffs) -> np.ndarray:
     matrix's entries, are not finite raise NumericalError.  Roots are
     sorted by (re, im).
     """
-    c = np.atleast_1d(np.asarray(coeffs, dtype=np.complex128))
+    try:
+        c = np.atleast_1d(np.asarray(coeffs, dtype=np.complex128))
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"polynomial coefficients must be numbers ({exc})") from exc
     if c.ndim != 1 or c.size == 0:
         raise InputError("poly_roots expects a non-empty coefficient list")
     if not np.all(np.isfinite(c.real)) or not np.all(np.isfinite(c.imag)):

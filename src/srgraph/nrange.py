@@ -66,7 +66,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import cgeom
-from .errors import InputError, NumericalError
+from .errors import NumericalError
 from .linalg import as_matrix, require_positive_finite
 
 # Default outer-approximation bound of a sweep, relative to
@@ -470,8 +470,6 @@ def nrange_contains(a, zs, tol: float = DEFAULT_REFINE_TOL) -> np.ndarray:
     So False certifies z outside W(A), and True certifies z within that
     radius of W(A).  A NaN, infinite or INFINITY point raises InputError.
     """
-    zs, at_infinity = cgeom.split_infinity(zs)
-    if at_infinity.any():
-        raise InputError("membership points must be finite complex numbers")
+    zs = cgeom._finite_points(zs, "membership points")
     distances, radius = _certified_distances(a, zs, tol)
     return distances <= radius

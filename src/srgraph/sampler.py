@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import cgeom
-from .cgeom import ExtComplex
+from .cgeom import INFINITY, ExtComplex
 from .errors import InputError
 from .linalg import as_matrix
 
@@ -139,9 +139,9 @@ def check_containment(samples, region: cgeom.SrgRegion, tol: float = 1e-7) -> Sa
     if isinstance(tol, bool) or not (isinstance(tol, numbers.Real) and math.isfinite(tol)
                                      and tol >= 0):
         raise InputError(f"tol must be a finite non-negative number, got {tol!r}")
-    if not isinstance(samples, np.ndarray):
-        samples = list(samples)
-    ws = cgeom.bk_forward_array(samples)
+    zs, at_infinity = cgeom.split_infinity(samples)
+    ws = cgeom.bk_forward_array(zs)
+    ws[at_infinity] = 1.0
     locator = cgeom.PolygonLocator(region.disk_hull)
     _, signed_ub, boundary_ub = locator.query(ws)
     if region.boundary_only:
@@ -158,9 +158,10 @@ def check_containment(samples, region: cgeom.SrgRegion, tol: float = 1e-7) -> Sa
     if violation.size and violation.max() > 0.0:
         k = int(np.argmax(violation))  # first sample at the maximum
         max_violation = float(violation[k])
-        worst = samples[int(unresolved[k])]
+        i = int(unresolved[k])
+        worst = INFINITY if at_infinity[i] else complex(zs[i])
     return SampleReport(
-        total=len(samples),
+        total=zs.size,
         contained=int(np.count_nonzero(certain_in)) + int(np.count_nonzero(exact <= tol)),
         max_violation=max_violation,
         worst_point=worst,

@@ -8,7 +8,12 @@ single disk point
 
 evaluated pole-safely from the raw polynomial values, and the SRG is
 the hyperbolic hull of these points over a frequency grid that includes
-omega = infinity and any imaginary-axis poles.
+omega = infinity and any imaginary-axis poles.  One array kernel,
+_response, evaluates every frequency, omega = infinity included: there
+a and b are the coefficients of s^m, m the larger degree, which gives
+the degree rules for h(infinity).  Frequency grids are read-only float
+arrays; default_grid builds one in a few numpy passes, tens of
+milliseconds at its largest size, 2**20.
 
 The spectral factor s = a/c, with a*~a + b*~b = c*~c and Hurwitz c (~ is
 the paraconjugate), satisfies |s|^2 (1 + |h|^2) = 1; it cancels out of
@@ -86,6 +91,11 @@ def rational_tf(num, den) -> RationalTF:
     return RationalTF(num=num_t, den=den_t)
 
 
+def _on_axis(roots: np.ndarray) -> np.ndarray:
+    """Mask of the roots within AXIS_TOL (relative) of the imaginary axis."""
+    return np.abs(roots.real) <= AXIS_TOL * np.maximum(1.0, np.abs(roots))
+
+
 def _paraconjugate(coeffs: np.ndarray) -> np.ndarray:
     """p~(s) = conj-coefficients of p evaluated at -s, leading first."""
     out = np.conj(np.asarray(coeffs, dtype=np.complex128))
@@ -141,16 +151,13 @@ def spectral_factorize(tf: RationalTF) -> SpectralFactor:
             f"a~a + b~b is not finite with degree {2 * m} in floating point; "
             "the coefficients are out of range for a spectral factor")
     roots = poly_roots(p)
-    lhp = []
-    for r in roots:
-        r = complex(r)
-        if abs(r.real) <= AXIS_TOL * max(1.0, abs(r)):
-            raise FactorizationDegenerateError(
-                "numerator and denominator share an imaginary-axis zero "
-                f"near s = {r:.6g}; no stable spectral factor exists"
-            )
-        if r.real < 0:
-            lhp.append(r)
+    axis = _on_axis(roots)
+    if axis.any():
+        raise FactorizationDegenerateError(
+            "numerator and denominator share an imaginary-axis zero "
+            f"near s = {complex(roots[np.argmax(axis)]):.6g}; no stable spectral factor exists"
+        )
+    lhp = roots[roots.real < 0]
     # A zero that a and b share on the axis is a multiple root of p,
     # which the root finder may split off the axis by 1e-8 or more, past
     # the test above.  The mean of such a cluster is accurate to round-off,
@@ -171,7 +178,7 @@ def spectral_factorize(tf: RationalTF) -> SpectralFactor:
             f"spectral factor degree bookkeeping failed: expected {m} stable "
             f"roots, found {len(lhp)}"
         )
-    c_monic = np.poly(np.array(lhp, dtype=np.complex128))
+    c_monic = np.poly(lhp)
     c_arr = (math.sqrt(abs(p[0])) / norm) * c_monic
     if all(x.imag == 0 for x in tf.num) and all(x.imag == 0 for x in tf.den):
         # Real data gives a conjugate-symmetric stable root set, so the
@@ -196,28 +203,37 @@ def _frequency(omega) -> float:
 
 
 def _pole_tol(coeffs: tuple[complex, ...], omegas: np.ndarray) -> np.ndarray:
+    """1e-12 max|c_k| max(1, |omega|)^deg, and 0 at omega = +-inf."""
     scale = max(abs(c) for c in coeffs)
-    return 1e-12 * scale * np.maximum(1.0, np.abs(omegas)) ** (len(coeffs) - 1)
+    tol = 1e-12 * scale * np.maximum(1.0, np.abs(omegas)) ** (len(coeffs) - 1)
+    return np.where(np.isinf(omegas), 0.0, tol)
 
 
 def _response(tf: RationalTF, omegas):
-    """Array kernel of tf_value and lti_disk_point at finite frequencies.
+    """The one evaluation of h over frequencies, omega = +-inf included.
 
-    Returns the values of h = b/a, the mask of the imaginary-axis poles
-    (|a(i omega)| within _pole_tol of 0, where h is infinite and its
-    values are meaningless) and the disk points f(h) of the module
-    docstring, from a and b scaled by max(|a|, |b|) so the squares stay
-    finite, with the disk point 1 at the poles.  In grid order, the
-    first frequency where a and b both vanish within their tolerances
-    raises FactorizationDegenerateError, and the first where a
-    polynomial value, h or the disk point is not finite in floating
-    point raises NumericalError.
+    Returns the values of h = b/a, the mask of the poles (|a(i omega)|
+    within _pole_tol of 0, where the values are 0) and the disk points
+    f(h) of the module docstring, from a and b scaled by max(|a|, |b|)
+    so the squares stay finite, with the disk point 1 at the poles.  At
+    omega = +-inf, a and b are the coefficients of s^m, m the larger
+    degree, so a polynomial of lower degree is 0 there and the pole
+    tolerance is 0: h(inf) is a pole when the numerator degree is
+    larger, 0 when it is smaller and b_0/a_0 when they are equal.  In
+    grid order, the first frequency where a and b both vanish within
+    their tolerances raises FactorizationDegenerateError, and the first
+    where a polynomial value, h or the disk point is not finite in
+    floating point raises NumericalError.
     """
     w = np.asarray(omegas, dtype=float).ravel()
-    s = 1j * w
+    at_inf = np.isinf(w)
+    s = 1j * np.where(at_inf, 0.0, w)
+    m = max(len(tf.den), len(tf.num))
     with np.errstate(all="ignore"):
         av = np.polyval(np.asarray(tf.den), s)
         bv = np.polyval(np.asarray(tf.num), s)
+        av[at_inf] = tf.den[0] if len(tf.den) == m else 0.0
+        bv[at_inf] = tf.num[0] if len(tf.num) == m else 0.0
         abs_a, abs_b = np.abs(av), np.abs(bv)
         tol = _pole_tol(tf.den, w)
         pole = abs_a <= tol
@@ -228,33 +244,20 @@ def _response(tf: RationalTF, omegas):
         a2, b2 = ar * ar + ai * ai, br * br + bi * bi
         disk = (b2 - a2 - 2j * (ar * br + ai * bi)) / (a2 + b2)
         disk[pole] = 1.0
+        curve[pole] = 0.0
         ok = pole | (np.isfinite(av) & np.isfinite(bv) & np.isfinite(curve))
         ok &= np.isfinite(disk) & np.isfinite(tol)
     bad = shared | ~ok
     if bad.any():
         k = int(np.argmax(bad))
+        where = "INFINITY" if at_inf[k] else repr(float(w[k]))
         if shared[k]:
             raise FactorizationDegenerateError(
                 "numerator and denominator share an imaginary-axis zero at "
-                f"omega = {float(w[k])!r}; the disk point is 0/0")
+                f"omega = {where}; the disk point is 0/0")
         raise NumericalError(
-            "h or its disk point is not finite in floating point at "
-            f"omega = {float(w[k])!r}")
+            f"h or its disk point is not finite in floating point at omega = {where}")
     return curve, pole, cgeom._clamp_disk_array(disk)
-
-
-def _value_at_infinity(tf: RationalTF) -> ExtComplex:
-    """h(infinity): infinity if the numerator degree is larger, 0 if
-    smaller, the leading-coefficient ratio if equal."""
-    q, deg_p = tf.degree_num, tf.degree_den
-    if q > deg_p:
-        return INFINITY
-    if q < deg_p:
-        return 0j
-    h = complex(tf.num[0] / tf.den[0])
-    if not (math.isfinite(h.real) and math.isfinite(h.imag)):
-        raise NumericalError(f"h is not finite in floating point at omega = {INFINITY!r}")
-    return h
 
 
 def tf_value(tf: RationalTF, omega) -> ExtComplex:
@@ -265,10 +268,7 @@ def tf_value(tf: RationalTF, omega) -> ExtComplex:
     smaller, the leading-coefficient ratio if equal).  A zero shared by
     numerator and denominator raises FactorizationDegenerateError.
     """
-    w = _frequency(omega)
-    if math.isinf(w):
-        return _value_at_infinity(tf)
-    curve, pole, _ = _response(tf, [w])
+    curve, pole, _ = _response(tf, [_frequency(omega)])
     return INFINITY if pole[0] else complex(curve[0])
 
 
@@ -279,41 +279,35 @@ def lti_disk_point(tf: RationalTF, omega) -> complex:
     raw numerator/denominator values b and a, so imaginary-axis poles
     land exactly on f(infinity) = 1 instead of overflowing.
     """
-    w = _frequency(omega)
-    if math.isinf(w):
-        return cgeom.bk_forward(_value_at_infinity(tf))
-    return complex(_response(tf, [w])[2][0])
+    return complex(_response(tf, [_frequency(omega)])[2][0])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FreqGrid:
-    """Finite ascending deduplicated frequencies; lti_srg adds infinity."""
+    """Finite ascending deduplicated frequencies as a read-only float64
+    array; lti_srg adds infinity."""
 
-    omegas: tuple[float, ...]
+    omegas: np.ndarray
 
 
 def freq_grid(omegas) -> FreqGrid:
-    """Sort, deduplicate, and validate a frequency list."""
+    """Sort, deduplicate, and validate a frequency list.
+
+    Of equal values, such as 0.0 and -0.0, the one given first is kept.
+    """
     try:
-        vals = [float(w) for w in omegas]
+        vals = np.array(omegas if isinstance(omegas, np.ndarray) else list(omegas),
+                        dtype=float)
     except (TypeError, ValueError) as exc:
         raise InputError("a frequency grid must be a sequence of real numbers") from exc
-    if not vals:
-        raise InputError("frequency grid must be non-empty")
-    if any(not math.isfinite(w) for w in vals):
+    if vals.ndim != 1 or not vals.size:
+        raise InputError("a frequency grid must be a non-empty flat sequence of real numbers")
+    if not np.isfinite(vals).all():
         raise InputError("grid frequencies must be finite; infinity is always included")
-    return FreqGrid(omegas=tuple(sorted(set(vals))))
-
-
-def _axis_poles(tf: RationalTF) -> list[float]:
-    if len(tf.den) < 2:
-        return []
-    poles = []
-    for r in poly_roots(np.asarray(tf.den)):
-        r = complex(r)
-        if abs(r.real) <= AXIS_TOL * max(1.0, abs(r)):
-            poles.append(float(r.imag))
-    return sorted(set(poles))
+    vals = vals[np.argsort(vals, kind="stable")]
+    vals = vals[np.append(True, vals[1:] != vals[:-1])]
+    vals.flags.writeable = False
+    return FreqGrid(omegas=vals)
 
 
 def default_grid(tf: RationalTF, n: int = 512) -> FreqGrid:
@@ -328,13 +322,14 @@ def default_grid(tf: RationalTF, n: int = 512) -> FreqGrid:
     if (isinstance(n, bool) or not isinstance(n, (int, np.integer))
             or not 16 <= n <= _MAX_GRID):
         raise InputError(f"default grid needs an integer n from 16 to {_MAX_GRID}, got {n!r}")
-    omegas = [math.tan(math.pi * (2 * k - n) / (2 * n + 2)) for k in range(n + 1)]
-    for wp in _axis_poles(tf):
-        omegas.append(wp)
-        for delta in (1e-2, 1e-3, 1e-4):
-            step = delta * max(1.0, abs(wp))
-            omegas.extend((wp - step, wp + step))
-    return freq_grid(omegas)
+    omegas = np.tan(np.pi * (2 * np.arange(n + 1) - n) / (2 * n + 2))
+    if len(tf.den) < 2:
+        return freq_grid(omegas)
+    roots = poly_roots(np.asarray(tf.den))
+    poles = roots[_on_axis(roots)].imag
+    steps = np.maximum(1.0, np.abs(poles))[:, None] * np.array([1e-2, 1e-3, 1e-4])
+    return freq_grid(np.concatenate(
+        (omegas, poles, (poles[:, None] - steps).ravel(), (poles[:, None] + steps).ravel())))
 
 
 @dataclass(frozen=True, eq=False)
@@ -369,12 +364,8 @@ def lti_srg(tf: RationalTF, grid: FreqGrid | None = None) -> LtiSrg:
         grid = default_grid(tf)
     elif not isinstance(grid, FreqGrid):
         raise InputError(f"grid must be a FreqGrid, got {type(grid).__name__}")
-    values, pole, disk = _response(tf, grid.omegas)
-    last = _value_at_infinity(tf)
-    at_infinity = np.append(pole, cgeom.is_infinity(last))
-    curve = np.append(values, 0j if at_infinity[-1] else last)
-    curve[at_infinity] = 0.0
-    disk = np.append(disk, cgeom.bk_forward(last))
+    omegas = np.append(grid.omegas, math.inf)
+    curve, pole, disk = _response(tf, omegas)
     region = cgeom.region_from_disk_hull(cgeom.convex_hull_2d(disk))
-    return LtiSrg(region=region, omegas=np.append(grid.omegas, math.inf),
-                  disk_points=disk, curve=curve, curve_at_infinity=at_infinity)
+    return LtiSrg(region=region, omegas=omegas, disk_points=disk, curve=curve,
+                  curve_at_infinity=pole)

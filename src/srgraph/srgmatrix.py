@@ -74,7 +74,7 @@ def srg_complex(t, refine_tol: float = DEFAULT_REFINE_TOL) -> cgeom.SrgRegion:
     are bounded, so the region never contains infinity.
     """
     nb = nrange_boundary(build_v(t).v, refine_tol=refine_tol)
-    return cgeom.region_from_disk_hull(nb.hull, contains_infinity=False, boundary_only=False)
+    return cgeom.region_from_disk_hull(nb.hull, contains_infinity=False)
 
 
 def srg_real(t, refine_tol: float = DEFAULT_REFINE_TOL) -> cgeom.SrgRegion:

@@ -12,6 +12,9 @@ from __future__ import annotations
 import importlib
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -48,3 +51,15 @@ def test_srg_matrix_returns_its_hull_through_the_hooked_sweep(tmp_path):
     captured = hooks.captured["nrange.nrange_boundary"]
     want = nrange_boundary(build_v(t).v)
     assert captured.hull.vertices.tolist() == want.hull.vertices.tolist()
+
+
+def test_importing_srgraph_loads_no_scipy():
+    # The benchmark's setup_s times a fresh process's imports; scipy is
+    # imported lazily, only by gamma_scaling_demo.
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    code = ("import sys, srgraph, srgraph.cli\n"
+            "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -21,14 +21,18 @@ from srgraph import (
     check_containment,
     convex_hull_2d,
     gamma_scaling_demo,
+    general_eig,
     hull_bk,
     is_infinity,
     nrange_boundary,
     nrange_contains,
+    poly_roots,
     polygon_area,
     polygon_distance,
     polygon_hausdorff,
     polygon_signed_distance,
+    similarity_scaled_srg,
+    srg_complex,
 )
 from srgraph import cgeom
 from srgraph.cgeom import (
@@ -529,14 +533,32 @@ _SQUARE = ConvexPolygon([0, 1, 1 + 1j, 1j])
     lambda: polygon_signed_distance(_SQUARE, "q"),
     lambda: polygon_signed_distance(_SQUARE, [0.5, 0.5j]),
     lambda: PolygonLocator(_SQUARE).query(["a"]),
+    lambda: PolygonLocator(_SQUARE).exact(["a"]),
+    lambda: ConvexPolygon(["a"]),
     lambda: gamma_scaling_demo(np.eye(2), ["a"]),
     lambda: gamma_scaling_demo(np.eye(2), [1.0, 2j]),
+    lambda: srg_complex("a"),
+    lambda: srg_complex([[1, 2], [3]]),
+    lambda: similarity_scaled_srg(np.eye(2), "a"),
+    lambda: general_eig("a"),
+    lambda: poly_roots(["a"]),
 ], ids=["nrange_contains", "check_containment", "check_containment_bool_tol", "hull_bk",
         "bk_forward", "convex_hull_2d", "convex_hull_2d_infinity", "polygon_signed_distance",
-        "polygon_signed_distance_two_points", "locator_query", "gamma_scaling_demo",
-        "gamma_scaling_demo_complex"])
+        "polygon_signed_distance_two_points", "locator_query", "locator_exact", "polygon",
+        "gamma_scaling_demo", "gamma_scaling_demo_complex", "srg_complex_string",
+        "srg_complex_ragged", "similarity_scaled_srg", "general_eig", "poly_roots"])
 def test_points_that_are_not_numbers_raise_input_error(call):
     # Each of these used to raise a raw ValueError or TypeError, or, for
     # a bool tol, to accept it as 1.
     with pytest.raises(InputError):
         call()
+
+
+@pytest.mark.parametrize("vertex", [math.nan, math.inf, complex(0.0, -math.inf), INFINITY],
+                         ids=["nan", "inf", "imaginary_inf", "INFINITY"])
+def test_polygon_rejects_vertices_that_are_not_finite(vertex):
+    # A NaN vertex used to be accepted, and polygon_hausdorff of such a
+    # polygon against any other read 0.0.
+    for vertices in ([vertex], [0.0, 1.0, vertex], np.array([0.0, vertex], dtype=object)):
+        with pytest.raises(InputError, match="finite"):
+            ConvexPolygon(vertices)

@@ -373,6 +373,15 @@ def test_invalid_refine_tol_is_rejected(bad):
         nrange_boundary(np.array([[0, 1], [0, 0]], dtype=complex), refine_tol=bad)
 
 
+def test_bool_refine_tol_is_rejected():
+    # bool is a numbers.Real, so True used to sweep at refine_tol 1.
+    a = np.array([[0, 1], [0, 0]], dtype=complex)
+    with pytest.raises(InputError, match="refine_tol"):
+        nrange_boundary(a, True)
+    with pytest.raises(InputError, match="refine_tol"):
+        nrange_contains(a, [0.0], True)
+
+
 def _reference_sweep(a, num_angles, refine_tol, split_counts=nrange._split_counts,
                      eigh_only=False):
     """oracles.sweep_ref from the paired start table of oracles.start_table_ref,

@@ -6,6 +6,7 @@ import pytest
 import oracles
 from conftest import rand_complex, rand_normal_matrix
 from srgraph import (
+    INFINITY,
     InputError,
     bk_forward,
     check_containment,
@@ -157,6 +158,15 @@ def test_samples_saturate_normal_region():
     samples = sample_srg(t, field="complex", count=100000, seed=21)
     sample_hull = convex_hull_2d([bk_forward(complex(s)) for s in samples])
     assert polygon_hausdorff(sample_hull, region.disk_hull) <= 0.01
+
+
+def test_containment_takes_one_point_or_infinity():
+    # A single number used to raise a raw TypeError from list(samples).
+    report = check_containment(1.0, srg_complex(np.eye(2)))
+    assert (report.total, report.contained, report.worst_point) == (1, 1, None)
+    report = check_containment([0.0, INFINITY], srg_complex(np.zeros((2, 2))))
+    assert (report.total, report.contained, report.worst_point) == (2, 1, INFINITY)
+    assert report.max_violation > 0.0
 
 
 def test_report_counts_are_consistent():

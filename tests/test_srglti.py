@@ -267,7 +267,14 @@ def test_disk_point_identity_with_direct_map():
 
 def test_freq_grid_sorts_and_deduplicates():
     g = freq_grid([3.0, -1.0, 3.0, 0.0])
-    assert g.omegas == (-1.0, 0.0, 3.0)
+    assert g.omegas.tolist() == [-1.0, 0.0, 3.0]
+    assert g.omegas.dtype == np.float64 and not g.omegas.flags.writeable
+
+
+def test_freq_grid_keeps_the_signed_zero_given_first():
+    for first, second in ((0.0, -0.0), (-0.0, 0.0)):
+        (got,) = freq_grid([first, second]).omegas
+        assert math.copysign(1.0, got) == math.copysign(1.0, first)
 
 
 def test_freq_grid_validation():
@@ -326,6 +333,30 @@ def test_default_grid_inserts_pole_neighborhoods():
     g = default_grid(rational_tf(*INTEGRATOR), 16)
     for w in (0.0, -1e-2, 1e-2, -1e-3, 1e-3, -1e-4, 1e-4):
         assert w in g.omegas
+
+
+def test_default_grid_matches_the_per_point_loop():
+    # The grid used to be built one math.tan call and one pole at a time,
+    # through sorted(set(...)).  np.tan agrees with math.tan to the bit at
+    # n = 512 and within one ulp at other sizes; the pole neighbourhoods
+    # are the same products and sums.
+    tf = rational_tf([1.0], np.poly([0.0, 1.5j, -1.5j, 3j, -3j, -1.0]))
+    for n in (16, 511, 512, 1000):
+        want = [math.tan(math.pi * (2 * k - n) / (2 * n + 2)) for k in range(n + 1)]
+        poles = sorted({complex(r).imag for r in poly_roots(np.asarray(tf.den))
+                        if abs(complex(r).real) <= srglti.AXIS_TOL * max(1.0, abs(r))})
+        assert len(poles) == 5
+        for wp in poles:
+            want.append(wp)
+            for delta in (1e-2, 1e-3, 1e-4):
+                step = delta * max(1.0, abs(wp))
+                want.extend((wp - step, wp + step))
+        want = np.array(sorted(set(want)))
+        got = default_grid(tf, n).omegas
+        assert got.shape == want.shape
+        if n == 512:
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        assert np.all(np.abs(got - want) <= np.spacing(np.abs(want)))
 
 
 def test_default_grid_self_convergence():
@@ -480,7 +511,7 @@ def test_lti_srg_matches_the_exact_rational_oracle():
         for grid in (default_grid(tf, 16), default_grid(tf, 256), user):
             out = lti_srg(tf, grid)
             assert out.omegas.tolist() == [*grid.omegas, math.inf]
-            disk, curve = oracles.lti_points_exact(tf.num, tf.den, grid.omegas + (INFINITY,))
+            disk, curve = oracles.lti_points_exact(tf.num, tf.den, [*grid.omegas, INFINITY])
             assert max(map(abs, np.subtract(out.disk_points, disk))) <= 1e-12
             got_curve = oracles.extended_ref(out.curve, out.curve_at_infinity)
             assert list(map(is_infinity, got_curve)) == list(map(is_infinity, curve))
@@ -490,8 +521,8 @@ def test_lti_srg_matches_the_exact_rational_oracle():
                     assert abs(got - want) <= 1e-11 * abs(want)
             if grid is user:
                 poles_hit += int(np.count_nonzero(out.curve_at_infinity))
-        disk, curve = oracles.lti_points_exact(tf.num, tf.den, user.omegas + (INFINITY,))
-        for w, d, h in zip(user.omegas + (INFINITY,), disk, curve):
+        disk, curve = oracles.lti_points_exact(tf.num, tf.den, [*user.omegas, INFINITY])
+        for w, d, h in zip([*user.omegas, INFINITY], disk, curve):
             assert abs(lti_disk_point(tf, w) - d) <= 1e-12
             got = tf_value(tf, w)
             assert is_infinity(got) == is_infinity(h)
@@ -526,7 +557,7 @@ def test_overflow_is_a_numerical_error_without_warnings():
             lti_srg(tf, grid)
         with pytest.raises(NumericalError):
             lti_disk_point(tf, grid.omegas[0])
-    assert f"omega = {grid.omegas[0]!r}" in str(info.value)
+    assert f"omega = {float(grid.omegas[0])!r}" in str(info.value)
     with pytest.raises(NumericalError, match="omega = INFINITY"):
         tf_value(rational_tf([1e300], [1e-300]), INFINITY)
 
@@ -540,6 +571,6 @@ def test_coefficient_scales_beyond_the_square_range_compute():
         tf = rational_tf(num, den)
         grid = freq_grid([-1e200, -1.0, 0.0, 1e-3, 1.0, 1e200])
         out = lti_srg(tf, grid)
-        disk, _ = oracles.lti_points_exact(tf.num, tf.den, grid.omegas + (INFINITY,))
+        disk, _ = oracles.lti_points_exact(tf.num, tf.den, [*grid.omegas, INFINITY])
         assert max(map(abs, np.subtract(out.disk_points, disk))) <= 1e-12
     assert lti_disk_point(rational_tf([1e200], [1.0, 1.0]), 0.0) == complex(1.0, -2e-200)
